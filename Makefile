@@ -4,7 +4,7 @@
 #   make race    full test suite under the race detector
 #   make crash   crash-recovery suite under the race detector: WAL/
 #                snapshot store tests, durable-engine recovery tests and
-#                the kill/mangle/recover simulation drivers
+#                the kill/mangle/recover rows of the simulation table
 #   make cluster sharded-cluster suite under the race detector:
 #                partitioner/router/handoff unit tests, the TCP redirect
 #                end-to-end test and the multi-shard delivery-equality
@@ -49,6 +49,17 @@
 
 GO ?= go
 
+# sim runs the ./internal/sim/ cases whose names match $(1) under the race
+# detector. The cases are subtests of TestDeliveryEquality and
+# TestDriveDeterministic, so a stale pattern would select nothing and
+# `go test` would still exit 0; this fails unless a subtest passed.
+sim = echo "$(GO) test -race -v -run '$(1)' ./internal/sim/"; \
+	out=`$(GO) test -race -v -run '$(1)' ./internal/sim/ 2>&1`; rc=$$?; \
+	echo "$$out" | grep -v '^=== '; \
+	[ $$rc -eq 0 ] || exit $$rc; \
+	echo "$$out" | grep -q '^ *--- PASS: [^ ]*/' || \
+		{ echo "make: -run '$(1)' selected no test in ./internal/sim/" >&2; exit 1; }
+
 .PHONY: tier1 race crash cluster rebalance failover lifecycle bench bench-cluster bench-wal bench-wal-smoke bench-smoke figures
 
 tier1:
@@ -61,26 +72,26 @@ race:
 crash:
 	$(GO) test -race ./internal/store/
 	$(GO) test -race -run 'Durable|SessionExpiry|PendingFiredCap' ./internal/server/
-	$(GO) test -race -run 'Crash|Torture' ./internal/sim/
+	@$(call sim,(DeliveryEquality|DriveDeterministic)/(Crash|Torture))
 
 cluster:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'Export|Import|ExpiredSession' ./internal/server/
-	$(GO) test -race -run 'Cluster' ./internal/sim/
+	@$(call sim,(DeliveryEquality|DriveDeterministic)/Cluster)
 
 rebalance:
 	$(GO) test -race -run 'Partition|Balancer|Split|Merge' ./internal/cluster/
-	$(GO) test -race -run 'Repartition' ./internal/sim/
+	@$(call sim,DeliveryEquality/Repartition)
 
 failover:
 	$(GO) test -race -run 'Repl|Follower' ./internal/store/
 	$(GO) test -race -run 'Replication|Failover|Fencing|Promotion|Split' ./internal/cluster/
-	$(GO) test -race -run 'Failover' ./internal/sim/
+	@$(call sim,DeliveryEquality/Failover)
 
 lifecycle:
 	$(GO) test -race -run 'Continuous|Pair|Composite|Lifecycle|Event|ResetFired' ./internal/alarm/
 	$(GO) test -race -run 'Lifecycle|Composite' ./internal/server/
-	$(GO) test -race -run 'Lifecycle' ./internal/sim/
+	@$(call sim,DeliveryEquality/Lifecycle)
 
 bench:
 	$(GO) test -run xxx -bench 'Engine(Parallel|Serial)' -cpu 1,2,4,8 -benchtime 2000x .

@@ -1,32 +1,21 @@
 package sim
 
 import (
-	"fmt"
-	"math/rand"
-	"os"
-	"sort"
-	"time"
-
 	"github.com/sabre-geo/sabre/internal/alarm"
-	"github.com/sabre-geo/sabre/internal/client"
-	"github.com/sabre-geo/sabre/internal/cluster"
 	"github.com/sabre-geo/sabre/internal/geom"
-	"github.com/sabre-geo/sabre/internal/metrics"
-	"github.com/sabre-geo/sabre/internal/server"
-	"github.com/sabre-geo/sabre/internal/store"
-	"github.com/sabre-geo/sabre/internal/transport"
-	"github.com/sabre-geo/sabre/internal/wire"
 )
 
 // LifecycleScenario is a fully scripted lifecycle workload: every user's
 // position is a deterministic function of the tick, so the exact set of
-// (user, packed event) deliveries is known in advance and identical runs
-// against different harnesses (clean, faulty links, crashing server,
-// sharded cluster) must produce identical sets. Scripted paths replace
-// the road-network mobility of the one-shot sims because lifecycle
-// equality needs controlled dwell times: every region (or pair-radius)
-// crossing must hold long enough that delayed, dropped or crash-deferred
-// reports still sample each phase exactly once.
+// (user, packed event) deliveries is known in advance and Drive must
+// produce it under every plan (clean, faulty links, crashing server,
+// sharded cluster). One-shot firings reach Report.Triggers as raw alarm
+// IDs, lifecycle transitions as packed events (alarm.PackEvent) — both
+// exactly once per user. Scripted paths replace the road-network
+// mobility of the one-shot sims because lifecycle equality needs
+// controlled dwell times: every region (or pair-radius) crossing must
+// hold long enough that delayed, dropped or crash-deferred reports still
+// sample each phase exactly once.
 type LifecycleScenario struct {
 	Universe      geom.Rect
 	MaxSpeed      float64
@@ -35,27 +24,9 @@ type LifecycleScenario struct {
 	// Paths[i] scripts user i+1's position per tick. Paths must respect
 	// MaxSpeed — the engine's safe regions and pair caps assume it.
 	Paths []func(tick int) geom.Point
-	// Alarms install in order before the first tick, so IDs are 1..N in
-	// every harness (the cluster assigns globally in the same order).
+	// Alarms install in order before the first tick, so IDs are 1..N on
+	// every topology (the cluster assigns globally in the same order).
 	Alarms []alarm.Alarm
-}
-
-// LifecycleEvent is one delivered (user, packed event) pair. One-shot
-// firings appear as raw alarm IDs, lifecycle transitions as packed
-// events (alarm.PackEvent) — both exactly once per user.
-type LifecycleEvent struct {
-	User  uint64
-	Event uint64
-}
-
-// SortLifecycleEvents orders events for set comparison.
-func SortLifecycleEvents(evs []LifecycleEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].User != evs[j].User {
-			return evs[i].User < evs[j].User
-		}
-		return evs[i].Event < evs[j].Event
-	})
 }
 
 // Waypoint anchors a scripted path: the user is at At exactly at Tick.
@@ -109,7 +80,7 @@ func StaticPath(p geom.Point) func(int) geom.Point {
 //
 // All dwell times are ≥ 60 ticks — far beyond the session resend window
 // (5 ticks), fault delays (≤ 3 ticks) and scripted crash downtimes
-// (≤ 25 ticks) — so every harness samples every phase.
+// (≤ 25 ticks) — so every plan samples every phase.
 func DefaultLifecycleScenario() LifecycleScenario {
 	return LifecycleScenario{
 		Universe:      geom.R(0, 0, 4000, 4000),
@@ -182,420 +153,17 @@ func DefaultLifecycleScenario() LifecycleScenario {
 	}
 }
 
-func (s LifecycleScenario) engineConfig(sc StrategyConfig) server.Config {
-	return server.Config{
-		Universe:      s.Universe,
-		CellAreaM2:    sc.CellAreaKM2 * 1e6,
-		Model:         sc.Model,
-		PyramidParams: pyramidParams(sc),
-		MaxSpeed:      s.MaxSpeed,
-		TickSeconds:   s.TickSeconds,
-		Costs:         metrics.DefaultCosts(),
-	}
-}
-
-func normalizeLifecycleStrategy(sc *StrategyConfig) {
-	if sc.PyramidHeight == 0 {
-		sc.PyramidHeight = 5
-	}
-	if sc.BitmapMaxBits == 0 {
-		sc.BitmapMaxBits = 2048
-	}
-	if sc.CellAreaKM2 == 0 {
-		sc.CellAreaKM2 = 2.5
-	}
-}
-
-// RunLifecycleFaulty executes the scenario against a single in-memory
-// engine with every client behind a fault-injected link. A plan with
-// zero fault probabilities is the clean baseline run. The logical clock
-// is driven explicitly: SetTick precedes each tick's reports, so TTL
-// expiry and staleness slack advance identically in every harness.
-func RunLifecycleFaulty(scn LifecycleScenario, sc StrategyConfig, plan FaultPlan) ([]LifecycleEvent, error) {
-	normalizeLifecycleStrategy(&sc)
-	eng, err := server.New(scn.engineConfig(sc))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := eng.InstallAlarms(scn.Alarms); err != nil {
-		return nil, err
-	}
-
-	n := len(scn.Paths)
-	perClient := make([]metrics.Client, n)
-	sessions := make([]*client.Session, n)
-	links := make([]*faultLink, n)
-	incarnation := make([]int, n)
-	curTick := 0
-	var events []LifecycleEvent
-
-	for i := 0; i < n; i++ {
-		i := i
-		user := uint64(i + 1)
-		cl := client.New(user, sc.Strategy, &perClient[i])
-		scfg := plan.Session
-		scfg.MaxHeight = uint8(sc.PyramidHeight)
-		scfg.JitterSeed = plan.Seed ^ int64(user)<<17
-		dial := func() (transport.Conn, error) {
-			incarnation[i]++
-			cEnd, sEnd := transport.Pipe(4096)
-			ln := &faultLink{
-				user: user,
-				cli:  transport.Faulty(cEnd, plan.schedFor(user, 0, incarnation[i]), curTick),
-				srv:  transport.Faulty(sEnd, plan.schedFor(user, 1, incarnation[i]), curTick),
-			}
-			links[i] = ln
-			return ln.cli, nil
-		}
-		sessions[i] = client.NewSession(cl, dial, scfg, &perClient[i])
-		sessions[i].OnFired = func(ids []uint64) {
-			for _, id := range ids {
-				events = append(events, LifecycleEvent{User: user, Event: id})
-			}
-		}
-	}
-	eng.SetPusher(func(user alarm.UserID, msgs []wire.Message) {
-		idx := int(user) - 1
-		if idx < 0 || idx >= n || links[idx] == nil {
-			return
-		}
-		for _, m := range msgs {
-			if links[idx].srv.Send(m) != nil {
-				return
-			}
-		}
-	})
-
-	var wall time.Duration
-	total := scn.DurationTicks + plan.DrainTicks
-	for tick := 0; tick < total; tick++ {
-		curTick = tick
-		if err := eng.SetTick(uint64(tick)); err != nil {
-			return nil, fmt.Errorf("sim: set tick %d: %w", tick, err)
-		}
-		for i, ln := range links {
-			if ln == nil {
-				continue
-			}
-			if ln.cli.Advance(tick) != nil || ln.srv.Advance(tick) != nil {
-				links[i] = nil
-			}
-		}
-		for i, s := range sessions {
-			if tick < scn.DurationTicks {
-				s.Step(tick, scn.Paths[i](tick))
-			} else {
-				s.Quiesce(tick)
-			}
-		}
-		for i, ln := range links {
-			if ln == nil {
-				continue
-			}
-			if err := serveFaultLink(eng, ln, &wall); err != nil {
-				if err == transport.ErrClosed {
-					links[i] = nil
-					continue
-				}
-				return nil, fmt.Errorf("tick %d user %d: %w", tick, ln.user, err)
-			}
-		}
-	}
-	for i, s := range sessions {
-		if qs := s.QueueLen(); qs > 0 {
-			return nil, fmt.Errorf("sim: user %d still has %d undrained reports — extend DrainTicks", i+1, qs)
-		}
-	}
-	SortLifecycleEvents(events)
-	return events, nil
-}
-
-// RunLifecycleCrashing executes the scenario against a durable engine
-// that is killed (WAL tail mangled) and recovered at the scripted ticks.
-// Recovery must replay every lifecycle machine to its pre-crash phase
-// and occurrence count: a lost Inside phase would mint a duplicate
-// enter, a resurrected expired composite a spurious severity event.
-func RunLifecycleCrashing(scn LifecycleScenario, sc StrategyConfig, plan CrashPlan, dataDir string) ([]LifecycleEvent, error) {
-	normalizeLifecycleStrategy(&sc)
-	if dataDir == "" {
-		tmp, err := os.MkdirTemp("", "sabre-lifecycle-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dataDir = tmp
-	}
-	engCfg := scn.engineConfig(sc)
-
-	n := len(scn.Paths)
-	links := make([]*crashLink, n)
-	var eng *server.Engine
-	boot := func() error {
-		st, state, info, err := store.Open(dataDir, store.Options{
-			Fsync:         plan.Fsync,
-			SnapshotEvery: plan.SnapshotEvery,
-		})
-		if err != nil {
-			return err
-		}
-		eng, err = server.NewDurable(engCfg, st, state, info)
-		if err != nil {
-			return err
-		}
-		eng.SetPusher(func(user alarm.UserID, msgs []wire.Message) {
-			idx := int(user) - 1
-			if idx < 0 || idx >= n || links[idx] == nil {
-				return
-			}
-			for _, m := range msgs {
-				if links[idx].srv.Send(m) != nil {
-					return
-				}
-			}
-		})
-		return nil
-	}
-	if err := boot(); err != nil {
-		return nil, err
-	}
-	if eng.Registry().Len() == 0 {
-		if _, err := eng.InstallAlarms(scn.Alarms); err != nil {
-			return nil, err
-		}
-	}
-
-	perClient := make([]metrics.Client, n)
-	sessions := make([]*client.Session, n)
-	curTick := 0
-	var events []LifecycleEvent
-	for i := 0; i < n; i++ {
-		i := i
-		user := uint64(i + 1)
-		cl := client.New(user, sc.Strategy, &perClient[i])
-		scfg := plan.Session
-		scfg.MaxHeight = uint8(sc.PyramidHeight)
-		scfg.JitterSeed = plan.Seed ^ int64(user)<<17
-		dial := func() (transport.Conn, error) {
-			if eng == nil {
-				return nil, fmt.Errorf("sim: server down")
-			}
-			cEnd, sEnd := transport.Pipe(4096)
-			links[i] = &crashLink{user: user, cli: cEnd, srv: transport.Poller(sEnd)}
-			return cEnd, nil
-		}
-		sessions[i] = client.NewSession(cl, dial, scfg, &perClient[i])
-		sessions[i].OnFired = func(ids []uint64) {
-			for _, id := range ids {
-				events = append(events, LifecycleEvent{User: user, Event: id})
-			}
-		}
-	}
-
-	rng := rand.New(rand.NewSource(plan.Seed ^ 0x5ABE))
-	crashIdx := 0
-	downUntil := -1
-	var wall time.Duration
-	total := scn.DurationTicks + plan.DrainTicks
-	for tick := 0; tick < total; tick++ {
-		curTick = tick
-		_ = curTick
-		if eng != nil && crashIdx < len(plan.Crashes) && tick >= plan.Crashes[crashIdx].Tick {
-			ev := plan.Crashes[crashIdx]
-			crashIdx++
-			walPath := eng.Store().WALPath()
-			eng.Store().Kill()
-			if err := store.MangleTail(walPath, ev.Tear, rng); err != nil {
-				return nil, fmt.Errorf("sim: crash %d mangle: %w", crashIdx, err)
-			}
-			for i, ln := range links {
-				if ln != nil {
-					ln.cli.Close()
-					links[i] = nil
-				}
-			}
-			eng = nil
-			downUntil = tick + ev.Down
-		}
-		if eng == nil && tick >= downUntil {
-			if err := boot(); err != nil {
-				return nil, fmt.Errorf("sim: recovery at tick %d: %w", tick, err)
-			}
-		}
-		if eng != nil {
-			if err := eng.SetTick(uint64(tick)); err != nil {
-				return nil, fmt.Errorf("sim: set tick %d: %w", tick, err)
-			}
-		}
-		for i, s := range sessions {
-			if tick < scn.DurationTicks {
-				s.Step(tick, scn.Paths[i](tick))
-			} else {
-				s.Quiesce(tick)
-			}
-		}
-		if eng == nil {
-			continue
-		}
-		for i, ln := range links {
-			if ln == nil {
-				continue
-			}
-			if err := serveCrashLink(eng, ln, &wall); err != nil {
-				if err == transport.ErrClosed {
-					links[i] = nil
-					continue
-				}
-				return nil, fmt.Errorf("tick %d user %d: %w", tick, ln.user, err)
-			}
-		}
-	}
-	for i, s := range sessions {
-		if qs := s.QueueLen(); qs > 0 {
-			return nil, fmt.Errorf("sim: user %d still has %d undrained reports — extend DrainTicks", i+1, qs)
-		}
-	}
-	if crashIdx != len(plan.Crashes) {
-		return nil, fmt.Errorf("sim: only %d of %d crashes fired", crashIdx, len(plan.Crashes))
-	}
-	SortLifecycleEvents(events)
-	return events, nil
-}
-
-// RunLifecycleCluster executes the scenario against a sharded cluster:
-// reports flow through a cluster.Router, scripted repartitions split or
-// merge shards mid-run (separating pair endpoints across shards), and
-// scripted shard crashes recover from per-shard durable stores. The
-// router's anchor fan-out is what keeps a split pair transitioning —
-// this harness is its end-to-end proof.
-func RunLifecycleCluster(scn LifecycleScenario, sc StrategyConfig, plan ClusterPlan, dataDir string) ([]LifecycleEvent, *cluster.PartitionMap, error) {
-	normalizeLifecycleStrategy(&sc)
-	if plan.Shards <= 0 {
-		plan.Shards = 1
-	}
-	if dataDir == "" {
-		tmp, err := os.MkdirTemp("", "sabre-lifecycle-cluster-")
-		if err != nil {
-			return nil, nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dataDir = tmp
-	}
-	clCfg := cluster.Config{
-		Shards:  plan.Shards,
-		Engine:  scn.engineConfig(sc),
-		DataDir: dataDir,
-		Store: store.Options{
-			Fsync:         plan.Fsync,
-			SnapshotEvery: plan.SnapshotEvery,
-		},
-	}
-	cl, err := cluster.New(clCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { cl.Close() }()
-	if _, err := cl.InstallAlarms(scn.Alarms); err != nil {
-		return nil, nil, err
-	}
-	rt := cluster.NewRouter(cl)
-
-	n := len(scn.Paths)
-	links := make([]*crashLink, n)
-	perClient := make([]metrics.Client, n)
-	sessions := make([]*client.Session, n)
-	var events []LifecycleEvent
-	for i := 0; i < n; i++ {
-		i := i
-		user := uint64(i + 1)
-		c := client.New(user, sc.Strategy, &perClient[i])
-		scfg := plan.Session
-		scfg.MaxHeight = uint8(sc.PyramidHeight)
-		scfg.JitterSeed = plan.Seed ^ int64(user)<<17
-		dial := func() (transport.Conn, error) {
-			cEnd, sEnd := transport.Pipe(4096)
-			links[i] = &crashLink{user: user, cli: cEnd, srv: transport.Poller(sEnd)}
-			return cEnd, nil
-		}
-		sessions[i] = client.NewSession(c, dial, scfg, &perClient[i])
-		sessions[i].OnFired = func(ids []uint64) {
-			for _, id := range ids {
-				events = append(events, LifecycleEvent{User: user, Event: id})
-			}
-		}
-	}
-
-	rng := rand.New(rand.NewSource(plan.Seed ^ 0x5ABE))
-	crashIdx, repIdx := 0, 0
-	downUntil := make(map[int]int)
-	var wall time.Duration
-	total := scn.DurationTicks + plan.DrainTicks
-	for tick := 0; tick < total; tick++ {
-		for crashIdx < len(plan.Crashes) && tick >= plan.Crashes[crashIdx].Tick {
-			ev := plan.Crashes[crashIdx]
-			crashIdx++
-			if err := cl.KillShard(ev.Shard, ev.Tear, rng); err != nil {
-				return nil, nil, fmt.Errorf("sim: crash %d: %w", crashIdx, err)
-			}
-			downUntil[ev.Shard] = tick + ev.Down
-		}
-		for _, s := range sortedKeys(downUntil) {
-			if tick >= downUntil[s] {
-				if err := cl.RecoverShard(s); err != nil {
-					return nil, nil, fmt.Errorf("sim: recover shard %d at tick %d: %w", s, tick, err)
-				}
-				delete(downUntil, s)
-			}
-		}
-		for repIdx < len(plan.Repartitions) && tick >= plan.Repartitions[repIdx].Tick {
-			ev := plan.Repartitions[repIdx]
-			repIdx++
-			switch ev.Op {
-			case "split":
-				if _, err := cl.SplitShard(ev.Shard); err != nil {
-					return nil, nil, fmt.Errorf("sim: split shard %d at tick %d: %w", ev.Shard, tick, err)
-				}
-			case "merge":
-				if err := cl.MergeShards(ev.Into, ev.Shard); err != nil {
-					return nil, nil, fmt.Errorf("sim: merge shard %d into %d at tick %d: %w", ev.Shard, ev.Into, tick, err)
-				}
-			default:
-				return nil, nil, fmt.Errorf("sim: repartition %d: unknown op %q", repIdx, ev.Op)
-			}
-		}
-		if err := cl.SetTick(uint64(tick)); err != nil {
-			return nil, nil, fmt.Errorf("sim: set tick %d: %w", tick, err)
-		}
-		for i, s := range sessions {
-			if tick < scn.DurationTicks {
-				s.Step(tick, scn.Paths[i](tick))
-			} else {
-				s.Quiesce(tick)
-			}
-		}
-		for i, ln := range links {
-			if ln == nil {
-				continue
-			}
-			if err := serveClusterLink(rt, ln, &wall); err != nil {
-				if err == transport.ErrClosed {
-					links[i] = nil
-					continue
-				}
-				return nil, nil, fmt.Errorf("tick %d user %d: %w", tick, ln.user, err)
-			}
-		}
-	}
-	for i, s := range sessions {
-		if qs := s.QueueLen(); qs > 0 {
-			return nil, nil, fmt.Errorf("sim: user %d still has %d undrained reports — extend DrainTicks", i+1, qs)
-		}
-	}
-	if crashIdx != len(plan.Crashes) {
-		return nil, nil, fmt.Errorf("sim: only %d of %d crashes fired", crashIdx, len(plan.Crashes))
-	}
-	if repIdx != len(plan.Repartitions) {
-		return nil, nil, fmt.Errorf("sim: only %d of %d repartitions fired", repIdx, len(plan.Repartitions))
-	}
-	SortLifecycleEvents(events)
-	return events, cl.PartitionMap(), nil
+// replay walks the scripted paths.
+func (s LifecycleScenario) replay() (*replay, error) {
+	cur := 0
+	return &replay{
+		users:       len(s.Paths),
+		ticks:       s.DurationTicks,
+		universe:    s.Universe,
+		maxSpeed:    s.MaxSpeed,
+		tickSeconds: s.TickSeconds,
+		alarms:      s.Alarms,
+		advance:     func(tick int) { cur = tick },
+		position:    func(i int) geom.Point { return s.Paths[i](cur) },
+	}, nil
 }

@@ -3,11 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"github.com/sabre-geo/sabre/internal/alarm"
-	"github.com/sabre-geo/sabre/internal/client"
 	"github.com/sabre-geo/sabre/internal/metrics"
-	"github.com/sabre-geo/sabre/internal/mobility"
-	"github.com/sabre-geo/sabre/internal/server"
 	"github.com/sabre-geo/sabre/internal/stats"
 	"github.com/sabre-geo/sabre/internal/wire"
 )
@@ -49,20 +45,11 @@ type MixedReport struct {
 // RunMixed executes one simulation in which the fleet is partitioned
 // across device classes served by a single engine — the paper's
 // heterogeneity argument (§4) at workload scale. The base StrategyConfig
-// supplies the shared server knobs (cell size, motion model, precompute);
-// its Strategy field is ignored.
+// supplies every shared server knob (cell size, motion model, index,
+// assembly, precompute, ...); its Strategy field is ignored.
 func RunMixed(w *Workload, classes []MixedClass, base StrategyConfig) (*MixedReport, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("sim: no classes")
-	}
-	if base.PyramidHeight == 0 {
-		base.PyramidHeight = 5
-	}
-	if base.BitmapMaxBits == 0 {
-		base.BitmapMaxBits = 2048
-	}
-	if base.CellAreaKM2 == 0 {
-		base.CellAreaKM2 = 2.5
 	}
 	var totalFrac float64
 	for _, c := range classes {
@@ -73,28 +60,6 @@ func RunMixed(w *Workload, classes []MixedClass, base StrategyConfig) (*MixedRep
 	}
 	if totalFrac <= 0 {
 		return nil, fmt.Errorf("sim: class fractions sum to zero")
-	}
-
-	mobCfg := mobility.DefaultConfig(w.Config.Vehicles, w.Config.Seed)
-	mob, err := mobility.NewSimulator(w.Net, mobCfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := server.New(server.Config{
-		Universe:                w.Net.Bounds().Expand(50),
-		CellAreaM2:              base.CellAreaKM2 * 1e6,
-		Model:                   base.Model,
-		PyramidParams:           pyramidParams(base),
-		MaxSpeed:                mob.MaxSpeed(),
-		TickSeconds:             mobCfg.TickSeconds,
-		PrecomputePublicBitmaps: base.PrecomputePublicBitmaps,
-		Costs:                   metrics.DefaultCosts(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := eng.Registry().InstallBatch(w.Alarms); err != nil {
-		return nil, err
 	}
 
 	// Assign vehicles to classes by cumulative fraction, preserving the
@@ -112,84 +77,37 @@ func RunMixed(w *Workload, classes []MixedClass, base StrategyConfig) (*MixedRep
 		bound += share
 	}
 
-	perClient := make([]metrics.Client, w.Config.Vehicles)
-	clients := make([]*client.Client, w.Config.Vehicles)
-	for i := range clients {
-		user := uint64(i + 1)
+	base = base.withDefaults()
+	r, err := runDirect(w, base, func(i int) (wire.Strategy, int) {
 		c := classes[classOf[i]]
-		h := c.PyramidHeight
-		if h == 0 {
-			h = base.PyramidHeight
+		if c.PyramidHeight == 0 {
+			return c.Strategy, base.PyramidHeight
 		}
-		clients[i] = client.New(user, c.Strategy, &perClient[i])
-		if err := eng.Register(wire.Register{
-			User:      user,
-			Strategy:  c.Strategy,
-			MaxHeight: uint8(h),
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	curTick := 0
-	eng.SetPusher(func(user alarm.UserID, msgs []wire.Message) {
-		idx := int(user) - 1
-		if idx < 0 || idx >= len(clients) {
-			return
-		}
-		for _, m := range msgs {
-			_ = clients[idx].Handle(curTick, m)
-		}
+		return c.Strategy, c.PyramidHeight
 	})
-
-	var triggers []Trigger
-	for tick := 0; tick < w.Config.DurationTicks; tick++ {
-		curTick = tick
-		mob.Step()
-		for i, cl := range clients {
-			upd := cl.Tick(tick, mob.Position(i))
-			if upd == nil {
-				continue
-			}
-			responses, err := eng.HandleUpdate(*upd)
-			if err != nil {
-				return nil, fmt.Errorf("tick %d user %d: %w", tick, upd.User, err)
-			}
-			for _, resp := range responses {
-				if fired, ok := resp.(wire.AlarmFired); ok {
-					for _, id := range fired.Alarms {
-						triggers = append(triggers, Trigger{User: upd.User, Alarm: id, Tick: tick})
-					}
-				}
-				if err := cl.Handle(tick, resp); err != nil {
-					return nil, err
-				}
-			}
-			if len(responses) == 0 {
-				cl.Acknowledge()
-			}
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	out := &MixedReport{
-		Triggers:           triggers,
-		DownlinkBytes:      eng.Metrics().Snapshot().DownlinkBytes,
-		TotalServerMinutes: eng.Metrics().TotalSeconds() / 60,
+		Triggers:           r.triggers,
+		DownlinkBytes:      r.met.DownlinkBytes,
+		TotalServerMinutes: r.met.TotalSeconds() / 60,
 	}
 	energy := metrics.DefaultEnergy()
 	for ci, c := range classes {
 		cr := ClassReport{Name: c.Name, Strategy: c.Strategy.String()}
 		var msgs []uint64
-		for i := range clients {
+		for i, pc := range r.perClient {
 			if classOf[i] != ci {
 				continue
 			}
 			cr.Vehicles++
-			cr.UplinkMessages += perClient[i].MessagesSent
-			cr.ContainmentChecks += perClient[i].ContainmentChecks
-			cr.Probes += perClient[i].Probes
-			cr.EnergyMWh += perClient[i].Energy(energy)
-			msgs = append(msgs, perClient[i].MessagesSent)
+			cr.UplinkMessages += pc.MessagesSent
+			cr.ContainmentChecks += pc.ContainmentChecks
+			cr.Probes += pc.Probes
+			cr.EnergyMWh += pc.Energy(energy)
+			msgs = append(msgs, pc.MessagesSent)
 		}
 		cr.PerClientMessages = stats.SummarizeUints(msgs)
 		out.Classes = append(out.Classes, cr)

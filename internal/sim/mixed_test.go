@@ -81,3 +81,34 @@ func TestMixedValidation(t *testing.T) {
 		t.Error("zero total fraction accepted")
 	}
 }
+
+// TestMixedFleetHonoursBaseConfig: every shared server knob of the base
+// config must reach the engine, not just the ones RunMixed lists by hand.
+func TestMixedFleetHonoursBaseConfig(t *testing.T) {
+	w := buildSmall(t, 33)
+	run := func(base StrategyConfig) *MixedReport {
+		t.Helper()
+		m, err := RunMixed(w, defaultClasses(), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	plain := run(StrategyConfig{})
+	if m := run(StrategyConfig{BucketIndex: true}); m.TotalServerMinutes == plain.TotalServerMinutes {
+		t.Error("BucketIndex ignored: the index swap left the cost-model minutes unchanged")
+	} else if !TriggersEqual(m.Triggers, plain.Triggers) {
+		t.Error("BucketIndex changed the delivered triggers")
+	}
+	if m := run(StrategyConfig{ExhaustiveAssembly: true}); m.DownlinkBytes == plain.DownlinkBytes {
+		t.Error("ExhaustiveAssembly ignored: MWPSR regions cost the same downlink bytes")
+	} else if !TriggersEqual(m.Triggers, plain.Triggers) {
+		t.Error("ExhaustiveAssembly changed the delivered triggers")
+	}
+	// Class 0 is the safe-period class; halving its speed bound lengthens
+	// every safe period.
+	if m := run(StrategyConfig{SafePeriodSpeedFactor: 0.5}); m.Classes[0].UplinkMessages >= plain.Classes[0].UplinkMessages {
+		t.Errorf("SafePeriodSpeedFactor ignored: SP class sent %d messages, %d without it",
+			m.Classes[0].UplinkMessages, plain.Classes[0].UplinkMessages)
+	}
+}

@@ -5,6 +5,14 @@
 // bandwidth, client energy, server processing time) together with the
 // exact set of delivered (user, alarm, tick) triggers.
 //
+// There are two ways to run a workload. Run (and RunMixed) call the
+// engine directly, one HandleUpdate per report — the paper's counted
+// cost model, which every figure reads. Drive puts each client behind
+// the full session layer and a fault-injectable link, against one engine
+// or a sharded cluster, and injects whatever its Plan scripts (link
+// faults, process and shard crashes, resharding, failover); it exists to
+// prove that none of that changes the delivered set.
+//
 // Determinism: for a fixed Workload, every strategy run sees bit-for-bit
 // the same vehicle trace and alarm set, so trigger sets are directly
 // comparable — the paper's "100% of the alarms are triggered in all
@@ -23,6 +31,7 @@ import (
 
 	"github.com/sabre-geo/sabre/internal/alarm"
 	"github.com/sabre-geo/sabre/internal/client"
+	"github.com/sabre-geo/sabre/internal/cluster"
 	"github.com/sabre-geo/sabre/internal/geom"
 	"github.com/sabre-geo/sabre/internal/metrics"
 	"github.com/sabre-geo/sabre/internal/mobility"
@@ -304,14 +313,16 @@ type Report struct {
 	Triggers []Trigger
 
 	// Cluster holds the cluster-level counters (handoffs, suppressed
-	// duplicates, shard crashes) when the run went through RunCluster;
-	// nil for single-server runs.
+	// duplicates, shard crashes) when Drive ran a cluster topology; nil
+	// for single-server runs.
 	Cluster *metrics.ClusterSnapshot
 	// PartitionEpoch is the cluster's final partition-map version
 	// (cluster runs only; 0 for single-server runs). Scripted splits,
 	// merges and crash recoveries all advance it, so tests can assert
-	// the run ended in a consistent epoch.
+	// the run ended in a consistent epoch. PartitionMap is that final
+	// map itself.
 	PartitionEpoch uint64
+	PartitionMap   *cluster.PartitionMap
 }
 
 // TriggersEqual reports whether two runs delivered exactly the same
@@ -343,14 +354,9 @@ func TriggersEqual(a, b []Trigger) bool {
 	return true
 }
 
-func pyramidParams(sc StrategyConfig) pyramid.Params {
-	p := pyramid.DefaultParams(sc.PyramidHeight)
-	p.MaxBits = sc.BitmapMaxBits
-	return p
-}
-
-// Run executes one strategy over the workload and returns its report.
-func Run(w *Workload, sc StrategyConfig) (*Report, error) {
+// withDefaults fills the zero strategy knobs with the paper's comparison
+// configuration.
+func (sc StrategyConfig) withDefaults() StrategyConfig {
 	if sc.PyramidHeight == 0 {
 		sc.PyramidHeight = 5
 	}
@@ -360,44 +366,147 @@ func Run(w *Workload, sc StrategyConfig) (*Report, error) {
 	if sc.CellAreaKM2 == 0 {
 		sc.CellAreaKM2 = 2.5
 	}
+	return sc
+}
+
+// replay is one pass over a traffic source: who moves where, tick by
+// tick, and the alarm table and world geometry every server sees.
+type replay struct {
+	users, ticks int
+	universe     geom.Rect
+	maxSpeed     float64
+	tickSeconds  float64
+	alarms       []alarm.Alarm
+	// advance moves the source to tick (called once per tick, in order);
+	// position then reads user index i's location at that tick.
+	advance  func(tick int)
+	position func(i int) geom.Point
+}
+
+// replay steps the road-network mobility simulator over the workload.
+func (w *Workload) replay() (*replay, error) {
 	mobCfg := mobility.DefaultConfig(w.Config.Vehicles, w.Config.Seed)
 	mob, err := mobility.NewSimulator(w.Net, mobCfg)
 	if err != nil {
 		return nil, err
 	}
-	// The grid universe must strictly enclose the road network: the hull
-	// roads run exactly along the network bounds, and a client on the
-	// universe boundary could never be strictly inside a safe region.
-	universe := w.Net.Bounds().Expand(50)
-	eng, err := server.New(server.Config{
-		Universe:                universe,
+	return &replay{
+		users: w.Config.Vehicles,
+		ticks: w.Config.DurationTicks,
+		// The grid universe must strictly enclose the road network: the hull
+		// roads run exactly along the network bounds, and a client on the
+		// universe boundary could never be strictly inside a safe region.
+		universe:    w.Net.Bounds().Expand(50),
+		maxSpeed:    mob.MaxSpeed(),
+		tickSeconds: mobCfg.TickSeconds,
+		alarms:      w.Alarms,
+		advance:     func(int) { mob.Step() },
+		position:    mob.Position,
+	}, nil
+}
+
+// engineConfig is the one StrategyConfig → server.Config mapping; sc must
+// already carry its defaults.
+func (tr *replay) engineConfig(sc StrategyConfig) server.Config {
+	pp := pyramid.DefaultParams(sc.PyramidHeight)
+	pp.MaxBits = sc.BitmapMaxBits
+	return server.Config{
+		Universe:                tr.universe,
 		CellAreaM2:              sc.CellAreaKM2 * 1e6,
 		Model:                   sc.Model,
-		PyramidParams:           pyramidParams(sc),
-		MaxSpeed:                mob.MaxSpeed(),
-		TickSeconds:             mobCfg.TickSeconds,
+		PyramidParams:           pp,
+		MaxSpeed:                tr.maxSpeed,
+		TickSeconds:             tr.tickSeconds,
 		PrecomputePublicBitmaps: sc.PrecomputePublicBitmaps,
 		ExhaustiveAssembly:      sc.ExhaustiveAssembly,
 		UseBucketIndex:          sc.BucketIndex,
 		SafePeriodSpeedFactor:   sc.SafePeriodSpeedFactor,
 		Costs:                   metrics.DefaultCosts(),
-	})
+	}
+}
+
+// report assembles the outcome of one run from the server counters, the
+// per-client counters and the delivered triggers.
+func (tr *replay) report(strategy wire.Strategy, met metrics.Snapshot, perClient []metrics.Client, triggers []Trigger, serverWall time.Duration) *Report {
+	clientMet := &metrics.Client{}
+	msgsPerClient := make([]uint64, len(perClient))
+	for i := range perClient {
+		clientMet.Merge(perClient[i])
+		msgsPerClient[i] = perClient[i].MessagesSent
+	}
+	return &Report{
+		Strategy:               strategy.String(),
+		Vehicles:               tr.users,
+		DurationTicks:          tr.ticks,
+		UplinkMessages:         met.UplinkMessages,
+		UplinkBytes:            met.UplinkBytes,
+		DownlinkMessages:       met.DownlinkMessages,
+		DownlinkBytes:          met.DownlinkBytes,
+		DownlinkMbps:           met.DownlinkMbps(float64(tr.ticks) * tr.tickSeconds),
+		UpdateBatches:          met.UpdateBatches,
+		BatchedUpdates:         met.BatchedUpdates,
+		ClientChecks:           clientMet.ContainmentChecks,
+		ClientProbes:           clientMet.Probes,
+		ClientEnergyMWh:        clientMet.Energy(metrics.DefaultEnergy()),
+		ClientProbeEnergyMWh:   float64(clientMet.Probes) * metrics.DefaultEnergy().ProbeMilliWattHours,
+		PerClientMessages:      stats.SummarizeUints(msgsPerClient),
+		AlarmProcessingMinutes: met.AlarmProcessingSeconds() / 60,
+		SafeRegionMinutes:      met.SafeRegionSeconds() / 60,
+		TotalServerMinutes:     met.TotalSeconds() / 60,
+		SafeRegionComputations: met.SafeRegionComputations,
+		AlarmEvaluations:       met.AlarmEvaluations,
+		RectClips:              met.RectClips,
+		MeasuredServerSeconds:  serverWall.Seconds(),
+		Triggers:               triggers,
+	}
+}
+
+// Run executes one strategy over the workload and returns its report.
+func Run(w *Workload, sc StrategyConfig) (*Report, error) {
+	sc = sc.withDefaults()
+	r, err := runDirect(w, sc, func(int) (wire.Strategy, int) { return sc.Strategy, sc.PyramidHeight })
 	if err != nil {
 		return nil, err
 	}
-	if _, err := eng.Registry().InstallBatch(w.Alarms); err != nil {
+	return r.tr.report(sc.Strategy, r.met, r.perClient, r.triggers, r.serverWall), nil
+}
+
+// directRun is what a session-less run leaves behind for its report.
+type directRun struct {
+	tr         *replay
+	met        metrics.Snapshot
+	perClient  []metrics.Client
+	triggers   []Trigger
+	serverWall time.Duration
+}
+
+// runDirect replays the workload with every client calling the engine
+// directly — no sessions, no links — which is the paper's counted cost
+// model. fleet gives vehicle i's strategy and pyramid height; sc (with
+// its defaults filled) supplies the server knobs.
+func runDirect(w *Workload, sc StrategyConfig, fleet func(i int) (wire.Strategy, int)) (*directRun, error) {
+	tr, err := w.replay()
+	if err != nil {
+		return nil, err
+	}
+	eng, err := server.New(tr.engineConfig(sc))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := eng.Registry().InstallBatch(tr.alarms); err != nil {
 		return nil, err
 	}
 
-	perClient := make([]metrics.Client, w.Config.Vehicles)
-	clients := make([]*client.Client, w.Config.Vehicles)
+	perClient := make([]metrics.Client, tr.users)
+	clients := make([]*client.Client, tr.users)
 	for i := range clients {
 		user := uint64(i + 1)
-		clients[i] = client.New(user, sc.Strategy, &perClient[i])
+		strategy, height := fleet(i)
+		clients[i] = client.New(user, strategy, &perClient[i])
 		if err := eng.Register(wire.Register{
 			User:      user,
-			Strategy:  sc.Strategy,
-			MaxHeight: uint8(sc.PyramidHeight),
+			Strategy:  strategy,
+			MaxHeight: uint8(height),
 		}); err != nil {
 			return nil, err
 		}
@@ -427,16 +536,16 @@ func Run(w *Workload, sc StrategyConfig) (*Report, error) {
 	var triggers []Trigger
 	var serverWall time.Duration
 	if sc.Parallel {
-		triggers, serverWall, err = runParallelTicks(w, sc, eng, mob, clients, clientMu, &curTick)
+		triggers, serverWall, err = runParallelTicks(tr, sc, eng, clients, clientMu, &curTick)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		for tick := 0; tick < w.Config.DurationTicks; tick++ {
+		for tick := 0; tick < tr.ticks; tick++ {
 			curTick = tick
-			mob.Step()
+			tr.advance(tick)
 			for i, cl := range clients {
-				upd := cl.Tick(tick, mob.Position(i))
+				upd := cl.Tick(tick, tr.position(i))
 				if upd == nil {
 					continue
 				}
@@ -462,38 +571,12 @@ func Run(w *Workload, sc StrategyConfig) (*Report, error) {
 			}
 		}
 	}
-
-	clientMet := &metrics.Client{}
-	msgsPerClient := make([]uint64, len(perClient))
-	for i := range perClient {
-		clientMet.Merge(perClient[i])
-		msgsPerClient[i] = perClient[i].MessagesSent
-	}
-
-	met := eng.Metrics().Snapshot()
-	traceSeconds := float64(w.Config.DurationTicks) * mobCfg.TickSeconds
-	return &Report{
-		Strategy:               sc.Strategy.String(),
-		Vehicles:               w.Config.Vehicles,
-		DurationTicks:          w.Config.DurationTicks,
-		UplinkMessages:         met.UplinkMessages,
-		UplinkBytes:            met.UplinkBytes,
-		DownlinkMessages:       met.DownlinkMessages,
-		DownlinkBytes:          met.DownlinkBytes,
-		DownlinkMbps:           met.DownlinkMbps(traceSeconds),
-		ClientChecks:           clientMet.ContainmentChecks,
-		ClientProbes:           clientMet.Probes,
-		ClientEnergyMWh:        clientMet.Energy(metrics.DefaultEnergy()),
-		ClientProbeEnergyMWh:   float64(clientMet.Probes) * metrics.DefaultEnergy().ProbeMilliWattHours,
-		PerClientMessages:      stats.SummarizeUints(msgsPerClient),
-		AlarmProcessingMinutes: met.AlarmProcessingSeconds() / 60,
-		SafeRegionMinutes:      met.SafeRegionSeconds() / 60,
-		TotalServerMinutes:     met.TotalSeconds() / 60,
-		SafeRegionComputations: met.SafeRegionComputations,
-		AlarmEvaluations:       met.AlarmEvaluations,
-		RectClips:              met.RectClips,
-		MeasuredServerSeconds:  serverWall.Seconds(),
-		Triggers:               triggers,
+	return &directRun{
+		tr:         tr,
+		met:        eng.Metrics().Snapshot(),
+		perClient:  perClient,
+		triggers:   triggers,
+		serverWall: serverWall,
 	}, nil
 }
 
@@ -505,7 +588,7 @@ func Run(w *Workload, sc StrategyConfig) (*Report, error) {
 // would have appended them in. The returned wall duration sums the time
 // every worker spent inside Engine.HandleUpdate (aggregate CPU, not
 // elapsed time).
-func runParallelTicks(w *Workload, sc StrategyConfig, eng *server.Engine, mob *mobility.Simulator, clients []*client.Client, clientMu []sync.Mutex, curTick *int) ([]Trigger, time.Duration, error) {
+func runParallelTicks(tr *replay, sc StrategyConfig, eng *server.Engine, clients []*client.Client, clientMu []sync.Mutex, curTick *int) ([]Trigger, time.Duration, error) {
 	workers := sc.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -516,9 +599,9 @@ func runParallelTicks(w *Workload, sc StrategyConfig, eng *server.Engine, mob *m
 	var triggers []Trigger
 	var serverWall time.Duration
 	var wallMu sync.Mutex
-	for tick := 0; tick < w.Config.DurationTicks; tick++ {
+	for tick := 0; tick < tr.ticks; tick++ {
 		*curTick = tick
-		mob.Step()
+		tr.advance(tick)
 		// Per-client trigger buffers: workers append only to their current
 		// client's slot, so no locking is needed and the post-barrier
 		// flatten restores the serial (client-index) order.
@@ -547,7 +630,7 @@ func runParallelTicks(w *Workload, sc StrategyConfig, eng *server.Engine, mob *m
 					}
 					cl := clients[i]
 					clientMu[i].Lock()
-					upd := cl.Tick(tick, mob.Position(i))
+					upd := cl.Tick(tick, tr.position(i))
 					clientMu[i].Unlock()
 					if upd == nil {
 						continue

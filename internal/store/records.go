@@ -5,7 +5,7 @@
 // engine reconstructs itself. The observable behaviour of a recovered
 // server — the delivered (user, alarm) set and the redelivery of
 // unacknowledged firings — is identical to an uninterrupted run; see
-// DESIGN.md "Durability" for the invariants and internal/sim.RunCrashing
+// DESIGN.md "Durability" for the invariants and internal/sim.Drive
 // for the proof harness.
 package store
 
