@@ -330,14 +330,23 @@ func (r *Registry) Len() int {
 	return len(r.alarms)
 }
 
+// Moved is one alarm re-anchored by MoveTarget: where its region was and
+// where it is now. Anything derived from the old position (safe regions
+// held by subscribers, per-cell public bitmaps) is stale.
+type Moved struct {
+	ID       ID
+	Scope    Scope
+	Old, New geom.Rect
+}
+
 // MoveTarget re-anchors every alarm whose Target is user onto the new
-// position, preserving each region's extent, and returns the IDs of the
-// alarms that moved. Alarm processing for the affected subscribers must be
-// re-run by the caller (the server invalidates their safe regions).
-func (r *Registry) MoveTarget(user UserID, pos geom.Point) []ID {
+// position, preserving each region's extent, and returns the alarms that
+// moved. Alarm processing for the affected subscribers must be re-run by
+// the caller (the server invalidates their safe regions).
+func (r *Registry) MoveTarget(user UserID, pos geom.Point) []Moved {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var moved []ID
+	var moved []Moved
 	for _, id := range r.byTarget[user] {
 		a := r.alarms[id]
 		if a == nil {
@@ -351,7 +360,7 @@ func (r *Registry) MoveTarget(user UserID, pos geom.Point) []ID {
 		}
 		r.index.Delete(rstar.Item{ID: uint64(id), Rect: old})
 		r.index.Insert(rstar.Item{ID: uint64(id), Rect: a.Region})
-		moved = append(moved, id)
+		moved = append(moved, Moved{ID: id, Scope: a.Scope, Old: old, New: a.Region})
 	}
 	return moved
 }

@@ -208,11 +208,11 @@ func TestMoveTarget(t *testing.T) {
 	r.Install(Alarm{Scope: Private, Owner: 1, Region: region(300, 300, 20)}) // static
 
 	moved := r.MoveTarget(5, geom.Pt(500, 600))
-	if len(moved) != 1 || moved[0] != id {
-		t.Fatalf("MoveTarget = %v, want [%d]", moved, id)
+	want := region(500, 600, 20)
+	if len(moved) != 1 || moved[0] != (Moved{ID: id, Scope: Shared, Old: region(100, 100, 20), New: want}) {
+		t.Fatalf("MoveTarget = %v, want alarm %d from its old to its new region", moved, id)
 	}
 	got, _ := r.Get(id)
-	want := region(500, 600, 20)
 	if got.Region != want {
 		t.Errorf("Region = %v, want %v", got.Region, want)
 	}

@@ -11,7 +11,7 @@ import (
 
 func bitmapFor(t *testing.T, cell geom.Rect, alarms ...geom.Rect) wire.BitmapRegion {
 	t.Helper()
-	bm, err := pyramid.Encode(cell, pyramid.DefaultParams(3), func(r geom.Rect) pyramid.Coverage {
+	bm, err := pyramid.Encode(cell, pyramid.DefaultParams(3), nil, func(r geom.Rect, _ pyramid.Coverage) pyramid.Coverage {
 		return pyramid.CoverageOf(r, alarms)
 	})
 	if err != nil {

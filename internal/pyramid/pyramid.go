@@ -119,16 +119,67 @@ func CoverageOf(cell geom.Rect, alarms []geom.Rect) Coverage {
 	return cov
 }
 
-// Encode builds the pyramid bitmap for cell. cover classifies each probed
-// rectangle (use CoverageOf, or a custom classifier that also consults a
-// precomputed region); it is called once per emitted cell. The traversal
-// is breadth-first so bits appear in level order.
-func Encode(cell geom.Rect, params Params, cover func(geom.Rect) Coverage) (*Bitmap, error) {
+// Base-walk sentinels. Encode carries, next to every open cell, the index
+// of the same cell's node in the base region; once the walk reaches a base
+// leaf the index is replaced by a sentinel that every descendant inherits:
+// all of a safe leaf's sub-cells are uncovered, all of a covered leaf's are
+// fully covered, and below a blocked leaf the base ran out of refinement,
+// so its sub-cells stay conservatively partial.
+const (
+	baseNone    = -1 - int32(CoverNone)
+	basePartial = -1 - int32(CoverPartial)
+	baseFull    = -1 - int32(CoverFull)
+)
+
+// baseAt classifies the cell whose base-walk index is n and returns the
+// index its children inherit (n itself only for an expanded node).
+func baseAt(base *Region, n int32) (Coverage, int32) {
+	if n < 0 {
+		return Coverage(-1 - n), n
+	}
+	switch f := base.flags[n]; {
+	case f&nodeSafe != 0:
+		return CoverNone, baseNone
+	case f&nodeCovered != 0:
+		return CoverFull, baseFull
+	case base.kidsBase[n] < 0:
+		return CoverPartial, basePartial
+	}
+	return CoverPartial, n
+}
+
+// openCell is a cell whose children are still to be emitted, with its
+// base-walk index.
+type openCell struct {
+	rect geom.Rect
+	base int32
+}
+
+// Encode builds the pyramid bitmap for cell. cover classifies each emitted
+// cell (CoverageOf is the standard classifier) and is called exactly once
+// per cell. The traversal is breadth-first so bits appear in level order.
+//
+// base, when non-nil, is a decoded region of the same cell and split
+// factors that already accounts for a fixed alarm subset (the §4.2 public
+// precompute). Both pyramids subdivide identically, so the traversal walks
+// base in lockstep — child i of base node n is node kidsBase[n]+i — and
+// hands cover the base's classification of the very cell being emitted at
+// O(1) per cell; without a base that argument is always CoverNone. The
+// base may be taller or shorter than params.Height and is never budgeted.
+func Encode(cell geom.Rect, params Params, base *Region, cover func(cell geom.Rect, base Coverage) Coverage) (*Bitmap, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if cell.Empty() {
 		return nil, fmt.Errorf("pyramid: empty cell %v", cell)
+	}
+	root := baseNone
+	if base != nil {
+		if base.cell != cell || base.params.U != params.U || base.params.V != params.V {
+			return nil, fmt.Errorf("pyramid: base region (%v, %dx%d) does not align with %v, %dx%d",
+				base.cell, base.params.U, base.params.V, cell, params.U, params.V)
+		}
+		root = 0
 	}
 	budget := params.MaxBits
 	if budget == 0 || budget > maxBits {
@@ -143,8 +194,8 @@ func Encode(cell geom.Rect, params Params, cover func(geom.Rect) Coverage) (*Bit
 	// writeCell emits the bits for one cell at the given level and reports
 	// whether its children must follow. Expansion requires budget headroom
 	// for the children it promises.
-	writeCell := func(r geom.Rect, level int) bool {
-		switch cover(r) {
+	writeCell := func(r geom.Rect, level int, baseCov Coverage) bool {
+		switch cover(r, baseCov) {
 		case CoverNone:
 			w.WriteBit(true)
 			return false
@@ -167,22 +218,42 @@ func Encode(cell geom.Rect, params Params, cover func(geom.Rect) Coverage) (*Bit
 			return false
 		}
 	}
-	open := []geom.Rect{}
-	if writeCell(cell, 0) {
-		open = append(open, cell)
+	var open, next []openCell
+	if cov, carry := baseAt(base, root); writeCell(cell, 0, cov) {
+		open = append(open, openCell{cell, carry})
 	}
+	// A parent's U+1 column and V+1 row edges, by childRect's own
+	// expressions so every child rectangle is float-identical to it.
+	var xs, ys [maxSplit + 1]float64
 	for level := 1; level <= params.Height && len(open) > 0; level++ {
-		var next []geom.Rect
+		next = next[:0]
 		for _, parent := range open {
 			reserved -= 2 * fanout // the promise is being fulfilled now
-			for idx := 0; idx < fanout; idx++ {
-				child := childRect(parent, params.U, params.V, idx)
-				if writeCell(child, level) {
-					next = append(next, child)
+			pw, ph := parent.rect.Width(), parent.rect.Height()
+			for col := 0; col <= params.U; col++ {
+				xs[col] = parent.rect.MinX + pw*float64(col)/float64(params.U)
+			}
+			for row := 0; row <= params.V; row++ {
+				ys[row] = parent.rect.MaxY - ph*float64(row)/float64(params.V)
+			}
+			n := parent.base
+			if n >= 0 {
+				n = base.kidsBase[n]
+			}
+			for row := 0; row < params.V; row++ {
+				for col := 0; col < params.U; col++ {
+					child := geom.Rect{MinX: xs[col], MaxX: xs[col+1], MinY: ys[row+1], MaxY: ys[row]}
+					cov, carry := baseAt(base, n)
+					if writeCell(child, level, cov) {
+						next = append(next, openCell{child, carry})
+					}
+					if n >= 0 {
+						n++
+					}
 				}
 			}
 		}
-		open = next
+		open, next = next, open
 		if w.Len() > maxBits {
 			return nil, fmt.Errorf("pyramid: bitmap exceeds %d bits", maxBits)
 		}
@@ -339,43 +410,6 @@ func (r *Region) ContainsProbes(p geom.Point) (bool, int) {
 		rect = childRect(rect, r.params.U, r.params.V, idx)
 		node = r.kidsBase[node] + int32(idx)
 		probes++
-	}
-}
-
-// RectSafe reports whether r lies wholly inside the safe region. r must be
-// a pyramid-aligned sub-cell of the region's base cell (the server's
-// public-alarm precomputation only ever asks about such cells). The walk
-// descends while the current pyramid cell strictly contains r; reaching a
-// safe node anywhere on the path proves r safe, while reaching r's own
-// level (or running out of refinement) on a blocked node proves it is not.
-func (r *Region) RectSafe(query geom.Rect) bool {
-	return r.RectCoverage(query) == CoverNone
-}
-
-// RectCoverage classifies an aligned sub-cell against the region: CoverNone
-// when it is wholly safe, CoverFull when it lies inside a covered leaf (no
-// descendant can be safe), CoverPartial otherwise. This lets a per-user
-// bitmap computation reuse a precomputed public-alarm region and still
-// produce bit-identical output to the direct computation.
-func (r *Region) RectCoverage(query geom.Rect) Coverage {
-	node := int32(0)
-	rect := r.cell
-	for {
-		f := r.flags[node]
-		if f&nodeSafe != 0 {
-			return CoverNone
-		}
-		if f&nodeCovered != 0 {
-			return CoverFull
-		}
-		if r.kidsBase[node] < 0 || query.ContainsRect(rect) {
-			// Blocked at (or below) the query's own level; an expandable
-			// blocked node at the query level is partial by construction.
-			return CoverPartial
-		}
-		idx := locateChild(rect, r.params.U, r.params.V, query.Center())
-		rect = childRect(rect, r.params.U, r.params.V, idx)
-		node = r.kidsBase[node] + int32(idx)
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 
 var testCell = geom.Rect{MinX: 0, MinY: 0, MaxX: 900, MaxY: 900}
 
-func blockedBy(alarms []geom.Rect) func(geom.Rect) Coverage {
-	return func(r geom.Rect) Coverage { return CoverageOf(r, alarms) }
+func blockedBy(alarms []geom.Rect) func(geom.Rect, Coverage) Coverage {
+	return func(r geom.Rect, _ Coverage) Coverage { return CoverageOf(r, alarms) }
 }
 
-func mustEncode(t testing.TB, cell geom.Rect, p Params, blocked func(geom.Rect) Coverage) *Bitmap {
+func mustEncode(t testing.TB, cell geom.Rect, p Params, blocked func(geom.Rect, Coverage) Coverage) *Bitmap {
 	t.Helper()
-	b, err := Encode(cell, p, blocked)
+	b, err := Encode(cell, p, nil, blocked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestEncodeEmptyCell(t *testing.T) {
-	if _, err := Encode(geom.Rect{}, DefaultParams(2), blockedBy(nil)); err == nil {
+	if _, err := Encode(geom.Rect{}, DefaultParams(2), nil, blockedBy(nil)); err == nil {
 		t.Error("expected error for empty cell")
 	}
 }
@@ -85,7 +85,7 @@ func TestFullyBlockedSizes(t *testing.T) {
 	// maximum height. With the expand-bit extension every such cell costs
 	// 2 bits and max-height cells cost 1:
 	// bits = 2·(1 + 9 + … + 9^(h−1)) + 9^h for U=V=3.
-	always := func(geom.Rect) Coverage { return CoverPartial }
+	always := func(geom.Rect, Coverage) Coverage { return CoverPartial }
 	wantBits := func(h int) int {
 		inner, pow := 0, 1
 		for l := 0; l < h; l++ {
@@ -244,8 +244,15 @@ func TestCoveredLeafPruning(t *testing.T) {
 	if r.Contains(geom.Pt(450, 450)) {
 		t.Error("covered cell contained a point")
 	}
-	if got := r.RectCoverage(testCell); got != CoverFull {
-		t.Errorf("RectCoverage = %v, want CoverFull", got)
+	var rootCov Coverage
+	if _, err := Encode(testCell, DefaultParams(1), r, func(_ geom.Rect, base Coverage) Coverage {
+		rootCov = base
+		return base
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rootCov != CoverFull {
+		t.Errorf("base coverage of the root = %v, want CoverFull", rootCov)
 	}
 	// An alarm covering one level-1 child exactly: that child is a covered
 	// leaf; total bits stay small even at height 7.
@@ -266,30 +273,66 @@ func TestCoveredLeafPruning(t *testing.T) {
 	}
 }
 
-func TestRectCoverageAgainstDirect(t *testing.T) {
+// TestBaseWalkAgainstDirect: the precompute-consistency contract. For every
+// aligned cell the lockstep walk hands the classifier exactly what a direct
+// classification against the base's alarms gives — for the base's own nodes
+// and, through sentinel inheritance, for cells below its safe and covered
+// leaves (the walk is forced to expand everything down to level 3).
+func TestBaseWalkAgainstDirect(t *testing.T) {
 	alarms := []geom.Rect{
 		{MinX: 100, MinY: 100, MaxX: 420, MaxY: 380},
 		{MinX: 600, MinY: 650, MaxX: 700, MaxY: 900},
 	}
-	b := mustEncode(t, testCell, DefaultParams(5), blockedBy(alarms))
-	r := mustDecode(t, b)
-	// For every aligned cell down to level 3, RectCoverage must match the
-	// direct classification (the precompute-consistency contract).
-	var walk func(rect geom.Rect, level int)
-	walk = func(rect geom.Rect, level int) {
-		got := r.RectCoverage(rect)
-		want := CoverageOf(rect, alarms)
-		if got != want {
-			t.Fatalf("level %d cell %v: RectCoverage = %v, direct = %v", level, rect, got, want)
+	base := mustDecode(t, mustEncode(t, testCell, DefaultParams(5), blockedBy(alarms)))
+	cells := 0
+	_, err := Encode(testCell, DefaultParams(3), base, func(rect geom.Rect, got Coverage) Coverage {
+		cells++
+		if want := CoverageOf(rect, alarms); got != want {
+			t.Fatalf("cell %v: base coverage = %v, direct = %v", rect, got, want)
 		}
-		if level >= 3 || want != CoverPartial {
-			return
-		}
-		for i := 0; i < 9; i++ {
-			walk(childRect(rect, 3, 3, i), level+1)
-		}
+		return CoverPartial
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	walk(testCell, 0)
+	if want := 1 + 9 + 81 + 729; cells != want {
+		t.Fatalf("walk visited %d cells, want %d", cells, want)
+	}
+}
+
+// TestBaseWalkBelowBaseHeight: below a blocked leaf at the base's maximum
+// height the base has no refinement left, so every sub-cell stays partial —
+// conservative, never safe.
+func TestBaseWalkBelowBaseHeight(t *testing.T) {
+	alarms := []geom.Rect{{MinX: 430, MinY: 430, MaxX: 470, MaxY: 470}}
+	base := mustDecode(t, mustEncode(t, testCell, DefaultParams(1), blockedBy(alarms)))
+	centre := childRect(testCell, 3, 3, 4)
+	_, err := Encode(testCell, DefaultParams(3), base, func(rect geom.Rect, got Coverage) Coverage {
+		want := CoverNone
+		if centre.ContainsRect(rect) || rect.ContainsRect(centre) {
+			want = CoverPartial
+		}
+		if got != want {
+			t.Fatalf("cell %v: base coverage = %v, want %v", rect, got, want)
+		}
+		return CoverPartial
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEncodeBaseMismatch: a base of another cell or split cannot be walked
+// in lockstep and must be rejected, not silently misread.
+func TestEncodeBaseMismatch(t *testing.T) {
+	base := mustDecode(t, mustEncode(t, testCell, DefaultParams(3), blockedBy(nil)))
+	other := geom.Rect{MinX: 900, MinY: 0, MaxX: 1800, MaxY: 900}
+	if _, err := Encode(other, DefaultParams(3), base, blockedBy(nil)); err == nil {
+		t.Error("base of a different cell accepted")
+	}
+	if _, err := Encode(testCell, Params{U: 2, V: 2, Height: 3}, base, blockedBy(nil)); err == nil {
+		t.Error("base of a different split accepted")
+	}
 }
 
 func TestContainsProbesBounded(t *testing.T) {
@@ -426,7 +469,7 @@ func BenchmarkEncodeH5(b *testing.B) {
 	blocked := blockedBy(alarms)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := Encode(testCell, DefaultParams(5), blocked); err != nil {
+		if _, err := Encode(testCell, DefaultParams(5), nil, blocked); err != nil {
 			b.Fatal(err)
 		}
 	}

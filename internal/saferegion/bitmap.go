@@ -20,17 +20,17 @@ type BitmapResult struct {
 // marked safe only if it touches no alarm region at all — closed
 // intersection — which makes the encoding sound for boundary positions.
 //
-// precomputed, when non-nil, is a bitmap of the same cell and params
-// covering a fixed alarm subset (the public-alarm precomputation of §4.2):
-// cells unsafe in precomputed are treated as blocked without re-testing
-// the alarms it covers.
+// precomputed, when non-nil, is the decoded bitmap of the same cell and
+// split factors covering a fixed alarm subset (the public-alarm
+// precomputation of §4.2). pyramid.Encode walks it in lockstep with the
+// cells it emits, so each cell costs one pyramid probe for that whole
+// subset — cells it already blocks fully are not tested further — and
+// alarms lists only the alarms it does not cover.
 func ComputeBitmap(cell geom.Rect, params pyramid.Params, alarms []geom.Rect, precomputed *pyramid.Region) (BitmapResult, error) {
 	res := BitmapResult{}
-	cover := func(r geom.Rect) pyramid.Coverage {
-		cov := pyramid.CoverNone
+	cover := func(r geom.Rect, cov pyramid.Coverage) pyramid.Coverage {
 		if precomputed != nil {
 			res.IntersectionTests++ // one pyramid probe charged
-			cov = precomputed.RectCoverage(r)
 			if cov == pyramid.CoverFull {
 				return cov
 			}
@@ -47,7 +47,7 @@ func ComputeBitmap(cell geom.Rect, params pyramid.Params, alarms []geom.Rect, pr
 		}
 		return cov
 	}
-	bm, err := pyramid.Encode(cell, params, cover)
+	bm, err := pyramid.Encode(cell, params, precomputed, cover)
 	if err != nil {
 		return BitmapResult{}, err
 	}

@@ -94,6 +94,97 @@ func TestComputeBitmapWithPrecomputed(t *testing.T) {
 	}
 }
 
+// TestComputeBitmapOverBaseProperty is the equivalence the precompute
+// rests on, as a property rather than examples: for random public and
+// private rectangle sets, any client height up to the base's and any bit
+// budget, the lockstep encode over the height-5 public base gives the very
+// bits of the direct encode over the union, and charges exactly one pyramid
+// probe per emitted cell plus the private alarms tested on cells the base
+// does not already block fully — the count the root re-descent charged.
+func TestComputeBitmapOverBaseProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	randRects := func(n int) []geom.Rect {
+		var out []geom.Rect
+		for i := 0; i < n; i++ {
+			// A third of the edges snap to the 100 m lattice the 3×3
+			// pyramid subdivides a 900 m cell on.
+			coord := func() float64 {
+				if rng.Intn(3) == 0 {
+					return float64(rng.Intn(10)) * 100
+				}
+				return rng.Float64() * 900
+			}
+			x, y := coord(), coord()
+			out = append(out, geom.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*250, MaxY: y + rng.Float64()*250})
+		}
+		return out
+	}
+	baseLeaf := cell.Width() / math.Pow(3, 5) // side of a cell at the base's maximum height
+	for iter := 0; iter < 40; iter++ {
+		public, private := randRects(rng.Intn(12)), randRects(rng.Intn(6))
+		all := append(append([]geom.Rect(nil), public...), private...)
+		pubRes, err := ComputeBitmap(cell, pyramid.DefaultParams(5), public, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := pyramid.Decode(pubRes.Bitmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := 1; h <= 5; h++ {
+			for _, maxBits := range []int{0, 64, 2048} {
+				params := pyramid.DefaultParams(h)
+				params.MaxBits = maxBits
+				direct, err := ComputeBitmap(cell, params, all, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				over, err := ComputeBitmap(cell, params, private, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if direct.Bitmap.String() != over.Bitmap.String() {
+					t.Fatalf("iter %d h=%d budget=%d: bitmaps differ\n direct: %s\n over:   %s",
+						iter, h, maxBits, direct.Bitmap, over.Bitmap)
+				}
+				// The reference count classifies every emitted cell against
+				// the public rectangles themselves instead of the base.
+				want := 0
+				_, err = pyramid.Encode(cell, params, nil, func(r geom.Rect, _ pyramid.Coverage) pyramid.Coverage {
+					want++
+					cov := pyramid.CoverageOf(r, public)
+					if cov == pyramid.CoverFull && r.Width() < baseLeaf*1.5 {
+						// A blocked cell at the base's maximum height carries
+						// no expand bit, so the base cannot tell it is covered.
+						cov = pyramid.CoverPartial
+					}
+					if cov == pyramid.CoverFull {
+						return cov
+					}
+					for _, a := range private {
+						want++
+						if !a.Intersects(r) {
+							continue
+						}
+						if a.ContainsRect(r) {
+							return pyramid.CoverFull
+						}
+						cov = pyramid.CoverPartial
+					}
+					return cov
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if over.IntersectionTests != want {
+					t.Fatalf("iter %d h=%d budget=%d: %d intersection tests, want %d",
+						iter, h, maxBits, over.IntersectionTests, want)
+				}
+			}
+		}
+	}
+}
+
 func TestComputeBitmapInvalidParams(t *testing.T) {
 	if _, err := ComputeBitmap(cell, pyramid.Params{U: 1, V: 3, Height: 2}, nil, nil); err == nil {
 		t.Error("expected error for invalid params")

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -194,6 +195,50 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	if pushMsgs == 0 {
 		t.Error("moving target drove no pushes; invalidation path not exercised")
+	}
+
+	// The walks above never leave the 4–6 km band, so the south-west cell
+	// is still uncached and holds nothing but one public alarm.
+	sharedFillOnce(t, e, 1000, geom.Pt(150, 150))
+}
+
+// sharedFillOnce releases 32 fresh PBSR clients into one cell (which must
+// be uncached and hold nothing but public alarms) at the same instant and
+// checks the engine did the cell's two fills exactly once.
+func sharedFillOnce(t *testing.T, e *Engine, firstUser uint64, at geom.Point) {
+	t.Helper()
+	const clients = 32
+	for i := uint64(0); i < clients; i++ {
+		register(t, e, firstUser+i, wire.StrategyPBSR)
+	}
+	before := e.Metrics().Snapshot()
+	start := make(chan struct{})
+	replies := make([][]byte, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			out, err := e.HandleUpdate(wire.PositionUpdate{User: firstUser + uint64(i), Seq: 1, Pos: at})
+			if err != nil || len(out) != 1 {
+				t.Errorf("client %d: reply %v, error %v", i, out, err)
+				return
+			}
+			replies[i] = wire.Encode(out[0])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	after := e.Metrics().Snapshot()
+	if got := after.SafeRegionComputations - before.SafeRegionComputations; got != clients+2 {
+		t.Errorf("%d clients entering a fresh cell cost %d computations, want %d (one public fill, one shared fill, one hit each)",
+			clients, got, clients+2)
+	}
+	for i := 1; i < clients; i++ {
+		if !bytes.Equal(replies[i], replies[0]) {
+			t.Fatalf("client %d got a different bitmap than client 0", i)
+		}
 	}
 }
 

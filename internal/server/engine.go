@@ -163,11 +163,13 @@ type Engine struct {
 	// time.Now. Only ExpireSessions and lastActive stamping consult it.
 	nowFn func() time.Time
 
-	// publicBitmaps caches the precomputed public-alarm pyramid region per
-	// grid cell (invalidated wholesale when alarms change). Each entry is
-	// computed exactly once via its sync.Once: N PBSR clients entering a
-	// fresh cell concurrently wait for one computation instead of
-	// recomputing the same pyramid N times.
+	// publicBitmaps caches, per grid cell, the precomputed public-alarm
+	// pyramid region and the encodings derived from it alone. Installs and
+	// removals drop the whole cache; a public alarm following a moving
+	// target drops just the cells it left and entered. Every part of an
+	// entry is computed exactly once via a sync.Once: N PBSR clients
+	// entering a fresh cell concurrently wait for one computation instead
+	// of recomputing the same pyramid N times.
 	pbMu          sync.RWMutex
 	publicBitmaps map[grid.CellID]*publicBitmapEntry
 
@@ -180,6 +182,18 @@ type Engine struct {
 type publicBitmapEntry struct {
 	once sync.Once
 	reg  *pyramid.Region
+	err  error
+	// shared[h] is the budgeted height-h encoding of reg alone — the reply
+	// to every request in this cell that adds no obstacle of its own. The
+	// bitmaps are shipped to many clients at once and never mutated. It
+	// lives and dies with the entry, so whatever invalidates reg drops it
+	// too. Indexed by height, 1..PyramidParams.Height.
+	shared []sharedBitmap
+}
+
+type sharedBitmap struct {
+	once sync.Once
+	bm   *pyramid.Bitmap
 	err  error
 }
 
@@ -355,6 +369,40 @@ func (e *Engine) InvalidatePublicBitmaps() {
 	e.publicBitmaps = make(map[grid.CellID]*publicBitmapEntry)
 }
 
+// MoveTarget re-anchors every alarm whose Target is user onto pos (see
+// alarm.Registry.MoveTarget) and returns the alarms that moved. A public
+// alarm among them changes the public bitmap of every cell it left or
+// entered, so exactly those cache entries are dropped — per cell, because
+// a target moves on every report it sends and must not flush the whole
+// cache each time — after the registry move, so a refill reads the alarm
+// where it is now. It does not push to affected subscribers; a target's
+// own position report (HandleUpdate) does both.
+func (e *Engine) MoveTarget(user alarm.UserID, pos geom.Point) []alarm.Moved {
+	return e.moveTarget(e.reg.Load(), user, pos)
+}
+
+func (e *Engine) moveTarget(reg *alarm.Registry, user alarm.UserID, pos geom.Point) []alarm.Moved {
+	moved := reg.MoveTarget(user, pos)
+	// Intersection is closed: a region that only touches a cell's edge is
+	// still part of that cell's public bitmap.
+	touch := e.grid.CellSide() * 1e-9
+	var cells []grid.CellID
+	for _, m := range moved {
+		if m.Scope == alarm.Public {
+			cells = e.grid.CellsIntersecting(m.Old.Expand(touch), cells)
+			cells = e.grid.CellsIntersecting(m.New.Expand(touch), cells)
+		}
+	}
+	if len(cells) > 0 {
+		e.pbMu.Lock()
+		for _, id := range cells {
+			delete(e.publicBitmaps, id)
+		}
+		e.pbMu.Unlock()
+	}
+	return moved
+}
+
 // shardFor returns the shard striping user's client state.
 func (e *Engine) shardFor(user alarm.UserID) *clientShard {
 	return &e.shards[uint64(user)&(clientShards-1)]
@@ -465,14 +513,15 @@ func (e *Engine) moveTargetPushes(reg *alarm.Registry, user alarm.UserID, pos ge
 	if !reg.IsTarget(user) {
 		return nil
 	}
-	movedRegions := make(map[alarm.ID]geom.Rect)
-	for _, id := range reg.MoveTarget(user, pos) {
-		if a, ok := reg.Get(id); ok {
-			movedRegions[id] = a.Region // region at its new anchor
-		}
-	}
-	if len(movedRegions) == 0 {
+	// Stale public bitmaps are dropped before any push is computed: the
+	// pushes below must see a moved public alarm where it is now.
+	moved := e.moveTarget(reg, user, pos)
+	if len(moved) == 0 {
 		return nil
+	}
+	movedRegions := make(map[alarm.ID]geom.Rect, len(moved))
+	for _, m := range moved {
+		movedRegions[m.ID] = m.New // region at its new anchor
 	}
 	return e.collectInvalidations(reg, user, movedRegions)
 }
@@ -888,7 +937,7 @@ func (e *Engine) bitmapRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st 
 
 	var (
 		rects    []geom.Rect
-		pre      *pyramid.Region
+		ent      *publicBitmapEntry
 		err      error
 		accesses uint64
 	)
@@ -902,7 +951,7 @@ func (e *Engine) bitmapRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st 
 		usePre = !firedPublic
 	}
 	if usePre {
-		pre, err = e.publicBitmapFor(reg, cellID, cellRect)
+		ent, err = e.publicBitmapFor(reg, cellID, cellRect)
 		if err != nil {
 			return wire.BitmapRegion{}, err
 		}
@@ -927,7 +976,19 @@ func (e *Engine) bitmapRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st 
 		}
 	}
 	e.met.AddSafeRegionIndexWork(accesses)
-	res, err := saferegion.ComputeBitmap(cellRect, params, rects, pre)
+	var res saferegion.BitmapResult
+	switch {
+	case ent == nil:
+		res, err = saferegion.ComputeBitmap(cellRect, params, rects, nil)
+	case len(rects) > 0:
+		res, err = saferegion.ComputeBitmap(cellRect, params, rects, ent.reg)
+	default:
+		// Nothing of the user's own in this cell (after the lifecycle
+		// transform): the reply is a function of the cell and height alone.
+		// Still one region computation; its pyramid work is the one lookup.
+		res.IntersectionTests = 1
+		res.Bitmap, err = e.sharedBitmapFor(ent, cellRect, params)
+	}
 	if err != nil {
 		return wire.BitmapRegion{}, err
 	}
@@ -937,19 +998,20 @@ func (e *Engine) bitmapRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st 
 	return msg, nil
 }
 
-// publicBitmapFor returns (computing and caching on first use) the pyramid
-// region of all public alarms in a cell, at the engine's full height so it
-// can serve clients of any capability. Concurrent callers for the same
-// fresh cell wait on a single computation (singleflight) instead of
-// recomputing the same pyramid; its cost is charged exactly once per cell.
-func (e *Engine) publicBitmapFor(reg *alarm.Registry, id grid.CellID, cellRect geom.Rect) (*pyramid.Region, error) {
+// publicBitmapFor returns (computing and caching on first use) the cache
+// entry holding the pyramid region of all public alarms in a cell, at the
+// engine's full height so it can serve clients of any capability.
+// Concurrent callers for the same fresh cell wait on a single computation
+// (singleflight) instead of recomputing the same pyramid; its cost is
+// charged exactly once per cell.
+func (e *Engine) publicBitmapFor(reg *alarm.Registry, id grid.CellID, cellRect geom.Rect) (*publicBitmapEntry, error) {
 	e.pbMu.RLock()
 	ent := e.publicBitmaps[id]
 	e.pbMu.RUnlock()
 	if ent == nil {
 		e.pbMu.Lock()
 		if ent = e.publicBitmaps[id]; ent == nil {
-			ent = &publicBitmapEntry{}
+			ent = &publicBitmapEntry{shared: make([]sharedBitmap, e.cfg.PyramidParams.Height+1)}
 			e.publicBitmaps[id] = ent
 		}
 		e.pbMu.Unlock()
@@ -972,7 +1034,26 @@ func (e *Engine) publicBitmapFor(reg *alarm.Registry, id grid.CellID, cellRect g
 		e.met.AddBitmapComputation(res.IntersectionTests)
 		ent.reg, ent.err = pyramid.Decode(res.Bitmap)
 	})
-	return ent.reg, ent.err
+	return ent, ent.err
+}
+
+// sharedBitmapFor returns (encoding on first use) the cell's bitmap of the
+// public alarms alone under the given budgeted params. Like the region it
+// is derived from, each height is encoded and charged exactly once per
+// entry no matter how many clients ask concurrently, so the counters do
+// not depend on which of them did the work.
+func (e *Engine) sharedBitmapFor(ent *publicBitmapEntry, cellRect geom.Rect, params pyramid.Params) (*pyramid.Bitmap, error) {
+	sh := &ent.shared[params.Height]
+	sh.once.Do(func() {
+		res, err := saferegion.ComputeBitmap(cellRect, params, nil, ent.reg)
+		if err != nil {
+			sh.err = err
+			return
+		}
+		e.met.AddBitmapComputation(res.IntersectionTests)
+		sh.bm = res.Bitmap
+	})
+	return sh.bm, sh.err
 }
 
 func (e *Engine) alarmPushFor(reg *alarm.Registry, u wire.PositionUpdate) wire.AlarmPush {

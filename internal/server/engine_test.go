@@ -271,12 +271,21 @@ func TestPrecomputedPublicBitmapsCachedPerCell(t *testing.T) {
 	install(t, e, alarm.Alarm{Scope: alarm.Public, Owner: 9, Region: geom.RectAround(geom.Pt(700, 700), 150)})
 
 	handle(t, e, 1, 1, geom.Pt(100, 100))
-	afterFirst := e.Metrics().SafeRegionComputations()
+	first := e.Metrics().Snapshot()
+	if first.SafeRegionComputations != 3 {
+		t.Errorf("first client cost %d computations, want 3 (public fill, shared-encoding fill, its own request)", first.SafeRegionComputations)
+	}
 	// Second client in the same cell reuses the cached public bitmap: only
-	// one additional (per-user) computation, not two.
+	// one additional (per-user) computation, not two — and, having nothing
+	// of its own in the cell, it is served the shared encoding for the
+	// price of one pyramid probe, the lookup.
 	handle(t, e, 2, 1, geom.Pt(150, 150))
-	if got := e.Metrics().SafeRegionComputations() - afterFirst; got != 1 {
+	second := e.Metrics().Snapshot()
+	if got := second.SafeRegionComputations - first.SafeRegionComputations; got != 1 {
 		t.Errorf("second client cost %d computations, want 1 (cached public bitmap)", got)
+	}
+	if got := second.SRBitmapTests - first.SRBitmapTests; got != 1 {
+		t.Errorf("second client cost %d pyramid probes, want 1 (shared encoding)", got)
 	}
 	// Invalidation clears the cache.
 	e.InvalidatePublicBitmaps()

@@ -119,3 +119,58 @@ func TestPublicMovingTargetPushScope(t *testing.T) {
 		t.Errorf("distant client got %d pushes, want 0", pushed[6])
 	}
 }
+
+// TestMovingPublicTargetRefreshesPublicBitmap is the regression test for a
+// never-miss violation: with the §4.2 precompute on, a public alarm that
+// follows a moving target must leave no stale per-cell public bitmap
+// behind. Before the per-cell invalidation, both the push to a resident
+// client and the next region computed in the cell were built from the
+// alarm's OLD position, so a client could sit silent inside its issued
+// region right where the alarm now is.
+func TestMovingPublicTargetRefreshesPublicBitmap(t *testing.T) {
+	for _, precompute := range []bool{false, true} {
+		e := newEngine(t, func(c *Config) { c.PrecomputePublicBitmaps = precompute })
+		install(t, e, alarm.Alarm{
+			Scope:  alarm.Public,
+			Owner:  9,
+			Region: geom.RectAround(geom.Pt(1200, 1200), 150),
+			Target: 9,
+		})
+		register(t, e, 9, wire.StrategyPeriodic) // the target
+		register(t, e, 1, wire.StrategyPBSR)
+		register(t, e, 2, wire.StrategyPBSR)
+		register(t, e, 3, wire.StrategyPBSR)
+		pushed := map[alarm.UserID][]wire.Message{}
+		e.SetPusher(func(user alarm.UserID, msgs []wire.Message) {
+			pushed[user] = append(pushed[user], msgs...)
+		})
+
+		// Client 1 enters the cell and fills its cache entry; client 3 fills
+		// a cell the alarm never comes near.
+		oldPos, newPos := geom.Pt(1200, 1200), geom.Pt(500, 500)
+		if bm := bitmapIn(t, handle(t, e, 1, 1, geom.Pt(100, 100))); safeAt(t, bm, oldPos) || !safeAt(t, bm, newPos) {
+			t.Fatalf("precompute=%v: first region wrong before the move", precompute)
+		}
+		handle(t, e, 3, 1, geom.Pt(5500, 5500))
+		far := e.publicBitmaps[e.grid.Locate(geom.Pt(5500, 5500))]
+
+		handle(t, e, 9, 1, newPos) // the target moves within the cell
+
+		if len(pushed[1]) != 1 {
+			t.Fatalf("precompute=%v: resident client got %d pushes, want 1", precompute, len(pushed[1]))
+		}
+		if safeAt(t, bitmapIn(t, pushed[1]), newPos) {
+			t.Errorf("precompute=%v: pushed region contains the alarm's new position", precompute)
+		}
+		next := bitmapIn(t, handle(t, e, 2, 1, geom.Pt(150, 150)))
+		if safeAt(t, next, newPos) {
+			t.Errorf("precompute=%v: region issued after the move contains the alarm's new position", precompute)
+		}
+		if !safeAt(t, next, oldPos) {
+			t.Errorf("precompute=%v: region issued after the move still blocks the vacated position", precompute)
+		}
+		if precompute && (far == nil || e.publicBitmaps[e.grid.Locate(geom.Pt(5500, 5500))] != far) {
+			t.Errorf("the move dropped the cache entry of a cell the alarm never touched")
+		}
+	}
+}

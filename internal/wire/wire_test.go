@@ -233,7 +233,7 @@ func TestSeqOf(t *testing.T) {
 func TestBitmapRegionPyramidRoundTrip(t *testing.T) {
 	cell := geom.R(0, 0, 900, 900)
 	alarm := geom.R(100, 100, 200, 200)
-	bm, err := pyramid.Encode(cell, pyramid.DefaultParams(3), func(r geom.Rect) pyramid.Coverage {
+	bm, err := pyramid.Encode(cell, pyramid.DefaultParams(3), nil, func(r geom.Rect, _ pyramid.Coverage) pyramid.Coverage {
 		return pyramid.CoverageOf(r, []geom.Rect{alarm})
 	})
 	if err != nil {

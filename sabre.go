@@ -196,7 +196,11 @@ func (s *Service) Alarm(id AlarmID) (Alarm, bool) { return s.eng.Registry().Get(
 // MoveTarget re-anchors every alarm whose Target is the given user to a
 // new position (moving-target alarms) and returns the affected alarm IDs.
 func (s *Service) MoveTarget(user UserID, pos Point) []AlarmID {
-	return s.eng.Registry().MoveTarget(user, pos)
+	var ids []AlarmID
+	for _, m := range s.eng.MoveTarget(user, pos) {
+		ids = append(ids, m.ID)
+	}
+	return ids
 }
 
 // SubscribeTopic subscribes a user to topic-scoped public alarms

@@ -211,6 +211,27 @@ func TestComputeRectRegion(t *testing.T) {
 	}
 }
 
+// TestMoveTargetRefreshesPublicBitmaps: moving a public alarm through the
+// service must not leave the destination cell's precomputed public bitmap
+// without it — a PBSR client entering the cell afterwards would be handed
+// a region covering the alarm and walk through it silent.
+func TestMoveTargetRefreshesPublicBitmaps(t *testing.T) {
+	svc := newTestService(t, func(c *ServiceConfig) { c.PrecomputePublicBitmaps = true })
+	id, err := svc.InstallAlarm(Alarm{Scope: Public, Owner: 9, Region: RectAround(Pt(7000, 7000), 300), Target: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Client 1 makes the service cache the destination cell while the
+	// alarm is still elsewhere.
+	svc.RegisterClient(1, StrategyPBSR, 5)
+	runUntilFired(t, svc, NewMonitor(1, StrategyPBSR), []Point{Pt(2100, 2000)}, id)
+	svc.MoveTarget(9, Pt(2500, 2000))
+	svc.RegisterClient(2, StrategyPBSR, 5)
+	if tick := runUntilFired(t, svc, NewMonitor(2, StrategyPBSR), straightPath(Pt(2000, 2000), Pt(3000, 2000), 50), id); tick < 0 {
+		t.Error("public alarm moved into a cached cell never fired for a PBSR client walking through it")
+	}
+}
+
 func TestComputeBitmapRegion(t *testing.T) {
 	cell := Rect{MinX: 0, MinY: 0, MaxX: 900, MaxY: 900}
 	alarms := []Rect{RectAround(Pt(450, 450), 100)}
