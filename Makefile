@@ -46,6 +46,12 @@
 #                CI catches bit-rotted benchmark code without paying for
 #                real measurement runs
 #   make figures the paper-figure benchmark series
+#   make benchpair BASE=<rev> WORKLOAD=<w> PAIRS=<n> [SEED=<s>]
+#                the repo's benchmark (bench/run.sh --trace 0) on BASE
+#                and on this checkout, PAIRS runs each in alternating
+#                order; prints median, quartiles and wins per end-to-end
+#                metric (scripts/benchpair.sh; BASE is exported with git
+#                archive under .bench_build/)
 
 GO ?= go
 
@@ -60,7 +66,7 @@ sim = echo "$(GO) test -race -v -run '$(1)' ./internal/sim/"; \
 	echo "$$out" | grep -q '^ *--- PASS: [^ ]*/' || \
 		{ echo "make: -run '$(1)' selected no test in ./internal/sim/" >&2; exit 1; }
 
-.PHONY: tier1 race crash cluster rebalance failover lifecycle bench bench-cluster bench-wal bench-wal-smoke bench-smoke figures
+.PHONY: tier1 race crash cluster rebalance failover lifecycle bench bench-cluster bench-wal bench-wal-smoke bench-smoke figures benchpair
 
 tier1:
 	$(GO) build ./...
@@ -112,3 +118,11 @@ bench-smoke:
 
 figures:
 	$(GO) test -run xxx -bench 'Fig|Ablation' .
+
+BASE ?= HEAD
+WORKLOAD ?= batch_mix_durable
+PAIRS ?= 10
+SEED ?= 1
+
+benchpair:
+	bash scripts/benchpair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)

@@ -175,6 +175,11 @@ type Registry struct {
 	// insideByUser indexes continuous machines in the Inside phase, so
 	// exit detection is O(regions the user is inside).
 	insideByUser map[UserID]map[ID]struct{}
+	// nextExpiry is a lower bound on the earliest ExpiresAt among the
+	// installed alarms (0 = none has a TTL), so ExpireDue scans only on a
+	// tick something can be due. Every install lowers it; a removal leaves
+	// it stale, which costs one scan that finds nothing and recomputes it.
+	nextExpiry uint64
 }
 
 // NewRegistry returns an empty registry indexed by an R*-tree (the

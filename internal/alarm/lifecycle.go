@@ -355,6 +355,7 @@ func (r *Registry) trackLifecycleLocked(a *Alarm) {
 		return
 	}
 	r.lifecycle++
+	r.noteExpiryLocked(a.ExpiresAt)
 	if a.Kind == KindPair {
 		r.pairsByUser[a.Owner] = append(r.pairsByUser[a.Owner], a.ID)
 		r.pairsByUser[a.Anchor] = append(r.pairsByUser[a.Anchor], a.ID)
@@ -614,16 +615,35 @@ func (r *Registry) markInsideLocked(u UserID, id ID) {
 	set[id] = struct{}{}
 }
 
+// noteExpiryLocked lowers the expiry watermark to an installed alarm's
+// ExpiresAt (0 = no TTL, ignored). Callers hold r.mu.
+func (r *Registry) noteExpiryLocked(at uint64) {
+	if at != 0 && (r.nextExpiry == 0 || at < r.nextExpiry) {
+		r.nextExpiry = at
+	}
+}
+
 // ExpireDue removes every composite alarm whose TTL has passed at the
 // given logical tick and returns their IDs (sorted). The caller logs an
 // expiry record per ID so recovery never resurrects an expired alarm's
 // firings.
 func (r *Registry) ExpireDue(tick uint64) []ID {
+	r.mu.RLock()
+	next := r.nextExpiry
+	r.mu.RUnlock()
+	if next == 0 || tick < next {
+		return nil
+	}
 	r.mu.Lock()
 	var due []ID
+	r.nextExpiry = 0
 	for id, a := range r.alarms {
-		if a.Kind == KindComposite && a.ExpiresAt != 0 && tick >= a.ExpiresAt {
+		switch {
+		case a.Kind != KindComposite || a.ExpiresAt == 0:
+		case tick >= a.ExpiresAt:
 			due = append(due, id)
+		default:
+			r.noteExpiryLocked(a.ExpiresAt)
 		}
 	}
 	r.mu.Unlock()

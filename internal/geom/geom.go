@@ -321,9 +321,13 @@ func (r Rect) SubtractClip(obstacle Rect, anchor Point) (clipped Rect, ok bool) 
 	return best, true
 }
 
-// NormalizeAngle maps an angle in radians to (-π, π].
+// NormalizeAngle maps an angle in radians to (-π, π]. math.Mod returns an
+// |a| < 2π unchanged, after a software reduction loop; heading-relative
+// angles are all in that range, so they skip the call.
 func NormalizeAngle(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
+	if a <= -2*math.Pi || a >= 2*math.Pi {
+		a = math.Mod(a, 2*math.Pi)
+	}
 	if a > math.Pi {
 		a -= 2 * math.Pi
 	} else if a <= -math.Pi {

@@ -335,6 +335,37 @@ func TestNormalizeAngle(t *testing.T) {
 	}
 }
 
+// TestNormalizeAngleSkipsModExactly: leaving math.Mod out for |a| < 2π
+// must not change a bit of the result, at the range ends and zero signs
+// included.
+func TestNormalizeAngleSkipsModExactly(t *testing.T) {
+	ref := func(a float64) float64 {
+		a = math.Mod(a, 2*math.Pi)
+		if a > math.Pi {
+			a -= 2 * math.Pi
+		} else if a <= -math.Pi {
+			a += 2 * math.Pi
+		}
+		return a
+	}
+	in := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300}
+	for _, edge := range []float64{math.Pi, 2 * math.Pi, 3 * math.Pi, 4 * math.Pi} {
+		for _, v := range []float64{edge, math.Nextafter(edge, 0), math.Nextafter(edge, 100)} {
+			in = append(in, v, -v)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200000; i++ {
+		in = append(in, (rng.Float64()*2-1)*7*math.Pi)
+	}
+	for _, a := range in {
+		got, want := NormalizeAngle(a), ref(a)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("NormalizeAngle(%v) = %v, with math.Mod %v", a, got, want)
+		}
+	}
+}
+
 // Property: Union always contains both inputs; Intersect is contained in both.
 func TestQuickUnionIntersectProperties(t *testing.T) {
 	f := func(x1, y1, x2, y2, x3, y3, x4, y4 float64) bool {

@@ -30,6 +30,14 @@
 // each candidate rectangle side by the probability that the client's next
 // move heads toward that side, i.e. SectorProb over the angular interval
 // the side subtends.
+//
+// SectorProb runs on every MWPSR region computation (16 sector boundaries
+// per region), so the cumulative mass is O(1) in z: New builds a prefix-sum
+// table over the whole bands, halfMass locates x's band by division and
+// adds the at most two bands x can clip. The table is accumulated with the
+// same left-to-right additions the band-by-band integration would perform,
+// so the result is that integration's to the bit (FuzzHalfMassMatchesReference
+// holds it to the loop kept in the tests).
 package motion
 
 import (
@@ -48,6 +56,9 @@ type Model struct {
 	// is nil and the density is 1/2π everywhere.
 	bands     []float64
 	bandWidth float64
+	// prefix[k] is the mass of the whole bands 0..k−1, summed left to
+	// right from zero; len(prefix) == len(bands).
+	prefix []float64
 }
 
 // Uniform returns the model with no steady-motion assumption: p(φ) = 1/2π.
@@ -92,7 +103,17 @@ func New(y, z float64) (Model, error) {
 	for k := range bands {
 		bands[k] /= total
 	}
-	return Model{y: y, z: z, bands: bands, bandWidth: bandWidth}, nil
+	m := Model{y: y, z: z, bands: bands, bandWidth: bandWidth, prefix: make([]float64, n)}
+	for k := 1; k < n; k++ {
+		m.prefix[k] = m.prefix[k-1] + m.bandMass(k-1, math.Pi)
+	}
+	return m, nil
+}
+
+// bandMass returns the mass of band k over [k·π/z, min((k+1)·π/z, π, x)].
+func (m *Model) bandMass(k int, x float64) float64 {
+	lo := float64(k) * m.bandWidth
+	return m.bands[k] * (min(lo+m.bandWidth, math.Pi, x) - lo)
 }
 
 // MustNew is New but panics on invalid parameters; for use with constants.
@@ -158,16 +179,26 @@ func (m Model) halfMass(x float64) float64 {
 		extra := x - math.Pi
 		return 0.5 + (0.5 - m.halfMass(math.Pi-extra))
 	}
-	total := 0.0
-	for k := range m.bands {
-		bLo := float64(k) * m.bandWidth
-		if bLo >= x {
-			break
-		}
-		bHi := math.Min(math.Min(bLo+m.bandWidth, math.Pi), x)
-		total += m.bands[k] * (bHi - bLo)
+	if x == 0 { // also −0, which the clipped band below would hand back
+		return 0
 	}
-	return total
+	// j is the last band starting below x. Band j is clipped by x, and so
+	// can band j−1 be: its upper edge is computed as (j−1)·w + w, which may
+	// round an ulp above band j's lower edge j·w. Every earlier band is
+	// whole. The quotient is only a first guess for j (clamped: a NaN x
+	// converts to anything); the comparisons that settle it are the band
+	// edges themselves.
+	j := max(0, min(int(x/m.bandWidth), len(m.bands)-1))
+	for j > 0 && float64(j)*m.bandWidth >= x {
+		j--
+	}
+	for j+1 < len(m.bands) && float64(j+1)*m.bandWidth < x {
+		j++
+	}
+	if j == 0 {
+		return m.bandMass(0, x)
+	}
+	return m.prefix[j-1] + m.bandMass(j-1, x) + m.bandMass(j, x)
 }
 
 // Heading estimates a client's heading (radians) from its previous and

@@ -134,19 +134,17 @@ func ComputeRectScratch(pos geom.Point, cell geom.Rect, alarms []geom.Rect, opts
 		res.Corners += len(s.corners[q])
 	}
 
-	weights := sideWeightSet(opts.Model, opts.Heading)
-	s.scorer.init(opts.Model, opts.Heading)
-	sc := &s.scorer
 	var choice [4]candidate
 	if opts.Exhaustive && combinationCount(s.corners) <= exhaustiveCap {
-		choice = assembleExhaustive(s.corners, ext, sc)
+		s.scorer.init(opts.Model, opts.Heading)
+		choice = assembleExhaustive(s.corners, ext, &s.scorer)
 	} else {
-		choice = assembleGreedy(s.corners, ext, sc, opts.Model, opts.Heading)
+		choice = assembleGreedy(s.corners, ext, &s.scorer, opts.Model, opts.Heading)
 	}
 
 	rect := rectFromChoice(pos, choice)
 	rect = clipAgainst(rect, alarms, nil, pos, &res.Clips)
-	res.Rect = growSides(rect, cell, alarms, weights)
+	res.Rect = growSides(rect, cell, alarms, sideWeightSet(opts.Model, opts.Heading))
 	return res
 }
 
@@ -385,7 +383,11 @@ func sideWeightSet(m motion.Model, heading float64) sideWeights {
 
 // scoreSamples is the number of direction samples used by the region
 // score. 32 keeps scoring cheap while resolving the pdf's angular bands.
-const scoreSamples = 32
+// sampleStep is the angle Δφ between two samples.
+const (
+	scoreSamples = 32
+	sampleStep   = 2 * math.Pi / scoreSamples
+)
 
 // scorer evaluates candidate rectangles for the greedy/exhaustive
 // assembly. The paper's objective is the "maximum weighted perimeter",
@@ -400,14 +402,24 @@ const scoreSamples = 32
 // heading — and the uniform model recovers the non-weighted variant. See
 // DESIGN.md §5.
 type scorer struct {
-	// dirWeights[k] is p(φ_k − heading)·Δφ; cosines/sines are the sample
-	// directions.
+	// dirWeights[k] is p(φ_k − heading)·Δφ for sample direction φ_k.
 	dirWeights [scoreSamples]float64
-	absCos     [scoreSamples]float64
-	absSin     [scoreSamples]float64
-	signX      [scoreSamples]bool // direction points toward +x
-	signY      [scoreSamples]bool // direction points toward +y
 }
+
+// sampleDirs holds what the scorer needs of the sample directions
+// φ_k = −π + (k+½)·sampleStep, none of which depends on the model or
+// the heading: φ_k itself and |cos φ_k|, |sin φ_k|. No φ_k lies on an axis,
+// and the samples run through the quadrants in whole arcs of
+// scoreSamples/4: III, IV, I, II — which is where score takes the signs
+// from.
+var sampleDirs = func() (d struct{ phi, absCos, absSin [scoreSamples]float64 }) {
+	for k := 0; k < scoreSamples; k++ {
+		d.phi[k] = -math.Pi + (float64(k)+0.5)*sampleStep
+		d.absCos[k] = math.Abs(math.Cos(d.phi[k]))
+		d.absSin[k] = math.Abs(math.Sin(d.phi[k]))
+	}
+	return d
+}()
 
 func newScorer(m motion.Model, heading float64) *scorer {
 	sc := &scorer{}
@@ -418,46 +430,33 @@ func newScorer(m motion.Model, heading float64) *scorer {
 // init (re)fills the scorer for the given model and heading; it overwrites
 // every field, so a scratch-held scorer needs no zeroing between uses.
 func (sc *scorer) init(m motion.Model, heading float64) {
-	dPhi := 2 * math.Pi / scoreSamples
 	for k := 0; k < scoreSamples; k++ {
-		phi := -math.Pi + (float64(k)+0.5)*dPhi
-		sc.dirWeights[k] = m.PDF(phi-heading) * dPhi
-		c, s := math.Cos(phi), math.Sin(phi)
-		sc.absCos[k] = math.Abs(c)
-		sc.absSin[k] = math.Abs(s)
-		sc.signX[k] = c >= 0
-		sc.signY[k] = s >= 0
+		sc.dirWeights[k] = m.PDF(sampleDirs.phi[k]-heading) * sampleStep
 	}
 }
 
 // score returns the expected exit distance of the rectangle defined by the
 // per-quadrant corner choices, from the client position.
 func (sc *scorer) score(c [4]candidate) float64 {
-	right := math.Min(c[0].x, c[3].x)
-	left := math.Min(c[1].x, c[2].x)
-	top := math.Min(c[0].y, c[1].y)
-	bottom := math.Min(c[2].y, c[3].y)
-	total := 0.0
-	for k := 0; k < scoreSamples; k++ {
-		ex := left
-		if sc.signX[k] {
-			ex = right
-		}
-		ey := bottom
-		if sc.signY[k] {
-			ey = top
-		}
-		// Distance to the vertical / horizontal boundary along direction k.
-		var d float64
-		switch {
-		case sc.absCos[k] < 1e-12:
-			d = ey / sc.absSin[k]
-		case sc.absSin[k] < 1e-12:
-			d = ex / sc.absCos[k]
-		default:
-			d = math.Min(ex/sc.absCos[k], ey/sc.absSin[k])
-		}
-		total += sc.dirWeights[k] * d
+	right := min(c[0].x, c[3].x)
+	left := min(c[1].x, c[2].x)
+	top := min(c[0].y, c[1].y)
+	bottom := min(c[2].y, c[3].y)
+	// One arc per quadrant, in sample order; a direction leaves through
+	// the vertical or the horizontal side of its quadrant, whichever is
+	// nearer along it.
+	total := sc.arc(0, 0, left, bottom)
+	total = sc.arc(total, 1, right, bottom)
+	total = sc.arc(total, 2, right, top)
+	return sc.arc(total, 3, left, top)
+}
+
+// arc adds the samples of quadrant arc a, whose sides lie ex and ey away.
+func (sc *scorer) arc(total float64, a int, ex, ey float64) float64 {
+	const n = scoreSamples / 4
+	w, c, s := sc.dirWeights[a*n:a*n+n], sampleDirs.absCos[a*n:a*n+n], sampleDirs.absSin[a*n:a*n+n]
+	for k := range w {
+		total += w[k] * min(ex/c[k], ey/s[k])
 	}
 	return total
 }
@@ -465,16 +464,23 @@ func (sc *scorer) score(c [4]candidate) float64 {
 // assembleGreedy implements paper §3 step 4: process quadrants in
 // descending motion-probability order; in each, pick the component corner
 // maximizing the region score of the rectangle formed with the quadrants
-// chosen so far (unprocessed quadrants assumed unconstrained).
+// chosen so far (unprocessed quadrants assumed unconstrained). A quadrant
+// no alarm reaches has one corner, its cell extent, and takes it unscored;
+// when that is all four, neither the scorer nor the order is needed.
 func assembleGreedy(corners [4][]candidate, ext [4]extent, sc *scorer, m motion.Model, heading float64) [4]candidate {
-	qw := m.QuadrantWeights(heading)
-	order := sortIdxDesc(qw)
-
+	if len(corners[0])+len(corners[1])+len(corners[2])+len(corners[3]) == 4 {
+		return [4]candidate{corners[0][0], corners[1][0], corners[2][0], corners[3][0]}
+	}
 	var choice [4]candidate
 	for q := 0; q < 4; q++ {
 		choice[q] = candidate{x: ext[q].x, y: ext[q].y, absX: ext[q].absX, absY: ext[q].absY}
 	}
-	for _, q := range order {
+	sc.init(m, heading)
+	for _, q := range sortIdxDesc(m.QuadrantWeights(heading)) {
+		if len(corners[q]) == 1 {
+			choice[q] = corners[q][0]
+			continue
+		}
 		best := -math.MaxFloat64
 		var bestC candidate
 		for _, c := range corners[q] {

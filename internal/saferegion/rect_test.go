@@ -395,19 +395,34 @@ func TestCostCounters(t *testing.T) {
 	}
 }
 
+// BenchmarkComputeRect times the region kernel on a warm scratch, as the
+// server's update path runs it, at three alarm densities: none, the ~4
+// candidates per region the benchmark's workloads see, and the crowded
+// cell of the ablations.
 func BenchmarkComputeRect(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var alarms []geom.Rect
-	for i := 0; i < 25; i++ {
-		w, h := rng.Float64()*150+10, rng.Float64()*150+10
-		x, y := rng.Float64()*(1000-w), rng.Float64()*(1000-h)
-		alarms = append(alarms, geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h})
-	}
 	model := motion.MustNew(1, 32)
 	pos := geom.Pt(500, 500)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		ComputeRect(pos, cell, alarms, RectOptions{Model: model, Heading: 0.5})
+	for _, bc := range []struct {
+		name   string
+		alarms int
+	}{{"empty", 0}, {"sparse-4", 4}, {"dense-25", 25}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var alarms []geom.Rect
+			for i := 0; i < bc.alarms; i++ {
+				w, h := rng.Float64()*150+10, rng.Float64()*150+10
+				x, y := rng.Float64()*(1000-w), rng.Float64()*(1000-h)
+				alarms = append(alarms, geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h})
+			}
+			var s RectScratch
+			opts := RectOptions{Model: model, Heading: 0.5}
+			ComputeRectScratch(pos, cell, alarms, opts, &s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				ComputeRectScratch(pos, cell, alarms, opts, &s)
+			}
+		})
 	}
 }
 

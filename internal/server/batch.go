@@ -53,6 +53,36 @@ type UpdateScratch struct {
 	rectMsg  wire.RectRegion
 	spMsg    wire.SafePeriod
 	ackMsg   wire.Ack
+	// Batch grouping, filled by groupByUser.
+	groups  []batchGroup
+	next    []int
+	groupOf map[uint64]int
+}
+
+// batchGroup is one user's updates in a batch: the indices of the first
+// and the last; UpdateScratch.next chains the ones between.
+type batchGroup struct{ first, last int }
+
+// groupByUser walks the batch once and leaves in sc.groups every distinct
+// user's group, in order of first appearance, and in sc.next[i] the index
+// of the next update by update i's user (-1 after the last).
+func (sc *UpdateScratch) groupByUser(updates []wire.PositionUpdate) {
+	if sc.groupOf == nil {
+		sc.groupOf = make(map[uint64]int)
+	}
+	clear(sc.groupOf)
+	sc.groups, sc.next = sc.groups[:0], sc.next[:0]
+	for i, u := range updates {
+		sc.next = append(sc.next, -1)
+		g, seen := sc.groupOf[u.User]
+		if !seen {
+			sc.groupOf[u.User] = len(sc.groups)
+			sc.groups = append(sc.groups, batchGroup{first: i, last: i})
+			continue
+		}
+		sc.next[sc.groups[g].last] = i
+		sc.groups[g].last = i
+	}
 }
 
 // NewUpdateScratch returns an empty scratch; buffers grow on first use.
@@ -148,38 +178,20 @@ func (e *Engine) HandleUpdateBatch(b wire.UpdateBatch) (wire.BatchReply, error) 
 
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	reply.Entries = make([]wire.BatchEntry, 0, len(b.Updates))
+	sc.groupByUser(b.Updates)
+	reply.Entries = make([]wire.BatchEntry, 0, len(sc.groups))
 	var firedRecs []store.Record
-	for i := range b.Updates {
-		user64 := b.Updates[i].User
-		seenBefore := false
-		for j := 0; j < i; j++ {
-			if b.Updates[j].User == user64 {
-				seenBefore = true
-				break
-			}
-		}
-		if seenBefore {
-			continue
-		}
-		last := i
-		for j := i + 1; j < len(b.Updates); j++ {
-			if b.Updates[j].User == user64 {
-				last = j
-			}
-		}
+	for _, g := range sc.groups {
+		user64 := b.Updates[g.first].User
 		user := alarm.UserID(user64)
 		st := e.clientFor(user, wire.StrategyPeriodic)
 		var msgs []wire.Message
 		var combined, combinedTrans []uint64
 		st.mu.Lock()
-		for j := i; j <= last; j++ {
-			if b.Updates[j].User != user64 {
-				continue
-			}
+		for j := g.first; j >= 0; j = sc.next[j] {
 			var newFired, newTrans []uint64
 			var err error
-			msgs, newFired, newTrans, err = e.processUpdate(reg, b.Updates[j], user, st, sc, msgs, false, j == last)
+			msgs, newFired, newTrans, err = e.processUpdate(reg, b.Updates[j], user, st, sc, msgs, false, j == g.last)
 			if err != nil {
 				st.mu.Unlock()
 				return wire.BatchReply{}, err
@@ -201,16 +213,9 @@ func (e *Engine) HandleUpdateBatch(b wire.UpdateBatch) (wire.BatchReply, error) 
 	// Pair endpoints that reported in this batch wake their partners once,
 	// after every group has settled, against each reporter's final anchor.
 	if reg.HasLifecycle() {
-		for i := range b.Updates {
-			user := alarm.UserID(b.Updates[i].User)
-			dup := false
-			for j := 0; j < i; j++ {
-				if b.Updates[j].User == b.Updates[i].User {
-					dup = true
-					break
-				}
-			}
-			if dup || !reg.IsPairEndpoint(user) {
+		for _, g := range sc.groups {
+			user := alarm.UserID(b.Updates[g.first].User)
+			if !reg.IsPairEndpoint(user) {
 				continue
 			}
 			wrecs, wpushes := e.wakePartners(reg, user)

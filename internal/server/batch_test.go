@@ -234,3 +234,75 @@ func TestHandleUpdateScratchZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state MWPSR update allocates %.2f/op, want 0", got)
 	}
 }
+
+// TestHandleUpdateBatchInterleavedDuplicates: a 2 000-update batch in
+// which 250 users each report eight times, interleaved and in a shuffled
+// user order per round, must answer like the unbatched path — entries in
+// first-appearance order, each user's updates processed chronologically
+// (the same firings in the same order, the final region equal to the one
+// the user's last unbatched update earned).
+func TestHandleUpdateBatchInterleavedDuplicates(t *testing.T) {
+	single := newEngine(t, nil)
+	batched := newEngine(t, nil)
+	installBatchAlarms(t, single)
+	installBatchAlarms(t, batched)
+	const users, rounds = 250, 8
+	for u := uint64(1); u <= users; u++ {
+		register(t, single, u, wire.StrategyMWPSR)
+		register(t, batched, u, wire.StrategyMWPSR)
+	}
+	// Every user walks its own line through both alarm regions; round r
+	// visits the users in a different rotation, so groups interleave and
+	// first appearance is round 0's order.
+	var batch wire.UpdateBatch
+	var firstSeen []uint64
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < users; k++ {
+			u := uint64((k*7+r*31)%users) + 1
+			if r == 0 {
+				firstSeen = append(firstSeen, u)
+			}
+			pos := geom.Pt(300+float64(r)*200, 450+float64(u%100))
+			batch.Updates = append(batch.Updates, wire.PositionUpdate{User: u, Seq: uint32(r + 1), Pos: pos})
+		}
+	}
+	if len(batch.Updates) != 2000 {
+		t.Fatalf("batch holds %d updates", len(batch.Updates))
+	}
+
+	wantFired := map[uint64][]uint64{}
+	wantLast := map[uint64]wire.Message{}
+	for _, u := range batch.Updates {
+		out, err := single.HandleUpdate(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFired[u.User] = append(wantFired[u.User], firedIn(out)...)
+		wantLast[u.User] = out[len(out)-1]
+	}
+
+	reply, err := batched.HandleUpdateBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Entries) != users {
+		t.Fatalf("entries = %d, want %d", len(reply.Entries), users)
+	}
+	for i, ent := range reply.Entries {
+		if ent.User != firstSeen[i] {
+			t.Fatalf("entry %d is user %d, want %d (first-appearance order)", i, ent.User, firstSeen[i])
+		}
+		if len(ent.Msgs) < rounds {
+			t.Errorf("user %d: %d msgs for %d updates", ent.User, len(ent.Msgs), rounds)
+		}
+		if got, want := firedIn(ent.Msgs), wantFired[ent.User]; !reflect.DeepEqual(got, want) {
+			t.Errorf("user %d fired %v, unbatched %v", ent.User, got, want)
+		}
+		if got, want := ent.Msgs[len(ent.Msgs)-1], wantLast[ent.User]; !reflect.DeepEqual(got, want) {
+			t.Errorf("user %d final message %v, unbatched %v", ent.User, got, want)
+		}
+	}
+	if got, want := batched.Registry().FiredPairs(), single.Registry().FiredPairs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("fired state differs from the unbatched engine: %d pairs vs %d", len(got), len(want))
+	}
+}

@@ -10,6 +10,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -245,9 +246,12 @@ func ReadFrame(r io.Reader) (wire.Message, error) {
 }
 
 // tcpConn adapts a net.Conn to the Conn interface with framed messages
-// and optional per-operation deadlines (zero disables a deadline).
+// and optional per-operation deadlines (zero disables a deadline). Recv
+// reads through br, so a frame's header and payload — and any frames the
+// peer sent behind it — arrive in one read(2) instead of two per frame.
 type tcpConn struct {
 	nc           net.Conn
+	br           *bufio.Reader
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 	wm           sync.Mutex
@@ -255,7 +259,7 @@ type tcpConn struct {
 }
 
 // NewTCP wraps an established network connection with no deadlines.
-func NewTCP(nc net.Conn) Conn { return &tcpConn{nc: nc} }
+func NewTCP(nc net.Conn) Conn { return NewTCPDeadline(nc, 0, 0) }
 
 // NewTCPDeadline wraps an established network connection applying a read
 // deadline per Recv and a write deadline per Send (either may be zero to
@@ -264,7 +268,7 @@ func NewTCP(nc net.Conn) Conn { return &tcpConn{nc: nc} }
 // as dead-peer detection: pick it longer than the peer's heartbeat
 // interval.
 func NewTCPDeadline(nc net.Conn, readTimeout, writeTimeout time.Duration) Conn {
-	return &tcpConn{nc: nc, readTimeout: readTimeout, writeTimeout: writeTimeout}
+	return &tcpConn{nc: nc, br: bufio.NewReader(nc), readTimeout: readTimeout, writeTimeout: writeTimeout}
 }
 
 // Dial connects to a SABRE server at addr.
@@ -305,7 +309,7 @@ func (c *tcpConn) Recv() (wire.Message, error) {
 			return nil, err
 		}
 	}
-	return ReadFrame(c.nc)
+	return ReadFrame(c.br)
 }
 
 func (c *tcpConn) Close() error { return c.nc.Close() }

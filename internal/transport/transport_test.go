@@ -6,9 +6,9 @@ import (
 	"io"
 	"net"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/sabre-geo/sabre/internal/geom"
 	"github.com/sabre-geo/sabre/internal/wire"
@@ -356,33 +356,30 @@ func TestBufferAdaptsConn(t *testing.T) {
 	if err := a.Send(wire.Ack{Seq: 5}); err != nil {
 		t.Fatal(err)
 	}
-	// The pump goroutine needs a moment to move the message across.
-	var got wire.Message
-	for i := 0; i < 1000; i++ {
-		m, ok, err := p.TryRecv()
-		if err != nil {
-			t.Fatal(err)
+	// The pump goroutine moves the message across, and later notices the
+	// close, in its own time: poll against a deadline, not a spin count.
+	poll := func() (wire.Message, error) {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if m, ok, err := p.TryRecv(); ok || err != nil {
+				return m, err
+			}
 		}
-		if ok {
-			got = m
-			break
-		}
-		runtime.Gosched()
+		return nil, nil
+	}
+	got, err := poll()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got == nil || got.(wire.Ack).Seq != 5 {
 		t.Fatalf("buffered TryRecv got %v", got)
 	}
 	a.Close()
-	for i := 0; i < 1000; i++ {
-		if _, _, err := p.TryRecv(); err != nil {
-			if !errors.Is(err, ErrClosed) {
-				t.Fatalf("unexpected close error: %v", err)
-			}
-			return
-		}
-		runtime.Gosched()
+	switch m, err := poll(); {
+	case err == nil:
+		t.Fatalf("buffered conn never reported close (got %v)", m)
+	case !errors.Is(err, ErrClosed):
+		t.Fatalf("unexpected close error: %v", err)
 	}
-	t.Fatal("buffered conn never reported close")
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -482,6 +479,58 @@ func TestTCPConn(t *testing.T) {
 		t.Errorf("client got %v", resp)
 	}
 	wg.Wait()
+}
+
+// TestTCPFramesShareReads: the receiving side reads through a buffer, so
+// frames that arrive together — small ones, and one larger than the
+// buffer — must still come out whole and in order, and a deadline conn
+// must behave the same.
+func TestTCPFramesShareReads(t *testing.T) {
+	big := wire.UpdateBatch{Updates: make([]wire.PositionUpdate, 400)} // > 4 KiB encoded
+	for i := range big.Updates {
+		big.Updates[i] = wire.PositionUpdate{User: uint64(i), Seq: uint32(i), Pos: geom.Pt(float64(i), 1)}
+	}
+	msgs := []wire.Message{wire.Ack{Seq: 1}, wire.Ack{Seq: 2}, big, wire.Ack{Seq: 3}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer nc.Close()
+		var all bytes.Buffer
+		for _, m := range msgs {
+			if err := WriteFrame(&all, m); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if _, err := nc.Write(all.Bytes()); err != nil { // one write: the frames arrive back to back
+			t.Error(err)
+		}
+	}()
+	cli, err := DialDeadline(ln.Addr().String(), time.Second, 10*time.Second, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	for i, want := range msgs {
+		got, err := cli.Recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: got %v, want %v", i, got, want)
+		}
+	}
+	if _, err := cli.Recv(); err != io.EOF {
+		t.Fatalf("Recv after the peer closed: %v, want io.EOF", err)
+	}
 }
 
 func TestDialFailure(t *testing.T) {
