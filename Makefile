@@ -23,6 +23,8 @@
 #   make lifecycle
 #                lifecycle-alarm suite under the race detector: the
 #                continuous/pair/composite state-machine unit tests, the
+#                registry's partition-vs-reference differential test (the
+#                per-user record holds the machines), the
 #                mid-lifecycle snapshot round-trip and composite-TTL
 #                recovery tests, and the per-strategy delivery-equality
 #                simulations (faults, crash recovery, and a cluster split
@@ -95,7 +97,7 @@ failover:
 	@$(call sim,DeliveryEquality/Failover)
 
 lifecycle:
-	$(GO) test -race -run 'Continuous|Pair|Composite|Lifecycle|Event|ResetFired' ./internal/alarm/
+	$(GO) test -race -run 'Continuous|Pair|Composite|Lifecycle|Event|ResetFired|RegistryMatchesReference|IndexAccessCounting|ConcurrentAccess' ./internal/alarm/
 	$(GO) test -race -run 'Lifecycle|Composite' ./internal/server/
 	@$(call sim,DeliveryEquality/Lifecycle)
 

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
-	"github.com/sabre-geo/sabre/internal/geom"
 	"github.com/sabre-geo/sabre/internal/grid"
 	"github.com/sabre-geo/sabre/internal/motion"
 	"github.com/sabre-geo/sabre/internal/pyramid"
@@ -89,7 +88,7 @@ func run(args []string) error {
 			"fig1b", "fig4a", "fig4b", "fig5a", "fig5b",
 			"fig6a", "fig6b", "fig6c", "fig6d",
 			"ablate-weighting", "ablate-clipping", "ablate-publicbitmap",
-			"ablate-index", "ablate-safeperiod", "mixed", "coverage",
+			"ablate-safeperiod", "mixed", "coverage",
 			"scalability",
 		}
 	}
@@ -120,7 +119,6 @@ var runners = map[string]func(options) error{
 	"ablate-weighting":    runAblateWeighting,
 	"ablate-clipping":     runAblateClipping,
 	"ablate-publicbitmap": runAblatePublicBitmap,
-	"ablate-index":        runAblateIndex,
 	"ablate-safeperiod":   runAblateSafePeriod,
 	"mixed":               runMixed,
 	"coverage":            runCoverage,
@@ -710,10 +708,7 @@ func runCoverage(opts options) error {
 		for c := 0; c < cols; c++ {
 			for r := 0; r < rowsN; r++ {
 				cellRect := g.CellRect(grid.MakeCellID(c, r))
-				var rects []geom.Rect
-				for _, a := range reg.PublicIn(cellRect, nil) {
-					rects = append(rects, a)
-				}
+				rects, _ := reg.PublicIn(cellRect, nil)
 				res, err := saferegion.ComputeBitmap(cellRect, pyramid.Params{U: 3, V: 3, Height: h, MaxBits: 2048}, rects, nil)
 				if err != nil {
 					return err
@@ -744,36 +739,6 @@ func runCoverage(opts options) error {
 		})
 	}
 	table("Coverage η(Ψs) vs bitmap size per pyramid height (public alarms, 2.5 km² cells)", header, rows)
-	return nil
-}
-
-func runAblateIndex(opts options) error {
-	w, err := buildWorkload(opts, -1)
-	if err != nil {
-		return err
-	}
-	truth := map[*sim.Workload]*sim.Report{}
-	header := []string{"index", "strategy", "alarm proc (min)", "SR comp (min)"}
-	var rows [][]string
-	for _, idx := range []struct {
-		name   string
-		bucket bool
-	}{{"R*-tree (paper §5.1)", false}, {"bucket grid", true}} {
-		for _, strat := range []wire.Strategy{wire.StrategyPeriodic, wire.StrategyMWPSR} {
-			r, err := runAndVerify(opts, w, sim.StrategyConfig{
-				Strategy:    strat,
-				Model:       motion.MustNew(1, 32),
-				BucketIndex: idx.bucket,
-			}, truth)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, []string{idx.name, r.Strategy,
-				fmt.Sprintf("%.3f", r.AlarmProcessingMinutes),
-				fmt.Sprintf("%.3f", r.SafeRegionMinutes)})
-		}
-	}
-	table("Ablation: alarm index structure (costs in index accesses x cost model)", header, rows)
 	return nil
 }
 

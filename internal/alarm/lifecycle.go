@@ -3,6 +3,7 @@ package alarm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/sabre-geo/sabre/internal/geom"
@@ -278,8 +279,7 @@ func TransitionState(user UserID, ev uint64, tick uint64) (LifecycleState, bool)
 
 // validateLifecycle checks kind-specific invariants and normalizes
 // derived fields (a composite alarm's Region is always the union of its
-// factor bounds). Called by every install/restore path before the
-// legacy region/scope checks.
+// factor bounds). The first half of validate.
 func validateLifecycle(a *Alarm) error {
 	switch a.Kind {
 	case KindOneShot:
@@ -313,7 +313,7 @@ func validateLifecycle(a *Alarm) error {
 		if !a.Region.Empty() {
 			return fmt.Errorf("pair alarm region is derived, must be empty")
 		}
-		if !containsUser(a.Subscribers, a.Anchor) {
+		if !slices.Contains(a.Subscribers, a.Anchor) {
 			a.Subscribers = append(a.Subscribers, a.Anchor)
 		}
 	case KindComposite:
@@ -344,67 +344,48 @@ func validateLifecycle(a *Alarm) error {
 	return nil
 }
 
-// indexed reports whether the alarm lives in the spatial index. Pair
-// alarms have no static region — they are reached through pairsByUser.
+// indexed reports whether the alarm has a static region that queries can
+// reach. Pair alarms do not — they are reached through their endpoints'
+// pair lists.
 func (a *Alarm) indexed() bool { return a.Kind != KindPair }
 
-// trackLifecycleLocked updates the registry's lifecycle indexes for a
-// freshly stored alarm. Callers hold r.mu.
-func (r *Registry) trackLifecycleLocked(a *Alarm) {
-	if a.Kind == KindOneShot {
-		return
-	}
-	r.lifecycle++
-	r.noteExpiryLocked(a.ExpiresAt)
-	if a.Kind == KindPair {
-		r.pairsByUser[a.Owner] = append(r.pairsByUser[a.Owner], a.ID)
-		r.pairsByUser[a.Anchor] = append(r.pairsByUser[a.Anchor], a.ID)
-	}
+// machine is one lifecycle machine in its user's record, keyed by the
+// alarm's slab slot. Only alarms posted under the user have machines
+// there, which is where removal looks for them.
+type machine struct {
+	slot uint32
+	st   lcState
 }
 
-// untrackLifecycleLocked reverses trackLifecycleLocked on removal and
-// drops every lifecycle machine of the alarm. Callers hold r.mu.
-func (r *Registry) untrackLifecycleLocked(a *Alarm) {
-	if a.Kind == KindOneShot {
+// machineOf returns the user's machine for the alarm in slot, nil while it
+// is still in the initial Armed state.
+func (u *userRec) machineOf(slot uint32) *machine {
+	for i := range u.lc {
+		if u.lc[i].slot == slot {
+			return &u.lc[i]
+		}
+	}
+	return nil
+}
+
+func (u *userRec) stateOf(slot uint32) lcState {
+	if m := u.machineOf(slot); m != nil {
+		return m.st
+	}
+	return lcState{}
+}
+
+func (u *userRec) setState(slot uint32, st lcState) {
+	if m := u.machineOf(slot); m != nil {
+		m.st = st
 		return
 	}
-	r.lifecycle--
-	if a.Kind == KindPair {
-		for _, u := range [2]UserID{a.Owner, a.Anchor} {
-			ids := r.pairsByUser[u]
-			for i, v := range ids {
-				if v == a.ID {
-					r.pairsByUser[u] = append(ids[:i], ids[i+1:]...)
-					break
-				}
-			}
-			if len(r.pairsByUser[u]) == 0 {
-				delete(r.pairsByUser, u)
-			}
-		}
-	}
-	for k := range r.lcStates {
-		if k.alarm == a.ID {
-			delete(r.lcStates, k)
-		}
-	}
-	for u, set := range r.insideByUser {
-		if _, ok := set[a.ID]; ok {
-			delete(set, a.ID)
-			if len(set) == 0 {
-				delete(r.insideByUser, u)
-			}
-		}
-	}
+	u.own().lc = append(u.lc, machine{slot: slot, st: st})
 }
 
 // HasLifecycle reports whether any non-one-shot alarm is installed — the
 // gate that keeps every lifecycle code path out of legacy workloads.
-func (r *Registry) HasLifecycle() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.lifecycle > 0
-}
+func (r *Registry) HasLifecycle() bool { return r.lifecycle.Load() > 0 }
 
 // KindCounts returns the number of installed continuous, pair, and
 // composite alarms, in that order (one-shots are Registry.Len minus the
@@ -412,8 +393,8 @@ func (r *Registry) HasLifecycle() bool {
 func (r *Registry) KindCounts() (continuous, pair, composite int) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, a := range r.alarms {
-		switch a.Kind {
+	for i := range r.slab {
+		switch r.slab[i].Kind {
 		case KindContinuous:
 			continuous++
 		case KindPair:
@@ -429,19 +410,7 @@ func (r *Registry) KindCounts() (continuous, pair, composite int) {
 func (r *Registry) IsPairEndpoint(u UserID) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.pairsByUser[u]) > 0
-}
-
-// PairAlarmsOf appends to dst the pair alarms user u is an endpoint of.
-func (r *Registry) PairAlarmsOf(u UserID, dst []Alarm) []Alarm {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, id := range r.pairsByUser[u] {
-		if a := r.alarms[id]; a != nil {
-			dst = append(dst, *a)
-		}
-	}
-	return dst
+	return len(r.user(u).pairs) > 0
 }
 
 // PairPartner returns the other endpoint of a pair alarm relative to u.
@@ -452,27 +421,43 @@ func (a *Alarm) PairPartner(u UserID) UserID {
 	return a.Owner
 }
 
-// InsideAlarmsOf appends to dst the IDs of the continuous alarms user u
-// is currently inside — the regions a safe-region computation must treat
-// as carve-INTO rather than carve-AROUND obstacles.
-func (r *Registry) InsideAlarmsOf(u UserID, dst []ID) []ID {
+// InsideRegion is a continuous alarm whose region its user is currently
+// inside — a region a safe-region computation must treat as a carve-INTO
+// rather than a carve-AROUND obstacle.
+type InsideRegion struct {
+	ID     ID
+	Region geom.Rect
+}
+
+// PairView is one pair alarm as seen from one of its endpoints: the other
+// endpoint, the proximity threshold, and whether this endpoint's machine
+// is in the Inside (in-contact) phase.
+type PairView struct {
+	Partner UserID
+	Radius  float64
+	Inside  bool
+}
+
+// LifecycleViewInto appends to inside and pairs what a safe-region
+// computation for user u needs from u's lifecycle machines, read under one
+// lock. With warm slices it allocates nothing.
+func (r *Registry) LifecycleViewInto(u UserID, inside []InsideRegion, pairs []PairView) ([]InsideRegion, []PairView) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for id := range r.insideByUser[u] {
-		dst = append(dst, id)
+	rec := r.user(u)
+	for _, m := range rec.lc {
+		if a := &r.slab[m.slot]; m.st.inside && a.Kind == KindContinuous {
+			inside = append(inside, InsideRegion{ID: a.ID, Region: a.Region})
+		}
 	}
-	return dst
+	for _, slot := range rec.pairs {
+		a := &r.slab[slot]
+		pairs = append(pairs, PairView{Partner: a.PairPartner(u), Radius: a.Radius, Inside: rec.stateOf(slot).inside})
+	}
+	return inside, pairs
 }
 
-// PairInside reports whether user u's machine for pair alarm id is in
-// the Inside (in-contact) phase.
-func (r *Registry) PairInside(id ID, u UserID) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.lcStates[pairKey{alarm: id, user: u}].inside
-}
-
-// canEnterLocked applies the re-arm cooldown gate.
+// canEnter applies the re-arm cooldown gate.
 func canEnter(st lcState, cooldown uint32, tick uint64) bool {
 	if st.inside {
 		return false
@@ -485,25 +470,32 @@ func canEnter(st lcState, cooldown uint32, tick uint64) bool {
 
 // EvaluateLifecycleInto runs every lifecycle machine of user u against
 // position p at the given logical tick, appending the packed transition
-// events that fire to dst. hits are the spatial-index point hits already
-// collected for this update (EvaluateInto's raw slice) — continuous
-// entries and composite firings are drawn from them, exits from the
-// registry's inside-set, and pair transitions from the pair index via
-// the partner callback (last known partner position, or ok=false when
-// the partner has never reported). Transitions mutate machine state;
-// the caller must log the returned events before releasing any response
-// that reveals them (write-ahead discipline).
+// events that fire to dst. hits are the slots EvaluateInto collected for
+// this update (its raw slice) — continuous entries and composite firings
+// are drawn from them, exits from the user's Inside-phase machines, and
+// pair transitions from the user's pair list via the partner callback
+// (last known partner position, or ok=false when the partner has never
+// reported). Transitions mutate machine state; the caller must log the
+// returned events before releasing any response that reveals them
+// (write-ahead discipline).
 func (r *Registry) EvaluateLifecycleInto(u UserID, p geom.Point, tick uint64, hits []uint64, partner func(UserID) (geom.Point, bool), dst []uint64) []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.lifecycle == 0 {
+	rec := r.users[u]
+	if rec == nil || r.lifecycle.Load() == 0 {
 		return dst
 	}
-	// Continuous entries and composite firings from the index hits.
-	for _, rawID := range hits {
-		id := ID(rawID)
-		a := r.alarms[id]
-		if a == nil || a.Kind == KindOneShot || a.Kind == KindPair || !r.relevantToLocked(a, u) {
+	// Continuous entries and composite firings from the hits.
+	for _, h := range hits {
+		slot := uint32(h)
+		if int(slot) >= len(r.slab) {
+			continue
+		}
+		a := &r.slab[slot]
+		// The hits were collected under an earlier read lock and the slot
+		// may have been vacated or reused since: it must still be one of
+		// u's postings.
+		if (a.Kind != KindContinuous && a.Kind != KindComposite) || !slices.Contains(rec.posts, slot) {
 			continue
 		}
 		switch a.Kind {
@@ -511,60 +503,50 @@ func (r *Registry) EvaluateLifecycleInto(u UserID, p geom.Point, tick uint64, hi
 			if !a.Region.Contains(p) {
 				continue
 			}
-			k := pairKey{alarm: id, user: u}
-			st := r.lcStates[k]
+			st := rec.stateOf(slot)
 			if !canEnter(st, a.Cooldown, tick) {
 				continue
 			}
 			st.inside = true
 			st.occur++
 			st.lastTick = tick
-			r.lcStates[k] = st
-			r.markInsideLocked(u, id)
-			dst = append(dst, PackEvent(id, TransEnter, st.occur))
+			rec.setState(slot, st)
+			dst = append(dst, PackEvent(a.ID, TransEnter, st.occur))
 		case KindComposite:
 			if a.ExpiresAt != 0 && tick >= a.ExpiresAt {
 				continue
 			}
-			if _, gone := r.fired[pairKey{alarm: id, user: u}]; gone {
+			if rec.hasFired(a.ID) {
 				continue
 			}
 			sev := Severity(a.Factors, p)
 			if sev < a.Threshold {
 				continue
 			}
-			r.fired[pairKey{alarm: id, user: u}] = struct{}{}
-			dst = append(dst, PackEvent(id, TransSeverity, QuantizeSeverity(sev)))
+			r.markFiredLocked(a.ID, rec)
+			dst = append(dst, PackEvent(a.ID, TransSeverity, QuantizeSeverity(sev)))
 		}
 	}
 	// Continuous exits: machines in the Inside phase whose region no
 	// longer contains p. Point queries cannot surface non-containing
-	// regions, hence the dedicated inside-set.
-	if set := r.insideByUser[u]; len(set) > 0 {
-		var exited []ID
-		for id := range set {
-			a := r.alarms[id]
-			if a == nil || a.Region.Contains(p) {
-				continue
-			}
-			exited = append(exited, id)
-		}
-		// Deterministic event order for multi-exit updates.
-		sort.Slice(exited, func(i, j int) bool { return exited[i] < exited[j] })
-		for _, id := range exited {
-			k := pairKey{alarm: id, user: u}
-			st := r.lcStates[k]
-			st.inside = false
-			st.lastTick = tick
-			r.lcStates[k] = st
-			delete(set, id)
-			dst = append(dst, PackEvent(id, TransExit, st.occur))
-		}
-		if len(set) == 0 {
-			delete(r.insideByUser, u)
+	// regions, hence the walk over the user's machines.
+	var exited []*machine
+	for i := range rec.lc {
+		m := &rec.lc[i]
+		if a := &r.slab[m.slot]; m.st.inside && a.Kind == KindContinuous && !a.Region.Contains(p) {
+			exited = append(exited, m)
 		}
 	}
-	return r.evalPairsLocked(u, p, tick, partner, dst)
+	// Deterministic event order for multi-exit updates.
+	if len(exited) > 1 {
+		sort.Slice(exited, func(i, j int) bool { return r.slab[exited[i].slot].ID < r.slab[exited[j].slot].ID })
+	}
+	for _, m := range exited {
+		m.st.inside = false
+		m.st.lastTick = tick
+		dst = append(dst, PackEvent(r.slab[m.slot].ID, TransExit, m.st.occur))
+	}
+	return r.evalPairsLocked(rec, u, p, tick, partner, dst)
 }
 
 // EvaluatePairsInto runs only user u's pair machines — the cross-user
@@ -573,46 +555,36 @@ func (r *Registry) EvaluateLifecycleInto(u UserID, p geom.Point, tick uint64, hi
 func (r *Registry) EvaluatePairsInto(u UserID, p geom.Point, tick uint64, partner func(UserID) (geom.Point, bool), dst []uint64) []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.evalPairsLocked(u, p, tick, partner, dst)
+	if rec := r.users[u]; rec != nil {
+		dst = r.evalPairsLocked(rec, u, p, tick, partner, dst)
+	}
+	return dst
 }
 
-func (r *Registry) evalPairsLocked(u UserID, p geom.Point, tick uint64, partner func(UserID) (geom.Point, bool), dst []uint64) []uint64 {
-	for _, id := range r.pairsByUser[u] {
-		a := r.alarms[id]
-		if a == nil || !r.relevantToLocked(a, u) {
-			continue
-		}
+func (r *Registry) evalPairsLocked(rec *userRec, u UserID, p geom.Point, tick uint64, partner func(UserID) (geom.Point, bool), dst []uint64) []uint64 {
+	for _, slot := range rec.pairs {
+		a := &r.slab[slot]
 		pp, ok := partner(a.PairPartner(u))
 		if !ok {
 			continue
 		}
-		k := pairKey{alarm: id, user: u}
-		st := r.lcStates[k]
+		st := rec.stateOf(slot)
 		inRange := p.DistanceSqTo(pp) <= a.Radius*a.Radius
 		switch {
 		case inRange && canEnter(st, a.Cooldown, tick):
 			st.inside = true
 			st.occur++
 			st.lastTick = tick
-			r.lcStates[k] = st
-			dst = append(dst, PackEvent(id, TransEnter, st.occur))
+			rec.setState(slot, st)
+			dst = append(dst, PackEvent(a.ID, TransEnter, st.occur))
 		case !inRange && st.inside:
 			st.inside = false
 			st.lastTick = tick
-			r.lcStates[k] = st
-			dst = append(dst, PackEvent(id, TransExit, st.occur))
+			rec.setState(slot, st)
+			dst = append(dst, PackEvent(a.ID, TransExit, st.occur))
 		}
 	}
 	return dst
-}
-
-func (r *Registry) markInsideLocked(u UserID, id ID) {
-	set := r.insideByUser[u]
-	if set == nil {
-		set = make(map[ID]struct{})
-		r.insideByUser[u] = set
-	}
-	set[id] = struct{}{}
 }
 
 // noteExpiryLocked lowers the expiry watermark to an installed alarm's
@@ -635,37 +607,49 @@ func (r *Registry) ExpireDue(tick uint64) []ID {
 		return nil
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	var due []ID
 	r.nextExpiry = 0
-	for id, a := range r.alarms {
+	for i := range r.slab {
+		a := &r.slab[i]
 		switch {
 		case a.Kind != KindComposite || a.ExpiresAt == 0:
 		case tick >= a.ExpiresAt:
-			due = append(due, id)
+			due = append(due, a.ID)
 		default:
 			r.noteExpiryLocked(a.ExpiresAt)
 		}
 	}
-	r.mu.Unlock()
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	slices.Sort(due)
 	for _, id := range due {
-		r.Remove(id)
+		r.dropLocked(r.byID[id])
 	}
 	return due
+}
+
+// portableLocked returns the portable form of one of u's machines.
+func (r *Registry) portableLocked(u UserID, m machine) LifecycleState {
+	return LifecycleState{
+		Alarm: r.slab[m.slot].ID, User: uint64(u),
+		Inside: m.st.inside, Occur: m.st.occur, LastTick: m.st.lastTick,
+	}
 }
 
 // LifecycleStates returns a snapshot of every lifecycle machine, sorted
 // by (alarm, user) for deterministic output.
 func (r *Registry) LifecycleStates() []LifecycleState {
 	r.mu.RLock()
-	out := make([]LifecycleState, 0, len(r.lcStates))
-	for k, st := range r.lcStates {
-		out = append(out, LifecycleState{
-			Alarm: k.alarm, User: uint64(k.user),
-			Inside: st.inside, Occur: st.occur, LastTick: st.lastTick,
-		})
+	defer r.mu.RUnlock()
+	return r.lifecycleStatesLocked()
+}
+
+func (r *Registry) lifecycleStatesLocked() []LifecycleState {
+	out := []LifecycleState{}
+	for u, rec := range r.users {
+		for _, m := range rec.lc {
+			out = append(out, r.portableLocked(u, m))
+		}
 	}
-	r.mu.RUnlock()
 	sortLifecycleStates(out)
 	return out
 }
@@ -675,14 +659,8 @@ func (r *Registry) LifecycleStates() []LifecycleState {
 func (r *Registry) LifecycleStatesFor(u UserID) []LifecycleState {
 	r.mu.RLock()
 	var out []LifecycleState
-	for k, st := range r.lcStates {
-		if k.user != u {
-			continue
-		}
-		out = append(out, LifecycleState{
-			Alarm: k.alarm, User: uint64(u),
-			Inside: st.inside, Occur: st.occur, LastTick: st.lastTick,
-		})
+	for _, m := range r.user(u).lc {
+		out = append(out, r.portableLocked(u, m))
 	}
 	r.mu.RUnlock()
 	sortLifecycleStates(out)
@@ -694,14 +672,12 @@ func (r *Registry) LifecycleStatesFor(u UserID) []LifecycleState {
 func (r *Registry) LifecycleStatesForAlarms(ids map[ID]bool) []LifecycleState {
 	r.mu.RLock()
 	var out []LifecycleState
-	for k, st := range r.lcStates {
-		if !ids[k.alarm] {
-			continue
+	for u, rec := range r.users {
+		for _, m := range rec.lc {
+			if ids[r.slab[m.slot].ID] {
+				out = append(out, r.portableLocked(u, m))
+			}
 		}
-		out = append(out, LifecycleState{
-			Alarm: k.alarm, User: uint64(k.user),
-			Inside: st.inside, Occur: st.occur, LastTick: st.lastTick,
-		})
 	}
 	r.mu.RUnlock()
 	sortLifecycleStates(out)
@@ -721,7 +697,7 @@ func sortLifecycleStates(s []LifecycleState) {
 // registry, keeping whichever side has progressed further (transitions
 // strictly increase progress, so replaying a state twice — or importing
 // a stale copy after a handoff bounce — is a no-op). States referencing
-// unknown alarms are skipped.
+// unknown alarms, or users the alarm cannot fire for, are skipped.
 func (r *Registry) ApplyLifecycleStates(states []LifecycleState) {
 	if len(states) == 0 {
 		return
@@ -729,25 +705,28 @@ func (r *Registry) ApplyLifecycleStates(states []LifecycleState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range states {
-		a := r.alarms[s.Alarm]
-		if a == nil || (a.Kind != KindContinuous && a.Kind != KindPair) {
+		slot, ok := r.byID[s.Alarm]
+		if !ok {
 			continue
 		}
-		k := pairKey{alarm: s.Alarm, user: UserID(s.User)}
+		a, u := &r.slab[slot], UserID(s.User)
+		rec := r.user(u)
+		switch a.Kind {
+		case KindContinuous:
+			ok = slices.Contains(rec.posts, slot)
+		case KindPair:
+			ok = slices.Contains(rec.pairs, slot)
+		default:
+			ok = false
+		}
+		if !ok {
+			continue
+		}
 		cand := lcState{inside: s.Inside, occur: s.Occur, lastTick: s.LastTick}
-		if cur, ok := r.lcStates[k]; ok && cur.progress() >= cand.progress() {
-			continue
-		}
-		r.lcStates[k] = cand
-		if a.Kind == KindContinuous {
-			if cand.inside {
-				r.markInsideLocked(k.user, k.alarm)
-			} else if set := r.insideByUser[k.user]; set != nil {
-				delete(set, k.alarm)
-				if len(set) == 0 {
-					delete(r.insideByUser, k.user)
-				}
-			}
+		if m := rec.machineOf(slot); m == nil {
+			rec.own().lc = append(rec.lc, machine{slot: slot, st: cand})
+		} else if m.st.progress() < cand.progress() {
+			m.st = cand
 		}
 	}
 }
@@ -755,18 +734,9 @@ func (r *Registry) ApplyLifecycleStates(states []LifecycleState) {
 // ApplyTransition folds one logged transition event into the lifecycle
 // machine it belongs to — the WAL-replay form of ApplyLifecycleStates.
 func (r *Registry) ApplyTransition(user UserID, ev uint64, tick uint64) {
-	id := EventAlarm(ev)
-	occur := EventPayload(ev)
-	switch EventTransition(ev) {
-	case TransEnter:
-		r.ApplyLifecycleStates([]LifecycleState{{
-			Alarm: id, User: uint64(user), Inside: true, Occur: occur, LastTick: tick,
-		}})
-	case TransExit:
-		r.ApplyLifecycleStates([]LifecycleState{{
-			Alarm: id, User: uint64(user), Inside: false, Occur: occur, LastTick: tick,
-		}})
-	case TransSeverity:
-		r.MarkFired(id, user)
+	if st, ok := TransitionState(user, ev, tick); ok {
+		r.ApplyLifecycleStates([]LifecycleState{st})
+	} else if EventTransition(ev) == TransSeverity {
+		r.MarkFired(EventAlarm(ev), user)
 	}
 }

@@ -9,12 +9,12 @@ import (
 
 func noPartner(UserID) (geom.Point, bool) { return geom.Point{}, false }
 
-// evalLC drives one lifecycle evaluation with explicit index hits (the
-// alarm IDs whose regions a point query would surface).
+// evalLC drives one lifecycle evaluation with explicit hits (the alarms
+// whose regions a point query would surface, passed as their slots).
 func evalLC(r *Registry, u UserID, p geom.Point, tick uint64, hits []ID, partner func(UserID) (geom.Point, bool)) []uint64 {
 	raw := make([]uint64, len(hits))
 	for i, id := range hits {
-		raw[i] = uint64(id)
+		raw[i] = uint64(r.byID[id])
 	}
 	if partner == nil {
 		partner = noPartner
@@ -98,8 +98,10 @@ func TestPairSymmetricOccurrences(t *testing.T) {
 	if got, want := r.EvaluatePairsInto(3, pos[3], 2, partner, nil), []uint64{PackEvent(id, TransEnter, 1)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("endpoint 3 enter = %#x, want %#x", got, want)
 	}
-	if !r.PairInside(id, 2) || !r.PairInside(id, 3) {
-		t.Fatal("both endpoints should be Inside")
+	for _, u := range []UserID{2, 3} {
+		if _, pairs := r.LifecycleViewInto(u, nil, nil); len(pairs) != 1 || !pairs[0].Inside {
+			t.Fatalf("endpoint %d should be Inside: %+v", u, pairs)
+		}
 	}
 	// Partner walks away: both exit with matching occurrence.
 	pos[3] = geom.Pt(900, 0)

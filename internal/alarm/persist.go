@@ -3,8 +3,6 @@ package alarm
 import (
 	"fmt"
 	"sort"
-
-	"github.com/sabre-geo/sabre/internal/rstar"
 )
 
 // Persistence surface: the durable store (internal/store) snapshots a
@@ -24,9 +22,15 @@ type FiredPair struct {
 func (r *Registry) FiredPairs() []FiredPair {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]FiredPair, 0, len(r.fired))
-	for k := range r.fired {
-		out = append(out, FiredPair{Alarm: k.alarm, User: uint64(k.user)})
+	return r.firedPairsLocked()
+}
+
+func (r *Registry) firedPairsLocked() []FiredPair {
+	out := []FiredPair{}
+	for u, rec := range r.users {
+		for _, id := range rec.fired {
+			out = append(out, FiredPair{Alarm: id, User: uint64(u)})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Alarm != out[j].Alarm {
@@ -46,11 +50,10 @@ func (r *Registry) NextID() ID {
 
 // InstallAssigned stores alarms that already carry their IDs — a cluster
 // installing one globally numbered alarm table onto several shard
-// registries, where every shard must agree on every ID. Validation runs
-// first (either all alarms install or none); the ID counter advances past
-// every installed alarm so local installs never collide. When the
-// registry is empty the spatial index is STR bulk-loaded, as in
-// InstallBatch.
+// registries, where every shard must agree on every ID, or a recovery
+// reinstating a saved table. Validation runs first (either all alarms
+// install or none); the ID counter advances past every installed alarm so
+// local installs never collide.
 func (r *Registry) InstallAssigned(alarms []Alarm) error {
 	for i := range alarms {
 		a := &alarms[i]
@@ -60,95 +63,37 @@ func (r *Registry) InstallAssigned(alarms []Alarm) error {
 		if a.ID > MaxLifecycleID {
 			return fmt.Errorf("alarm %d: install assigned: ID exceeds event space", a.ID)
 		}
-		if err := validateLifecycle(a); err != nil {
+		if err := validate(a); err != nil {
 			return fmt.Errorf("alarm %d: %w", a.ID, err)
-		}
-		if a.Kind != KindPair && a.Region.Empty() {
-			return fmt.Errorf("alarm %d: empty region %v", a.ID, a.Region)
-		}
-		switch a.Scope {
-		case Private, Shared, Public:
-		default:
-			return fmt.Errorf("alarm %d: invalid scope %d", a.ID, a.Scope)
-		}
-		if a.Scope == Shared && len(a.Subscribers) == 0 {
-			return fmt.Errorf("alarm %d: shared alarm requires subscribers", a.ID)
 		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, a := range alarms {
-		if _, dup := r.alarms[a.ID]; dup {
-			return fmt.Errorf("alarm %d: install assigned: duplicate ID", a.ID)
+	batch := make(map[ID]struct{}, len(alarms))
+	for i := range alarms {
+		id := alarms[i].ID
+		_, dup := r.byID[id]
+		if _, again := batch[id]; dup || again {
+			return fmt.Errorf("alarm %d: install assigned: duplicate ID", id)
 		}
+		batch[id] = struct{}{}
 	}
-	bulk := len(r.alarms) == 0
-	items := make([]rstar.Item, 0, len(alarms))
-	for _, a := range alarms {
-		stored := a
-		stored.Subscribers = append([]UserID(nil), a.Subscribers...)
-		r.alarms[stored.ID] = &stored
-		if stored.Target != 0 {
-			r.byTarget[stored.Target] = append(r.byTarget[stored.Target], stored.ID)
-		}
-		if stored.ID >= r.nextID {
-			r.nextID = stored.ID + 1
-		}
-		r.trackLifecycleLocked(&stored)
-		if !stored.indexed() {
-			continue
-		}
-		item := rstar.Item{ID: uint64(stored.ID), Rect: stored.Region}
-		if bulk {
-			items = append(items, item)
-		} else {
-			r.index.Insert(item)
-		}
-	}
-	if bulk {
-		r.index.InsertBatch(items)
-	}
+	r.installLocked(alarms)
 	return nil
 }
 
 // Restore builds a registry from recovered state: alarms keep their
 // original IDs (unlike Install, which assigns fresh ones), trigger state
 // is reinstated, and the ID counter resumes past every restored alarm so
-// new installs never collide with recovered ones. The spatial index is
-// STR bulk-loaded.
+// new installs never collide with recovered ones.
 func Restore(alarms []Alarm, fired []FiredPair, nextID ID) (*Registry, error) {
 	r := NewRegistry()
-	items := make([]rstar.Item, 0, len(alarms))
-	for _, a := range alarms {
-		if a.ID == 0 {
-			return nil, fmt.Errorf("alarm: restore: alarm without ID")
-		}
-		if _, dup := r.alarms[a.ID]; dup {
-			return nil, fmt.Errorf("alarm: restore: duplicate ID %d", a.ID)
-		}
-		stored := a
-		stored.Subscribers = append([]UserID(nil), a.Subscribers...)
-		if err := validateLifecycle(&stored); err != nil {
-			return nil, fmt.Errorf("alarm: restore: alarm %d: %w", a.ID, err)
-		}
-		if stored.Kind != KindPair && stored.Region.Empty() {
-			return nil, fmt.Errorf("alarm: restore: alarm %d has empty region %v", a.ID, a.Region)
-		}
-		r.alarms[stored.ID] = &stored
-		if stored.Target != 0 {
-			r.byTarget[stored.Target] = append(r.byTarget[stored.Target], stored.ID)
-		}
-		r.trackLifecycleLocked(&stored)
-		if stored.indexed() {
-			items = append(items, rstar.Item{ID: uint64(stored.ID), Rect: stored.Region})
-		}
-		if stored.ID >= r.nextID {
-			r.nextID = stored.ID + 1
-		}
+	// Validation normalizes in place; the caller keeps its table as it was.
+	if err := r.InstallAssigned(append([]Alarm(nil), alarms...)); err != nil {
+		return nil, fmt.Errorf("alarm: restore: %w", err)
 	}
-	r.index.InsertBatch(items)
 	for _, p := range fired {
-		r.fired[pairKey{alarm: p.Alarm, user: UserID(p.User)}] = struct{}{}
+		r.markFiredLocked(p.Alarm, r.userLocked(UserID(p.User)))
 	}
 	if nextID > r.nextID {
 		r.nextID = nextID

@@ -1,13 +1,14 @@
 package alarm
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"github.com/sabre-geo/sabre/internal/geom"
-	"github.com/sabre-geo/sabre/internal/rstar"
 )
 
 // snapshotVersion guards the on-disk format.
@@ -33,6 +34,7 @@ type snapshotAlarm struct {
 	Subscribers []UserID      `json:"subscribers,omitempty"`
 	Region      [4]float64    `json:"region"` // MinX, MinY, MaxX, MaxY
 	Target      UserID        `json:"target,omitempty"`
+	Topic       string        `json:"topic,omitempty"`
 	Kind        LifecycleKind `json:"kind,omitempty"`
 	Cooldown    uint32        `json:"cooldown,omitempty"`
 	Anchor      UserID        `json:"anchor,omitempty"`
@@ -52,43 +54,36 @@ type snapshotPair struct {
 // deterministic: alarms and fired pairs are sorted.
 func (r *Registry) Snapshot(w io.Writer) error {
 	r.mu.RLock()
-	snap := snapshot{Version: snapshotVersion, NextID: r.nextID}
-	for _, a := range r.alarms {
+	snap := snapshot{Version: snapshotVersion, NextID: r.nextID, Lifecycle: r.lifecycleStatesLocked()}
+	alarms, fired := r.allLocked(), r.firedPairsLocked()
+	r.mu.RUnlock()
+	for _, a := range alarms {
 		snap.Alarms = append(snap.Alarms, snapshotAlarm{
 			ID:          a.ID,
 			Scope:       a.Scope,
 			Owner:       a.Owner,
-			Subscribers: append([]UserID(nil), a.Subscribers...),
+			Subscribers: a.Subscribers,
 			Region:      [4]float64{a.Region.MinX, a.Region.MinY, a.Region.MaxX, a.Region.MaxY},
 			Target:      a.Target,
+			Topic:       a.Topic,
 			Kind:        a.Kind,
 			Cooldown:    a.Cooldown,
 			Anchor:      a.Anchor,
 			Radius:      a.Radius,
-			Factors:     append([]Factor(nil), a.Factors...),
+			Factors:     a.Factors,
 			Threshold:   a.Threshold,
 			ExpiresAt:   a.ExpiresAt,
 		})
 	}
-	for k := range r.fired {
-		snap.Fired = append(snap.Fired, snapshotPair{Alarm: k.alarm, User: k.user})
-	}
-	for k, st := range r.lcStates {
-		snap.Lifecycle = append(snap.Lifecycle, LifecycleState{
-			Alarm: k.alarm, User: uint64(k.user),
-			Inside: st.inside, Occur: st.occur, LastTick: st.lastTick,
-		})
-	}
-	r.mu.RUnlock()
-
 	sort.Slice(snap.Alarms, func(i, j int) bool { return snap.Alarms[i].ID < snap.Alarms[j].ID })
-	sort.Slice(snap.Fired, func(i, j int) bool {
-		if snap.Fired[i].Alarm != snap.Fired[j].Alarm {
-			return snap.Fired[i].Alarm < snap.Fired[j].Alarm
+	// Fired state outlives an alarm's removal (a cluster shard may re-adopt
+	// it); a snapshot's alarm table is final, so only pairs of alarms in it
+	// mean anything — and LoadRegistry rejects the rest as corruption.
+	for _, p := range fired {
+		if _, ok := slices.BinarySearchFunc(snap.Alarms, p.Alarm, func(a snapshotAlarm, id ID) int { return cmp.Compare(a.ID, id) }); ok {
+			snap.Fired = append(snap.Fired, snapshotPair{Alarm: p.Alarm, User: UserID(p.User)})
 		}
-		return snap.Fired[i].User < snap.Fired[j].User
-	})
-	sortLifecycleStates(snap.Lifecycle)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(snap); err != nil {
@@ -97,8 +92,7 @@ func (r *Registry) Snapshot(w io.Writer) error {
 	return nil
 }
 
-// LoadRegistry rebuilds a registry from a Snapshot stream. The spatial
-// index is bulk-loaded.
+// LoadRegistry rebuilds a registry from a Snapshot stream.
 func LoadRegistry(rd io.Reader) (*Registry, error) {
 	var snap snapshot
 	dec := json.NewDecoder(rd)
@@ -108,62 +102,37 @@ func LoadRegistry(rd io.Reader) (*Registry, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("alarm: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
-	r := NewRegistry()
-	items := make([]rstar.Item, 0, len(snap.Alarms))
-	maxID := ID(0)
-	for _, sa := range snap.Alarms {
-		region := geom.Rect{MinX: sa.Region[0], MinY: sa.Region[1], MaxX: sa.Region[2], MaxY: sa.Region[3]}
-		if sa.Kind != KindPair && region.Empty() {
-			return nil, fmt.Errorf("alarm: snapshot alarm %d has empty region", sa.ID)
-		}
-		switch sa.Scope {
-		case Private, Shared, Public:
-		default:
-			return nil, fmt.Errorf("alarm: snapshot alarm %d has invalid scope %d", sa.ID, sa.Scope)
-		}
-		if _, dup := r.alarms[sa.ID]; dup {
-			return nil, fmt.Errorf("alarm: snapshot has duplicate id %d", sa.ID)
-		}
-		a := &Alarm{
+	alarms := make([]Alarm, len(snap.Alarms))
+	for i, sa := range snap.Alarms {
+		alarms[i] = Alarm{
 			ID:          sa.ID,
 			Scope:       sa.Scope,
 			Owner:       sa.Owner,
-			Subscribers: append([]UserID(nil), sa.Subscribers...),
-			Region:      region,
+			Subscribers: sa.Subscribers,
+			Region:      geom.Rect{MinX: sa.Region[0], MinY: sa.Region[1], MaxX: sa.Region[2], MaxY: sa.Region[3]},
 			Target:      sa.Target,
+			Topic:       sa.Topic,
 			Kind:        sa.Kind,
 			Cooldown:    sa.Cooldown,
 			Anchor:      sa.Anchor,
 			Radius:      sa.Radius,
-			Factors:     append([]Factor(nil), sa.Factors...),
+			Factors:     sa.Factors,
 			Threshold:   sa.Threshold,
 			ExpiresAt:   sa.ExpiresAt,
 		}
-		if err := validateLifecycle(a); err != nil {
-			return nil, fmt.Errorf("alarm: snapshot alarm %d: %w", sa.ID, err)
-		}
-		r.alarms[a.ID] = a
-		if a.Target != 0 {
-			r.byTarget[a.Target] = append(r.byTarget[a.Target], a.ID)
-		}
-		r.trackLifecycleLocked(a)
-		if a.indexed() {
-			items = append(items, rstar.Item{ID: uint64(a.ID), Rect: a.Region})
-		}
-		if a.ID > maxID {
-			maxID = a.ID
-		}
 	}
-	r.index = rstar.BulkLoad(items, rstar.DefaultMaxEntries)
-	for _, p := range snap.Fired {
-		if _, ok := r.alarms[p.Alarm]; !ok {
+	fired := make([]FiredPair, len(snap.Fired))
+	for i, p := range snap.Fired {
+		fired[i] = FiredPair{Alarm: p.Alarm, User: uint64(p.User)}
+	}
+	r, err := Restore(alarms, fired, snap.NextID)
+	if err != nil {
+		return nil, fmt.Errorf("alarm: snapshot: %w", err)
+	}
+	for _, p := range fired {
+		if _, ok := r.byID[p.Alarm]; !ok {
 			return nil, fmt.Errorf("alarm: snapshot fired pair references unknown alarm %d", p.Alarm)
 		}
-		r.fired[pairKey{alarm: p.Alarm, user: p.User}] = struct{}{}
-	}
-	r.nextID = snap.NextID
-	if r.nextID <= maxID {
-		r.nextID = maxID + 1
 	}
 	r.ApplyLifecycleStates(snap.Lifecycle)
 	return r, nil

@@ -58,13 +58,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Fired state preserved: one-shot semantics resume.
-	if restored.Evaluate(geom.Pt(100, 100), 1) != nil {
+	if evaluate(restored, geom.Pt(100, 100), 1) != nil {
 		t.Error("fired private alarm re-armed after restore")
 	}
-	if got := restored.Evaluate(geom.Pt(700, 700), 2); len(got) != 0 {
+	if got := evaluate(restored, geom.Pt(700, 700), 2); len(got) != 0 {
 		t.Error("fired public pair re-armed after restore")
 	}
-	if got := restored.Evaluate(geom.Pt(700, 700), 5); len(got) != 1 {
+	if got := evaluate(restored, geom.Pt(700, 700), 5); len(got) != 1 {
 		t.Errorf("unfired public pair lost: %v", got)
 	}
 	// Target index rebuilt.
@@ -145,8 +145,8 @@ func TestSnapshotLargeRegistry(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
 		u := UserID(rng.Intn(100) + 1)
-		a := r.Evaluate(p, u)
-		b := restored.Evaluate(p, u)
+		a := evaluate(r, p, u)
+		b := evaluate(restored, p, u)
 		if len(a) != len(b) {
 			t.Fatalf("query disagreement at %v: %d vs %d", p, len(a), len(b))
 		}

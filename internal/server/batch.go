@@ -42,6 +42,9 @@ type UpdateScratch struct {
 	raw       []uint64
 	relevant  []alarm.Alarm
 	rects     []geom.Rect
+	// The user's lifecycle machines as loadLifecycleView read them.
+	inside []alarm.InsideRegion
+	pairs  []alarm.PairView
 	// Safe-region computation scratch.
 	rect saferegion.RectScratch
 	// Response slice handed back by HandleUpdateScratch.

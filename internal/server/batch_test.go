@@ -235,6 +235,75 @@ func TestHandleUpdateScratchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHandleUpdateBatchLifecycleAllocs: with continuous and composite
+// alarms installed every report also runs the lifecycle machines, the
+// obstacle transform and the pair cap. In the steady state — users near
+// their alarms or dwelling inside one, nothing transitioning — that must
+// cost no allocation beyond what the same batch costs against a registry
+// of one-shot alarms: the user's machines are read once, into the scratch.
+func TestHandleUpdateBatchLifecycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("HandleUpdateBatch pools its scratch; see raceEnabled")
+	}
+	const users = 8
+	perBatch := func(lifecycle bool) float64 {
+		e := newEngine(t, nil)
+		var alarms []alarm.Alarm
+		for u := alarm.UserID(1); u <= users; u++ {
+			x := 200 * float64(u)
+			near, around := geom.R(x, 3200, x+100, 3300), geom.R(x-50, 2950, x+150, 3050)
+			cont := alarm.Alarm{Scope: alarm.Shared, Owner: u, Subscribers: []alarm.UserID{u%users + 1}, Region: around}
+			comp := alarm.Alarm{Scope: alarm.Private, Owner: u, Region: near}
+			if lifecycle {
+				cont.Kind = alarm.KindContinuous
+				comp.Kind, comp.Region = alarm.KindComposite, geom.Rect{}
+				comp.Factors, comp.Threshold = []alarm.Factor{{Region: near, Weight: 1}, {Center: near.Center(), Radius: 40, Weight: 1}}, 2
+			}
+			alarms = append(alarms, cont, comp)
+		}
+		if _, err := e.InstallAlarms(alarms); err != nil {
+			t.Fatal(err)
+		}
+		batch := wire.UpdateBatch{Updates: make([]wire.PositionUpdate, users)}
+		for i := range batch.Updates {
+			register(t, e, uint64(i+1), wire.StrategyMWPSR)
+		}
+		seq := uint32(0)
+		step := func() {
+			seq++
+			if err := e.SetTick(uint64(seq)); err != nil {
+				t.Fatal(err)
+			}
+			for i := range batch.Updates {
+				// Inside the own continuous alarm (entered, or fired, on the
+				// first report), beside the composite one.
+				batch.Updates[i] = wire.PositionUpdate{User: uint64(i + 1), Seq: seq, Pos: geom.Pt(200*float64(i+1)+40+float64(seq%8), 3000)}
+			}
+			reply, err := e.HandleUpdateBatch(batch)
+			if err != nil || len(reply.Entries) != users {
+				t.Fatalf("batch reply %+v, err %v", reply, err)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			step()
+		}
+		if m := e.Metrics().Snapshot(); lifecycle && m.AlarmTransitions != users {
+			t.Fatalf("warm-up made %d transitions, want one entry per user", m.AlarmTransitions)
+		}
+		before := e.Metrics().Snapshot()
+		allocs := testing.AllocsPerRun(200, step)
+		after := e.Metrics().Snapshot()
+		if after.AlarmTransitions != before.AlarmTransitions || after.AlarmsTriggered != before.AlarmsTriggered {
+			t.Fatal("the measured steady state fired something")
+		}
+		return allocs
+	}
+	oneShot, lifecycle := perBatch(false), perBatch(true)
+	if lifecycle > oneShot {
+		t.Errorf("a %d-user batch allocates %.1f times with lifecycle alarms, %.1f with one-shot alarms only", users, lifecycle, oneShot)
+	}
+}
+
 // TestHandleUpdateBatchInterleavedDuplicates: a 2 000-update batch in
 // which 250 users each report eight times, interleaved and in a shuffled
 // user order per round, must answer like the unbatched path — entries in

@@ -4,7 +4,7 @@
 // alarm pushes depending on each client's registered strategy.
 //
 // The engine realizes the paper's distributed partitioning scheme (§2):
-// heavy, globally informed work — alarm evaluation against the R*-tree,
+// heavy, globally informed work — alarm evaluation against the registry,
 // safe region computation — stays on the server; clients only monitor
 // their own position against the compact region the server hands them.
 // One engine serves heterogeneous clients: every strategy of §5 (PRD, SP,
@@ -30,7 +30,6 @@ import (
 	"github.com/sabre-geo/sabre/internal/alarm"
 	"github.com/sabre-geo/sabre/internal/geom"
 	"github.com/sabre-geo/sabre/internal/grid"
-	"github.com/sabre-geo/sabre/internal/gridindex"
 	"github.com/sabre-geo/sabre/internal/metrics"
 	"github.com/sabre-geo/sabre/internal/motion"
 	"github.com/sabre-geo/sabre/internal/pyramid"
@@ -63,9 +62,6 @@ type Config struct {
 	// ExhaustiveAssembly switches MWPSR to the quartic-time optimal
 	// component-rectangle assembly (ablation).
 	ExhaustiveAssembly bool
-	// UseBucketIndex replaces the R*-tree alarm index with a uniform
-	// bucket grid (ablation of the paper's §5.1 index choice).
-	UseBucketIndex bool
 	// SafePeriodSpeedFactor scales the v_max bound used by safe-period
 	// computation. 0 or 1 is the paper's pessimistic guarantee; smaller
 	// values assume clients move slower than the bound, shrinking message
@@ -263,13 +259,6 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := alarm.NewRegistry()
-	if cfg.UseBucketIndex {
-		// Roughly one bucket per 0.5 km² keeps per-bucket alarm lists
-		// short at the paper's default densities.
-		buckets := int(cfg.Universe.Area() / 5e5)
-		reg = alarm.NewRegistryWithIndex(gridindex.New(cfg.Universe, buckets))
-	}
 	pendingCap := cfg.PendingFiredCap
 	if pendingCap <= 0 {
 		pendingCap = store.DefaultPendingCap
@@ -282,7 +271,7 @@ func New(cfg Config) (*Engine, error) {
 		publicBitmaps: make(map[grid.CellID]*publicBitmapEntry),
 		anchors:       make(map[alarm.UserID]anchorObs),
 	}
-	e.reg.Store(reg)
+	e.reg.Store(alarm.NewRegistry())
 	part := cfg.Partition
 	e.part.Store(&part)
 	e.scratchPool.New = func() any { return NewUpdateScratch() }
@@ -559,7 +548,7 @@ func (e *Engine) deliverPushes(pushes []pendingPush) {
 // non-final updates of a batch run, whose monitoring state would be stale
 // on arrival anyway.
 func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user alarm.UserID, st *clientState, sc *UpdateScratch, out []wire.Message, boxPointers, withStrategy bool) ([]wire.Message, []uint64, []uint64, error) {
-	// Alarm evaluation against the R*-tree (every strategy does this; it
+	// Alarm evaluation against the registry (every strategy does this; it
 	// is the "alarm processing" bucket of Figures 4(b)/6(d)).
 	var candidates int
 	var accesses uint64
@@ -612,6 +601,7 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user 
 			e.met.AddAlarmTransitions(uint64(len(newTrans)))
 		}
 	}
+	e.loadLifecycleView(reg, user, sc)
 	delivered := newFired
 	if len(newTrans) > 0 {
 		delivered = append(append(make([]uint64, 0, len(newFired)+len(newTrans)), newFired...), newTrans...)
@@ -656,10 +646,10 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user 
 		// leave a pair endpoint uncapped.
 		if len(firedIDs) == 0 {
 			if boxPointers {
-				sc.ackMsg = wire.Ack{Seq: u.Seq, Cap: e.regionCap(reg, user, u.Pos)}
+				sc.ackMsg = wire.Ack{Seq: u.Seq, Cap: e.regionCap(sc, u.Pos)}
 				out = e.send(out, &sc.ackMsg)
 			} else {
-				out = e.send(out, wire.Ack{Seq: u.Seq, Cap: e.regionCap(reg, user, u.Pos)})
+				out = e.send(out, wire.Ack{Seq: u.Seq, Cap: e.regionCap(sc, u.Pos)})
 			}
 		}
 		st.lastPos = u.Pos
@@ -672,10 +662,10 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user 
 		// Server-centric periodic evaluation: nothing goes back.
 	case wire.StrategySafePeriod:
 		if boxPointers {
-			sc.spMsg = e.safePeriodFor(reg, u)
+			sc.spMsg = e.safePeriodFor(reg, u, sc)
 			out = e.send(out, &sc.spMsg)
 		} else {
-			out = e.send(out, e.safePeriodFor(reg, u))
+			out = e.send(out, e.safePeriodFor(reg, u, sc))
 		}
 	case wire.StrategyMWPSR:
 		if boxPointers {
@@ -697,10 +687,10 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user 
 			if reg.AnyFiredIn(e.grid.CellRect(cellID), user) {
 				out = e.send(out, e.rectRegionFor(reg, u, st, sc))
 			} else if boxPointers {
-				sc.ackMsg = wire.Ack{Seq: u.Seq, Cap: e.regionCap(reg, user, u.Pos)}
+				sc.ackMsg = wire.Ack{Seq: u.Seq, Cap: e.regionCap(sc, u.Pos)}
 				out = e.send(out, &sc.ackMsg)
 			} else {
-				out = e.send(out, wire.Ack{Seq: u.Seq, Cap: e.regionCap(reg, user, u.Pos)})
+				out = e.send(out, wire.Ack{Seq: u.Seq, Cap: e.regionCap(sc, u.Pos)})
 			}
 		case sameCell && len(newTrans) == 0:
 			// §4.2 quick update: the triggered alarm just became free
@@ -713,7 +703,7 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user 
 			// re-derives it from the new phase's obstacle set.
 			out = e.send(out, e.rectRegionFor(reg, u, st, sc))
 		default:
-			msg, err := e.bitmapRegionFor(reg, u, st, cellID)
+			msg, err := e.bitmapRegionFor(reg, u, st, sc, cellID)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -722,7 +712,7 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user 
 			out = e.send(out, msg)
 		}
 	case wire.StrategyOptimal:
-		out = e.send(out, e.alarmPushFor(reg, u))
+		out = e.send(out, e.alarmPushFor(reg, u, sc))
 	}
 
 	// Pair endpoints get their safe-period cap folded into the region /
@@ -839,15 +829,16 @@ func (e *Engine) invalidationFor(reg *alarm.Registry, user alarm.UserID, st *cli
 		return nil
 	}
 	fake := wire.PositionUpdate{User: uint64(user), Seq: 0, Pos: st.lastPos}
+	e.loadLifecycleView(reg, user, sc)
 	var msgs []wire.Message
 	switch st.strategy {
 	case wire.StrategySafePeriod:
-		return []wire.Message{e.safePeriodFor(reg, fake)}
+		return []wire.Message{e.safePeriodFor(reg, fake, sc)}
 	case wire.StrategyMWPSR:
 		msgs = append(msgs, e.rectRegionFor(reg, fake, st, sc))
 	case wire.StrategyPBSR:
 		cellID := e.grid.Locate(st.lastPos)
-		bm, err := e.bitmapRegionFor(reg, fake, st, cellID)
+		bm, err := e.bitmapRegionFor(reg, fake, st, sc, cellID)
 		if err != nil {
 			return nil
 		}
@@ -855,15 +846,15 @@ func (e *Engine) invalidationFor(reg *alarm.Registry, user alarm.UserID, st *cli
 		st.hasBitmapCell = true
 		msgs = append(msgs, bm)
 	case wire.StrategyOptimal:
-		msgs = append(msgs, e.alarmPushFor(reg, fake))
+		msgs = append(msgs, e.alarmPushFor(reg, fake, sc))
 	default:
 		return nil // periodic clients re-report next tick anyway
 	}
 	return msgs
 }
 
-func (e *Engine) safePeriodFor(reg *alarm.Registry, u wire.PositionUpdate) wire.SafePeriod {
-	dist, accesses := reg.NearestRelevantDistCounted(u.Pos, alarm.UserID(u.User))
+func (e *Engine) safePeriodFor(reg *alarm.Registry, u wire.PositionUpdate, sc *UpdateScratch) wire.SafePeriod {
+	dist, accesses := reg.NearestRelevantDist(u.Pos, alarm.UserID(u.User))
 	e.met.AddSafePeriodComputation(accesses)
 	// A cluster shard only installs alarms intersecting its expanded
 	// partition, so the local nearest-alarm distance can over-estimate:
@@ -891,10 +882,8 @@ func (e *Engine) safePeriodFor(reg *alarm.Registry, u wire.PositionUpdate) wire.
 	ticks := uint32(saferegion.SafePeriodTicks(dist, vmax, e.cfg.TickSeconds, 1<<30))
 	// Pair alarms bound the period too: the partner closes distance at up
 	// to v_max as well, so their margin shrinks twice as fast.
-	if reg.HasLifecycle() {
-		if cap, ok := e.pairCapTicks(reg, alarm.UserID(u.User), u.Pos); ok && cap < ticks {
-			ticks = cap
-		}
+	if cap, ok := e.pairCapTicks(sc.pairs, u.Pos); ok && cap < ticks {
+		ticks = cap
 	}
 	return wire.SafePeriod{Seq: u.Seq, Ticks: ticks}
 }
@@ -905,14 +894,7 @@ func (e *Engine) rectRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st *c
 	var accesses uint64
 	sc.relevant, sc.raw, accesses = reg.RelevantInInto(cellRect, user, sc.relevant[:0], sc.raw)
 	e.met.AddSafeRegionIndexWork(accesses)
-	sc.rects = sc.rects[:0]
-	if reg.HasLifecycle() {
-		sc.rects = e.lifecycleObstacles(reg, user, cellRect, sc.relevant, sc.rects)
-	} else {
-		for _, a := range sc.relevant {
-			sc.rects = append(sc.rects, a.Region)
-		}
-	}
+	sc.rects = e.obstacles(sc, cellRect, sc.rects[:0])
 	model := e.cfg.Model
 	heading, ok := st.heading.Observe(u.Pos)
 	if !ok {
@@ -924,10 +906,10 @@ func (e *Engine) rectRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st *c
 		Exhaustive: e.cfg.ExhaustiveAssembly,
 	}, &sc.rect)
 	e.met.AddRectComputation(res.Candidates, res.Corners, res.Clips)
-	return wire.RectRegion{Seq: u.Seq, Rect: res.Rect, Cap: e.regionCap(reg, user, u.Pos)}
+	return wire.RectRegion{Seq: u.Seq, Rect: res.Rect, Cap: e.regionCap(sc, u.Pos)}
 }
 
-func (e *Engine) bitmapRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st *clientState, cellID grid.CellID) (wire.BitmapRegion, error) {
+func (e *Engine) bitmapRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st *clientState, sc *UpdateScratch, cellID grid.CellID) (wire.BitmapRegion, error) {
 	user := alarm.UserID(u.User)
 	cellRect := e.grid.CellRect(cellID)
 	params := e.cfg.PyramidParams
@@ -936,52 +918,31 @@ func (e *Engine) bitmapRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st 
 	}
 
 	var (
-		rects    []geom.Rect
 		ent      *publicBitmapEntry
 		err      error
 		accesses uint64
 	)
-	lifecycle := reg.HasLifecycle()
 	// The shared public bitmap cannot reflect this user's fired public
-	// alarms; use it only when the user has none in this cell.
-	usePre := false
-	if e.cfg.PrecomputePublicBitmaps {
-		firedPublic, fpAccesses := reg.AnyFiredPublicInCounted(cellRect, user)
-		accesses += fpAccesses
-		usePre = !firedPublic
-	}
-	if usePre {
+	// alarms; use it only when the user has none in this cell. It covers
+	// the broadcast public alarms; the user's own alarms and subscribed
+	// topics are added as personal obstacles.
+	if e.cfg.PrecomputePublicBitmaps && !reg.AnyFiredPublicIn(cellRect, user) {
 		ent, err = e.publicBitmapFor(reg, cellID, cellRect)
 		if err != nil {
 			return wire.BitmapRegion{}, err
 		}
-		nonPublic, npAccesses := reg.RelevantNonPublicInCounted(cellRect, user, nil)
-		accesses += npAccesses
-		if lifecycle {
-			rects = e.lifecycleObstacles(reg, user, cellRect, nonPublic, rects)
-		} else {
-			for _, a := range nonPublic {
-				rects = append(rects, a.Region)
-			}
-		}
+		sc.relevant, accesses = reg.RelevantNonPublicIn(cellRect, user, sc.relevant[:0])
 	} else {
-		relevant, rAccesses := reg.RelevantInCounted(cellRect, user, nil)
-		accesses += rAccesses
-		if lifecycle {
-			rects = e.lifecycleObstacles(reg, user, cellRect, relevant, rects)
-		} else {
-			for _, a := range relevant {
-				rects = append(rects, a.Region)
-			}
-		}
+		sc.relevant, sc.raw, accesses = reg.RelevantInInto(cellRect, user, sc.relevant[:0], sc.raw)
 	}
+	sc.rects = e.obstacles(sc, cellRect, sc.rects[:0])
 	e.met.AddSafeRegionIndexWork(accesses)
 	var res saferegion.BitmapResult
 	switch {
 	case ent == nil:
-		res, err = saferegion.ComputeBitmap(cellRect, params, rects, nil)
-	case len(rects) > 0:
-		res, err = saferegion.ComputeBitmap(cellRect, params, rects, ent.reg)
+		res, err = saferegion.ComputeBitmap(cellRect, params, sc.rects, nil)
+	case len(sc.rects) > 0:
+		res, err = saferegion.ComputeBitmap(cellRect, params, sc.rects, ent.reg)
 	default:
 		// Nothing of the user's own in this cell (after the lifecycle
 		// transform): the reply is a function of the cell and height alone.
@@ -994,13 +955,13 @@ func (e *Engine) bitmapRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st 
 	}
 	e.met.AddBitmapComputation(res.IntersectionTests)
 	msg := wire.FromBitmap(u.Seq, res.Bitmap)
-	msg.Cap = e.regionCap(reg, user, u.Pos)
+	msg.Cap = e.regionCap(sc, u.Pos)
 	return msg, nil
 }
 
 // publicBitmapFor returns (computing and caching on first use) the cache
-// entry holding the pyramid region of all public alarms in a cell, at the
-// engine's full height so it can serve clients of any capability.
+// entry holding the pyramid region of all broadcast public alarms in a cell,
+// at the engine's full height so it can serve clients of any capability.
 // Concurrent callers for the same fresh cell wait on a single computation
 // (singleflight) instead of recomputing the same pyramid; its cost is
 // charged exactly once per cell.
@@ -1017,7 +978,7 @@ func (e *Engine) publicBitmapFor(reg *alarm.Registry, id grid.CellID, cellRect g
 		e.pbMu.Unlock()
 	}
 	ent.once.Do(func() {
-		publics, accesses := reg.PublicInCounted(cellRect, nil)
+		publics, accesses := reg.PublicIn(cellRect, nil)
 		// The shared bitmap is computed without a bit budget: it never goes
 		// on the wire, and keeping it exact makes the per-user budgeted
 		// encode bit-identical to a direct computation.
@@ -1056,13 +1017,13 @@ func (e *Engine) sharedBitmapFor(ent *publicBitmapEntry, cellRect geom.Rect, par
 	return sh.bm, sh.err
 }
 
-func (e *Engine) alarmPushFor(reg *alarm.Registry, u wire.PositionUpdate) wire.AlarmPush {
-	user := alarm.UserID(u.User)
+func (e *Engine) alarmPushFor(reg *alarm.Registry, u wire.PositionUpdate, sc *UpdateScratch) wire.AlarmPush {
 	cellRect := e.grid.CellRect(e.grid.Locate(u.Pos))
-	relevant, accesses := reg.RelevantInCounted(cellRect, user, nil)
+	var accesses uint64
+	sc.relevant, sc.raw, accesses = reg.RelevantInInto(cellRect, alarm.UserID(u.User), sc.relevant[:0], sc.raw)
 	e.met.AddSafeRegionIndexWork(accesses)
-	push := wire.AlarmPush{Seq: u.Seq, Cell: cellRect, Cap: e.regionCap(reg, user, u.Pos), Alarms: make([]wire.AlarmInfo, len(relevant))}
-	for i, a := range relevant {
+	push := wire.AlarmPush{Seq: u.Seq, Cell: cellRect, Cap: e.regionCap(sc, u.Pos), Alarms: make([]wire.AlarmInfo, len(sc.relevant))}
+	for i, a := range sc.relevant {
 		push.Alarms[i] = wire.AlarmInfo{ID: uint64(a.ID), Region: a.Region}
 	}
 	return push

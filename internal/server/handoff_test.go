@@ -132,6 +132,35 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExportedUserReturnsSpent: the fired set lives in the registry, not in
+// the session that ExportSession deletes. A fire-and-forget client carries
+// nothing across a handoff, so when it leaves this engine and later comes
+// back, the registry alone must remember that its one-shot alarm is spent.
+func TestExportedUserReturnsSpent(t *testing.T) {
+	e := newEngine(t, nil)
+	id := install(t, e, alarm.Alarm{Scope: alarm.Private, Owner: 1, Region: geom.R(400, 400, 600, 600)})
+	register(t, e, 1, wire.StrategyMWPSR)
+	if got := firedIn(handle(t, e, 1, 1, geom.Pt(500, 500))); len(got) != 1 || got[0] != uint64(id) {
+		t.Fatalf("setup: fired %v, want [%d]", got, id)
+	}
+	rec, ok, err := e.ExportSession(1)
+	if err != nil || !ok || rec.Reliable || len(rec.PendingFired) != 0 {
+		t.Fatalf("export: rec=%+v ok=%v err=%v", rec, ok, err)
+	}
+	if e.HasSession(1) {
+		t.Fatal("exported session still resident")
+	}
+	if _, err := e.ImportSession(rec); err != nil {
+		t.Fatal(err)
+	}
+	if got := firedIn(handle(t, e, 1, 2, geom.Pt(500, 500))); len(got) != 0 {
+		t.Errorf("alarm %d fired again for the returning user: %v", id, got)
+	}
+	if !e.Registry().Fired(id, 1) {
+		t.Error("fired pair lost across export and re-import")
+	}
+}
+
 // TestExportSessionPlainClient: a fire-and-forget (Register) client
 // exports as a non-reliable record and imports with no token.
 func TestExportSessionPlainClient(t *testing.T) {

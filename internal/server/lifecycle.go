@@ -19,7 +19,7 @@
 package server
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
 	"github.com/sabre-geo/sabre/internal/geom"
@@ -126,20 +126,12 @@ func (e *Engine) ObserveAnchor(user alarm.UserID, pos geom.Point) error {
 func (e *Engine) wakePartners(reg *alarm.Registry, mover alarm.UserID) ([]store.Record, []pendingPush) {
 	tick := e.tick.Load()
 	var partners []alarm.UserID
-	for _, a := range reg.PairAlarmsOf(mover, nil) {
-		p := a.PairPartner(mover)
-		dup := false
-		for _, q := range partners {
-			if q == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			partners = append(partners, p)
-		}
+	_, pairs := reg.LifecycleViewInto(mover, nil, nil)
+	for _, pv := range pairs {
+		partners = append(partners, pv.Partner)
 	}
-	sort.Slice(partners, func(i, j int) bool { return partners[i] < partners[j] })
+	slices.Sort(partners)
+	partners = slices.Compact(partners)
 	var recs []store.Record
 	var pushes []pendingPush
 	var sc *UpdateScratch
@@ -195,31 +187,40 @@ func (e *Engine) wakePartners(reg *alarm.Registry, mover alarm.UserID) ([]store.
 	return recs, pushes
 }
 
+// loadLifecycleView fills sc with what the obstacle transform and the
+// pair cap need from user's lifecycle machines — one locked registry read
+// per report, after the report's own transitions have been applied. With
+// no lifecycle alarm installed the view is empty and the registry is not
+// asked.
+func (e *Engine) loadLifecycleView(reg *alarm.Registry, user alarm.UserID, sc *UpdateScratch) {
+	sc.inside, sc.pairs = sc.inside[:0], sc.pairs[:0]
+	if reg.HasLifecycle() {
+		sc.inside, sc.pairs = reg.LifecycleViewInto(user, sc.inside, sc.pairs)
+	}
+}
+
 // regionCap converts pairCapTicks into the atomic Cap field carried by
 // every monitoring-state response (0 = no cap, v = expire after v-1
 // ticks). The cap must travel inside the region/ack message itself: a
 // separately shipped SafePeriod can be dropped while the region is
 // delivered, leaving a pair endpoint with an uncapped region that its
 // partner's motion silently invalidates.
-func (e *Engine) regionCap(reg *alarm.Registry, user alarm.UserID, pos geom.Point) uint32 {
-	if !reg.HasLifecycle() {
-		return 0
-	}
-	ticks, ok := e.pairCapTicks(reg, user, pos)
+func (e *Engine) regionCap(sc *UpdateScratch, pos geom.Point) uint32 {
+	ticks, ok := e.pairCapTicks(sc.pairs, pos)
 	if !ok {
 		return 0
 	}
 	return ticks + 1
 }
 
-// pairCapTicks returns the safe-period cap bounding how long user may
-// stay silent before a pair transition could be missed, and whether the
-// user has any pair alarms at all. The margin to the nearest transition
-// boundary (Radius minus distance while in contact, distance minus
-// Radius otherwise, both shrunk by the partner's possible displacement
-// since its last report) closes at up to 2·v_max — both endpoints move.
-func (e *Engine) pairCapTicks(reg *alarm.Registry, user alarm.UserID, pos geom.Point) (uint32, bool) {
-	pairs := reg.PairAlarmsOf(user, nil)
+// pairCapTicks returns the safe-period cap bounding how long the user
+// whose pair alarms are pairs may stay silent before a pair transition
+// could be missed, and whether the user has any pair alarms at all. The
+// margin to the nearest transition boundary (Radius minus distance while
+// in contact, distance minus Radius otherwise, both shrunk by the
+// partner's possible displacement since its last report) closes at up to
+// 2·v_max — both endpoints move.
+func (e *Engine) pairCapTicks(pairs []alarm.PairView, pos geom.Point) (uint32, bool) {
 	if len(pairs) == 0 {
 		return 0, false
 	}
@@ -228,12 +229,12 @@ func (e *Engine) pairCapTicks(reg *alarm.Registry, user alarm.UserID, pos geom.P
 	best := ^uint32(0)
 	for _, a := range pairs {
 		var t uint32
-		pp, ptick, ok := e.anchor(a.PairPartner(user))
+		pp, ptick, ok := e.anchor(a.Partner)
 		if ok {
 			slack := float64(tick-ptick) * step
 			d := pos.DistanceTo(pp)
 			margin := d - a.Radius - slack
-			if reg.PairInside(a.ID, user) {
+			if a.Inside {
 				margin = a.Radius - d - slack
 			}
 			if margin < 0 {
@@ -250,15 +251,16 @@ func (e *Engine) pairCapTicks(reg *alarm.Registry, user alarm.UserID, pos geom.P
 	return best, true
 }
 
-// lifecycleObstacles rewrites the relevant-alarm obstacle list for the
-// lifecycle scenarios (see the package comment above) and appends the
-// result to dst. It replaces the plain region copy in rectRegionFor /
-// bitmapRegionFor whenever any lifecycle alarm is installed.
-func (e *Engine) lifecycleObstacles(reg *alarm.Registry, user alarm.UserID, cell geom.Rect, relevant []alarm.Alarm, dst []geom.Rect) []geom.Rect {
-	inside := reg.InsideAlarmsOf(user, nil)
-	for _, a := range relevant {
+// obstacles turns sc.relevant — the alarms a region for the user must
+// avoid within cell — into the obstacle list for the lifecycle scenarios
+// (see the package comment above), using the view loadLifecycleView left
+// in sc, and appends it to dst. For one-shot alarms it is the plain region
+// copy.
+func (e *Engine) obstacles(sc *UpdateScratch, cell geom.Rect, dst []geom.Rect) []geom.Rect {
+	for i := range sc.relevant {
+		a := &sc.relevant[i]
 		switch {
-		case a.Kind == alarm.KindContinuous && containsAlarmID(inside, a.ID):
+		case a.Kind == alarm.KindContinuous && insideContains(sc.inside, a.ID):
 			// Inside phase: handled below as a carve-INTO constraint.
 		case a.Kind == alarm.KindComposite:
 			for _, f := range a.Factors {
@@ -270,18 +272,16 @@ func (e *Engine) lifecycleObstacles(reg *alarm.Registry, user alarm.UserID, cell
 			dst = append(dst, a.Region)
 		}
 	}
-	for _, id := range inside {
-		if a, ok := reg.Get(id); ok {
-			dst = appendComplement(dst, cell, a.Region)
-		}
+	for _, in := range sc.inside {
+		dst = appendComplement(dst, cell, in.Region)
 	}
 	tick := e.tick.Load()
 	step := e.cfg.MaxSpeed * e.cfg.TickSeconds
-	for _, a := range reg.PairAlarmsOf(user, nil) {
-		if reg.PairInside(a.ID, user) {
+	for _, a := range sc.pairs {
+		if a.Inside {
 			continue // in contact: no static region is sound, the cap is the guard
 		}
-		pp, ptick, ok := e.anchor(a.PairPartner(user))
+		pp, ptick, ok := e.anchor(a.Partner)
 		if !ok {
 			continue // no anchor: the zero cap already forces per-tick reports
 		}
@@ -326,9 +326,9 @@ func (e *Engine) syncAlarmGauges(reg *alarm.Registry) {
 	e.met.SetAlarmKinds(uint64(c), uint64(p), uint64(k))
 }
 
-func containsAlarmID(s []alarm.ID, id alarm.ID) bool {
-	for _, v := range s {
-		if v == id {
+func insideContains(s []alarm.InsideRegion, id alarm.ID) bool {
+	for i := range s {
+		if s[i].ID == id {
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
@@ -114,6 +115,66 @@ func TestSharedEncodingMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestTopicScopedPublicIsPersonal: the per-cell public bitmap is shared by
+// every client in the cell, so it holds the broadcast public alarms only; a
+// topic-scoped public alarm blocks its subscribers — through their personal
+// obstacles — and nobody else, follows SubscribeTopic/UnsubscribeTopic from
+// one report to the next, and none of it changes what fires.
+func TestTopicScopedPublicIsPersonal(t *testing.T) {
+	const subscriber, stranger = 1, 2
+	topical := geom.RectAround(geom.Pt(700, 700), 150)
+	inTopical, home, away := geom.Pt(700, 700), geom.Pt(150, 150), geom.Pt(2000, 150)
+	run := func(precompute bool) (blocked []bool, fired [][]uint64) {
+		e := newEngine(t, func(c *Config) {
+			c.PrecomputePublicBitmaps = precompute
+			c.PyramidParams = pyramid.Params{U: 3, V: 3, Height: 5, MaxBits: 2048}
+		})
+		install(t, e, alarm.Alarm{Scope: alarm.Public, Owner: 9, Topic: "traffic", Region: topical})
+		install(t, e, alarm.Alarm{Scope: alarm.Public, Owner: 9, Region: geom.R(1000, 200, 1400, 330)})
+		reg := e.Registry()
+		reg.SubscribeTopic(subscriber, "traffic")
+		seq := map[uint64]uint32{}
+		report := func(user uint64, pos geom.Point) []wire.Message {
+			seq[user]++
+			out := handle(t, e, user, seq[user], pos)
+			fired = append(fired, firedIn(out))
+			return out
+		}
+		// Each probe re-enters the cell from another one, so the reply is a
+		// freshly computed bitmap rather than the same-cell Ack.
+		probe := func(user uint64) {
+			report(user, away)
+			blocked = append(blocked, !safeAt(t, bitmapIn(t, report(user, home)), inTopical))
+		}
+		for _, u := range []uint64{subscriber, stranger} {
+			register(t, e, u, wire.StrategyPBSR)
+			probe(u)
+		}
+		reg.UnsubscribeTopic(subscriber, "traffic")
+		reg.SubscribeTopic(stranger, "traffic")
+		probe(subscriber)
+		probe(stranger)
+		// Both walk into the region: only the current subscriber is alerted.
+		report(subscriber, inTopical)
+		report(stranger, inTopical)
+		return blocked, fired
+	}
+	blocked, fired := run(true)
+	if want := []bool{true, false, false, true}; !reflect.DeepEqual(blocked, want) {
+		t.Errorf("topic alarm blocked (subscriber, stranger, ex-subscriber, new subscriber) = %v, want %v", blocked, want)
+	}
+	directBlocked, directFired := run(false)
+	if !reflect.DeepEqual(blocked, directBlocked) {
+		t.Errorf("blocked with the precompute %v, without %v", blocked, directBlocked)
+	}
+	if !reflect.DeepEqual(fired, directFired) {
+		t.Errorf("firings with the precompute %v, without %v", fired, directFired)
+	}
+	if n := len(fired); len(fired[n-2]) != 0 || len(fired[n-1]) != 1 {
+		t.Errorf("inside the topic alarm the ex-subscriber got %v and the subscriber %v, want none and one", fired[n-2], fired[n-1])
+	}
+}
+
 // BenchmarkBitmapRegion measures one PBSR region request in a cell with
 // 12 public alarms: cold (no precompute: every alarm tested on every
 // emitted cell), precomputed-personal (lockstep walk over the cell's
@@ -144,10 +205,11 @@ func BenchmarkBitmapRegion(b *testing.B) {
 			st := e.clientFor(alarm.UserID(mode.user), wire.StrategyPBSR)
 			u := wire.PositionUpdate{User: mode.user, Seq: 1, Pos: geom.Pt(60, 60)}
 			cellID := e.grid.Locate(u.Pos)
+			sc := NewUpdateScratch()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				msg, err := e.bitmapRegionFor(reg, u, st, cellID)
+				msg, err := e.bitmapRegionFor(reg, u, st, sc, cellID)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -95,11 +95,6 @@ func TestMixedFleetHonoursBaseConfig(t *testing.T) {
 		return m
 	}
 	plain := run(StrategyConfig{})
-	if m := run(StrategyConfig{BucketIndex: true}); m.TotalServerMinutes == plain.TotalServerMinutes {
-		t.Error("BucketIndex ignored: the index swap left the cost-model minutes unchanged")
-	} else if !TriggersEqual(m.Triggers, plain.Triggers) {
-		t.Error("BucketIndex changed the delivered triggers")
-	}
 	if m := run(StrategyConfig{ExhaustiveAssembly: true}); m.DownlinkBytes == plain.DownlinkBytes {
 		t.Error("ExhaustiveAssembly ignored: MWPSR regions cost the same downlink bytes")
 	} else if !TriggersEqual(m.Triggers, plain.Triggers) {

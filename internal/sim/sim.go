@@ -243,9 +243,6 @@ type StrategyConfig struct {
 	PrecomputePublicBitmaps bool
 	// ExhaustiveAssembly switches MWPSR to the optimal quartic assembly.
 	ExhaustiveAssembly bool
-	// BucketIndex swaps the R*-tree alarm index for a uniform bucket grid
-	// (index ablation).
-	BucketIndex bool
 	// SafePeriodSpeedFactor scales the SP baseline's v_max bound (0 or
 	// 1 = the paper's pessimistic guarantee; <1 trades accuracy for fewer
 	// messages — the ablate-safeperiod experiment).
@@ -419,7 +416,6 @@ func (tr *replay) engineConfig(sc StrategyConfig) server.Config {
 		TickSeconds:             tr.tickSeconds,
 		PrecomputePublicBitmaps: sc.PrecomputePublicBitmaps,
 		ExhaustiveAssembly:      sc.ExhaustiveAssembly,
-		UseBucketIndex:          sc.BucketIndex,
 		SafePeriodSpeedFactor:   sc.SafePeriodSpeedFactor,
 		Costs:                   metrics.DefaultCosts(),
 	}

@@ -82,7 +82,6 @@ func TestAccuracyAcrossStrategies(t *testing.T) {
 			{Strategy: wire.StrategyPBSR, PyramidHeight: 5},              // PBSR
 			{Strategy: wire.StrategyPBSR, PyramidHeight: 5, PrecomputePublicBitmaps: true},
 			{Strategy: wire.StrategyOptimal},
-			{Strategy: wire.StrategyMWPSR, BucketIndex: true}, // index ablation
 		}
 		for _, sc := range configs {
 			got := runStrategy(t, w, sc)
