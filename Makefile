@@ -6,8 +6,10 @@
 #                snapshot store tests, durable-engine recovery tests and
 #                the kill/mangle/recover rows of the simulation table
 #   make cluster sharded-cluster suite under the race detector:
-#                partitioner/router/handoff unit tests, the TCP redirect
-#                end-to-end test and the multi-shard delivery-equality
+#                partitioner/router/handoff unit tests (incl. the handoff
+#                crash-window table), the engine's session-transfer and
+#                the store's deferred-append tests, the TCP redirect
+#                end-to-end tests and the multi-shard delivery-equality
 #                simulation (4 shards, forced handoffs, shard crashes)
 #   make rebalance
 #                dynamic repartitioning suite under the race detector:
@@ -53,7 +55,8 @@
 #                and on this checkout, PAIRS runs each in alternating
 #                order; prints median, quartiles and wins per end-to-end
 #                metric (scripts/benchpair.sh; BASE is exported with git
-#                archive under .bench_build/)
+#                archive under .bench_build/); WORKLOAD=all runs every
+#                workload of BENCHMARK.json, one table each
 
 GO ?= go
 
@@ -84,7 +87,8 @@ crash:
 
 cluster:
 	$(GO) test -race ./internal/cluster/
-	$(GO) test -race -run 'Export|Import|ExpiredSession' ./internal/server/
+	$(GO) test -race -run 'Export|Import|ExpiredSession|Handoff|DropSession' ./internal/server/
+	$(GO) test -race -run 'Deferred|ExpireAbsent|CarriedFired' ./internal/store/
 	@$(call sim,(DeliveryEquality|DriveDeterministic)/Cluster)
 
 rebalance:

@@ -41,6 +41,50 @@ func (r *Registry) firedPairsLocked() []FiredPair {
 	return out
 }
 
+// FiredBy returns the alarms spent for user u, ascending, in the portable
+// form a session handoff carries (nil when there are none).
+func (r *Registry) FiredBy(u UserID) []uint64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	fired := r.user(u).fired
+	if len(fired) == 0 {
+		return nil
+	}
+	out := make([]uint64, len(fired))
+	for i, id := range fired {
+		out[i] = uint64(id)
+	}
+	return out
+}
+
+// MarkFiredInstalled marks for user u those of ids whose alarm is
+// installed here and not yet spent, and returns exactly those — what a
+// session import has to log. Alarms this registry does not hold are
+// skipped: they cannot fire here, and if one is adopted later its fired
+// pairs come with it (Engine.AdoptAlarms).
+func (r *Registry) MarkFiredInstalled(u UserID, ids []uint64) []uint64 {
+	if len(ids) == 0 {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var marked []uint64
+	var rec *userRec
+	for _, id := range ids {
+		if _, ok := r.byID[ID(id)]; !ok {
+			continue
+		}
+		if rec == nil {
+			rec = r.userLocked(u)
+		}
+		if !rec.hasFired(ID(id)) {
+			r.markFiredLocked(ID(id), rec)
+			marked = append(marked, id)
+		}
+	}
+	return marked
+}
+
 // NextID returns the ID the next installed alarm would be assigned.
 func (r *Registry) NextID() ID {
 	r.mu.RLock()

@@ -76,10 +76,13 @@ const (
 	CPDrainBeforeImport = "drain:before-import"
 	// CPDrainBeforeDrop dies after the import but before the retired
 	// shard dropped its copy: recovery re-imports (a no-op union) and
-	// drops — at worst a redelivered firing the client dedups.
+	// drops — at worst a redelivered firing the client dedups. A crash
+	// after the drop but before its deferred ExpireRec landed recovers
+	// the same way.
 	CPDrainBeforeDrop = "drain:before-drop"
 	// CPMergePreDrainDone dies after every session drained but before
-	// the drain-done map committed: recovery re-runs an empty drain.
+	// the drain-done map committed: recovery re-runs the drain over the
+	// sessions whose deferred ExpireRec had not landed (no-op unions).
 	CPMergePreDrainDone = "merge:pre-drain-done"
 )
 
@@ -465,7 +468,7 @@ func (c *Cluster) Crash() {
 // consistent epoch. Sessions are NOT eagerly migrated: clients resident
 // in the moved half keep talking to the old shard until their next
 // report, which the router hands off through the ordinary durable
-// export/import path. It returns the new shard's ID.
+// handoff (moveSession). It returns the new shard's ID.
 func (c *Cluster) SplitShard(shard int) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -589,7 +592,7 @@ func (c *Cluster) splitAtMedian(cur *PartitionMap, shard int, src *server.Engine
 // MergeShards collapses sibling partitions: into's engine adopts every
 // alarm (and fired pair) of from, takes over the parent rectangle, the
 // successor map commits with a Drain entry, and the drain then moves
-// every session resident on from to into through peek/import/drop —
+// every session resident on from to into through moveSession —
 // import-before-drop, so a crash anywhere leaves at worst a benign
 // duplicate, never a lost firing. When the drain empties, a second map
 // commit clears the Drain entry and from's engine retires (its ID and
@@ -637,21 +640,13 @@ func (c *Cluster) finishDrain(d Drain) error {
 		return fmt.Errorf("cluster: drain %d→%d: shard down", d.Shard, d.Target)
 	}
 	moved := 0
+	beforeDrop := func() error { return c.crashAt(CPDrainBeforeDrop) }
 	for _, user := range fromEng.SessionUsers() {
 		if err := c.crashAt(CPDrainBeforeImport); err != nil {
 			return err
 		}
-		rec, ok := fromEng.PeekSession(user)
-		if ok {
-			if _, _, err := intoEng.ImportSessionMerge(rec); err != nil {
-				return fmt.Errorf("cluster: drain user %d: import: %w", user, err)
-			}
-		}
-		if err := c.crashAt(CPDrainBeforeDrop); err != nil {
-			return err
-		}
-		if err := fromEng.DropSession(user); err != nil {
-			return fmt.Errorf("cluster: drain user %d: drop: %w", user, err)
+		if _, _, _, err := moveSession(fromEng, intoEng, user, beforeDrop); err != nil {
+			return fmt.Errorf("cluster: drain user %d: %w", user, err)
 		}
 		moved++
 	}
@@ -681,6 +676,38 @@ func (c *Cluster) finishDrain(d Drain) error {
 	}
 	c.dropReplication(d.Shard)
 	return nil
+}
+
+// moveSession is the one cross-shard session transfer — the TCP
+// redirect, the router's handoff and the merge drain all run it: peek at
+// the source, import at the destination (the handoff's single
+// synchronous group commit), and only once that is durable drop at the
+// source, whose ExpireRec rides its own log's next commit. It returns the
+// record and the token minted at the destination; moved reports that the
+// import is durable. A failure before that leaves the session where it
+// was; an error with moved set means only the cleanup failed (the source
+// is dying) and, like a crash between the two halves, leaves the session
+// on both shards until the next move towards the stale copy merges it
+// away (server/handoff.go). No session at the source: not moved, no
+// error. beforeDrop, when non-nil, runs between the two halves (the
+// drain's scripted crash point).
+func moveSession(src, dst *server.Engine, user alarm.UserID, beforeDrop func() error) (rec store.ClientRec, token uint64, moved bool, err error) {
+	rec, ok := src.PeekSession(user)
+	if !ok {
+		return rec, 0, false, nil
+	}
+	if token, err = dst.ImportSession(rec); err != nil {
+		return rec, 0, false, fmt.Errorf("import: %w", err)
+	}
+	if beforeDrop != nil {
+		if err = beforeDrop(); err != nil {
+			return rec, token, true, err
+		}
+	}
+	if err = src.DropSession(user); err != nil {
+		err = fmt.Errorf("drop: %w", err)
+	}
+	return rec, token, true, err
 }
 
 // commitMap durably commits and publishes a successor map. Caller holds

@@ -49,12 +49,12 @@ func IsShardDown(err error) (*ShardDownError, bool) {
 // identically: the shard is dying, and the client's retry lands after
 // recovery. Any other error is a real protocol failure.
 //
-// The router itself holds no durable state. Its per-user dedup map and
-// parked handoff records rebuild trivially because they shadow durable
-// shard state: firing attribution re-derives from redelivery (a pair
-// delivered twice is acknowledged back to the duplicate's shard), and a
-// parked handoff record is re-exported from the old shard's recovered
-// log.
+// The router itself holds no durable state, and no session state at all:
+// a handoff that cannot complete leaves the session on the shard it was
+// on (moveSession imports before it drops). The per-user dedup map
+// rebuilds trivially because it shadows durable shard state: firing
+// attribution re-derives from redelivery (a pair delivered twice is
+// acknowledged back to the duplicate's shard).
 type Router struct {
 	cl *Cluster
 
@@ -68,14 +68,9 @@ type Router struct {
 type route struct {
 	mu   sync.Mutex
 	user uint64
-	// shard owns the session; -1 before first enrollment and while a
-	// handoff is parked in carried.
+	// shard owns the session; -1 before first enrollment. It moves only
+	// once a handoff's import is durable on the new shard.
 	shard int
-	// carried holds the session exported from the old shard until the
-	// target shard (pendingOwner) accepts the import — a crash between
-	// the two halves must not lose pending firings.
-	carried      *store.ClientRec
-	pendingOwner int
 	// pushToken is a token minted by an ImportSession that the client has
 	// not been told about yet; delivered as a Resume on the next handled
 	// response. If that frame is lost the client's stale token simply
@@ -93,10 +88,11 @@ type route struct {
 	// overlapping installs: stripped, and acknowledged back to that shard
 	// so it stops redelivering.
 	fired map[uint64]int
-	// parked marks a handoff currently parked on a down target shard;
-	// parkedPromotions is the cluster's promotion count at park time, so
-	// the import that finally lands can tell whether a follower promotion
-	// (rather than the old primary's recovery) revived the target.
+	// parked marks a handoff currently waiting on a down target shard
+	// (the session stays where it is meanwhile); parkedPromotions is the
+	// cluster's promotion count at park time, so the import that finally
+	// lands can tell whether a follower promotion (rather than the old
+	// primary's recovery) revived the target.
 	parked           bool
 	parkedPromotions uint64
 }
@@ -138,17 +134,11 @@ func (r *Router) HandleRegister(m wire.Register) bool {
 	defer rt.mu.Unlock()
 	rt.strategy, rt.maxHeight, rt.reliable = m.Strategy, m.MaxHeight, false
 	r.resolveShard(rt)
-	if rt.shard < 0 && rt.carried == nil {
+	if rt.shard < 0 {
 		rt.shard = r.cl.firstShard()
 	}
 	eng := r.cl.Engine(rt.shard)
-	if rt.carried != nil || eng == nil {
-		return false
-	}
-	if err := eng.Register(m); err != nil {
-		return false
-	}
-	return true
+	return eng != nil && eng.Register(m) == nil
 }
 
 // downErr builds the typed down-shard error for the current map epoch.
@@ -164,14 +154,6 @@ func (r *Router) HandleHello(m wire.Hello) ([]wire.Message, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.strategy, rt.maxHeight, rt.reliable = m.Strategy, m.MaxHeight, true
-	if rt.carried != nil {
-		// Finish the parked handoff first; the Hello then reaches the new
-		// shard, which re-enrolls the client (its token is stale) carrying
-		// the imported pending set.
-		if _, ok := r.importCarried(rt); !ok {
-			return nil, r.downErr(rt.pendingOwner)
-		}
-	}
 	r.resolveShard(rt)
 	if rt.shard < 0 {
 		rt.shard = r.cl.firstShard()
@@ -200,21 +182,12 @@ func (r *Router) HandleUpdate(u wire.PositionUpdate) ([]wire.Message, error) {
 	r.cl.met.AddRoutedUpdate()
 	owner := r.cl.locate(u.Pos)
 	r.resolveShard(rt)
-
-	if rt.carried != nil {
-		// A parked handoff: retarget to wherever the client is now and
-		// try again.
-		rt.pendingOwner = owner
-		if _, ok := r.importCarried(rt); !ok {
-			return nil, r.downErr(rt.pendingOwner)
-		}
-	}
 	if rt.shard < 0 {
 		rt.shard = owner // first contact: enroll where the client is
 	}
 	if rt.shard != owner {
-		if !r.handoff(rt, owner) {
-			return nil, r.handoffBlockedErr(rt)
+		if err := r.handoff(rt, owner); err != nil {
+			return nil, err
 		}
 	}
 	eng := r.cl.Engine(rt.shard)
@@ -238,16 +211,6 @@ func (r *Router) HandleUpdate(u wire.PositionUpdate) ([]wire.Message, error) {
 		rt.pushToken = 0
 	}
 	return out, nil
-}
-
-// handoffBlockedErr names the shard a failed handoff is stuck on: the
-// import target while the session is parked, the old shard otherwise.
-// The caller holds rt.mu.
-func (r *Router) handoffBlockedErr(rt *route) error {
-	if rt.carried != nil {
-		return r.downErr(rt.pendingOwner)
-	}
-	return r.downErr(rt.shard)
 }
 
 // HandleUpdateBatch routes one UpdateBatch frame. Updates are grouped by
@@ -321,19 +284,11 @@ func (r *Router) routeUserRun(user uint64, ups []wire.PositionUpdate) ([]wire.Me
 	for i := 0; i < len(ups); {
 		owner := r.cl.locate(ups[i].Pos)
 		r.resolveShard(rt)
-		if rt.carried != nil {
-			rt.pendingOwner = owner
-			if _, ok := r.importCarried(rt); !ok {
-				blocked = r.downErr(rt.pendingOwner)
-				break
-			}
-		}
 		if rt.shard < 0 {
 			rt.shard = owner
 		}
 		if rt.shard != owner {
-			if !r.handoff(rt, owner) {
-				blocked = r.handoffBlockedErr(rt)
+			if blocked = r.handoff(rt, owner); blocked != nil {
 				break
 			}
 		}
@@ -423,91 +378,67 @@ func (r *Router) fanOutAnchor(served int, user uint64, pos geom.Point) {
 	}
 }
 
-// handoff moves rt's session from rt.shard to owner. On any down shard
-// the handoff parks (carried) or defers (old shard unreachable) and
-// reports false. The caller holds rt.mu.
-func (r *Router) handoff(rt *route, owner int) bool {
+// handoff moves rt's session from rt.shard to owner (moveSession: import
+// durable, then drop). While either shard is down the session stays on
+// rt.shard and the returned *ShardDownError names the shard the handoff
+// waits for — the old shard when it cannot be read, otherwise the
+// import target. The caller holds rt.mu.
+func (r *Router) handoff(rt *route, owner int) error {
 	if to, ok := r.cl.retiredTarget(rt.shard); ok {
 		// The old shard was merged away; its drain already moved the
 		// session to the absorbing shard.
 		rt.shard = to
 		if rt.shard == owner {
-			return true
+			return nil
 		}
 	}
 	oldEng := r.cl.Engine(rt.shard)
 	if oldEng == nil {
 		r.cl.met.AddHandoffDeferred()
-		return false
+		return r.downErr(rt.shard)
 	}
-	rec, ok, err := oldEng.ExportSession(alarm.UserID(rt.user))
-	if err != nil && !errors.Is(err, store.ErrCrashed) {
-		return false
+	newEng := r.cl.Engine(owner)
+	if newEng == nil {
+		return r.park(rt, owner)
 	}
-	// On ErrCrashed the export's ExpireRec append failed, but the
-	// in-memory removal happened and rec is complete; the old shard's
-	// recovery may resurrect its copy of the session, which the next
-	// handoff from it re-exports — harmless, because firing attribution
-	// dedups redeliveries.
-	if !ok {
-		// The old shard no longer knows the client. If the owner already
+	user := alarm.UserID(rt.user)
+	rec, tok, moved, err := moveSession(oldEng, newEng, user, nil)
+	switch {
+	case moved:
+		// An error here means only the old shard's cleanup failed: that
+		// shard is dying, and if its recovery resurrects a stale copy the
+		// next handoff towards it merges the copy away — harmless, because
+		// firing attribution dedups redeliveries.
+	case err != nil:
+		return r.park(rt, owner)
+	case newEng.HasSession(user):
+		// The old shard no longer knows the client but the owner already
 		// holds the session (a merge drain moved it there while this
-		// route still named the source), adopt the owner's copy rather
+		// route still named the source): adopt the owner's copy rather
 		// than importing a fresh empty record over the drained pending
 		// set.
-		if newEng := r.cl.Engine(owner); newEng != nil && newEng.HasSession(alarm.UserID(rt.user)) {
-			rt.shard = owner
-			return true
-		}
-		// Idle-expired everywhere: carry the declared registration with
+		rt.shard = owner
+		return nil
+	default:
+		// Idle-expired everywhere: enroll the declared registration with
 		// no pending firings.
 		rec = store.ClientRec{
 			User: rt.user, Strategy: rt.strategy,
 			MaxHeight: rt.maxHeight, Reliable: rt.reliable,
 		}
-	}
-	rt.carried = &rec
-	rt.pendingOwner = owner
-	rt.shard = -1
-	_, imported := r.importCarried(rt)
-	if !imported && rt.carried != nil && !rt.parked {
-		// The session is now parked on a down target. Remember the
-		// promotion count so the import that finally lands can report
-		// whether a failover (not a recovery) unparked it.
-		rt.parked = true
-		rt.parkedPromotions = r.cl.met.Snapshot().Promotions
-		r.cl.met.AddHandoffParked()
-	}
-	return imported
-}
-
-// importCarried lands a parked handoff on its target shard. On success
-// the minted token (reliable sessions) is staged in rt.pushToken and the
-// carried pending firings are re-attributed to the new shard. The caller
-// holds rt.mu.
-func (r *Router) importCarried(rt *route) (uint64, bool) {
-	eng := r.cl.Engine(rt.pendingOwner)
-	if eng == nil {
-		r.cl.met.AddHandoffDeferred()
-		return 0, false
-	}
-	tok, err := eng.ImportSession(*rt.carried)
-	if err != nil {
-		if errors.Is(err, store.ErrCrashed) {
-			r.cl.met.AddHandoffDeferred()
+		if tok, err = newEng.ImportSession(rec); err != nil {
+			return r.park(rt, owner)
 		}
-		return 0, false
 	}
 	// The new shard redelivers the carried pending set from now on;
 	// re-attribute those ids so dedup lets its redeliveries through.
-	for _, id := range rt.carried.PendingFired {
-		rt.fired[id] = rt.pendingOwner
+	for _, id := range rec.PendingFired {
+		rt.fired[id] = owner
 	}
-	if rt.carried.Reliable {
+	if rec.Reliable {
 		rt.pushToken = tok
 	}
-	rt.shard = rt.pendingOwner
-	rt.carried = nil
+	rt.shard = owner
 	if rt.parked {
 		if r.cl.met.Snapshot().Promotions > rt.parkedPromotions {
 			r.cl.met.AddHandoffFailedOver()
@@ -515,7 +446,22 @@ func (r *Router) importCarried(rt *route) (uint64, bool) {
 		rt.parked = false
 	}
 	r.cl.met.AddHandoff()
-	return tok, true
+	return nil
+}
+
+// park books a handoff that has to wait for its target shard (down, or
+// dying mid-import) and names that shard. The session has not moved. It
+// remembers the promotion count once per wait, so the import that
+// finally lands can report whether a failover (not a recovery) ended it.
+// The caller holds rt.mu.
+func (r *Router) park(rt *route, owner int) error {
+	r.cl.met.AddHandoffDeferred()
+	if !rt.parked {
+		rt.parked = true
+		rt.parkedPromotions = r.cl.met.Snapshot().Promotions
+		r.cl.met.AddHandoffParked()
+	}
+	return r.downErr(owner)
 }
 
 // HandleHeartbeat forwards a heartbeat to the owning shard, or echoes it
@@ -526,7 +472,7 @@ func (r *Router) HandleHeartbeat(user uint64, hb wire.Heartbeat) []wire.Message 
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	r.resolveShard(rt)
-	if rt.shard < 0 || rt.carried != nil {
+	if rt.shard < 0 {
 		return []wire.Message{hb}
 	}
 	eng := r.cl.Engine(rt.shard)
@@ -545,7 +491,7 @@ func (r *Router) HandleAck(user uint64, ids []uint64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	r.resolveShard(rt)
-	if rt.shard < 0 || rt.carried != nil {
+	if rt.shard < 0 {
 		return
 	}
 	eng := r.cl.Engine(rt.shard)

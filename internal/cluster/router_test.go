@@ -86,40 +86,77 @@ func TestRouterHandoffMovesSession(t *testing.T) {
 	}
 }
 
-// TestRouterSuppressesCrossShardDuplicate: an alarm straddling the
-// boundary is installed on both shards; after it fires (and is acked) on
-// one shard, the other shard's stale registry refires it on arrival —
-// the router must strip the duplicate and ack it back to that shard.
+// TestRouterSuppressesCrossShardDuplicate: an alarm straddling a boundary
+// is installed on both of its shards. A direct crossing carries the spent
+// alarm with the session, so the new shard never refires it. A detour
+// through shards that do not hold the alarm loses the mark (an importer
+// keeps only the ids whose alarm it holds), so the far side's stale
+// registry refires on arrival — the router must strip that duplicate and
+// ack it back to the shard.
 func TestRouterSuppressesCrossShardDuplicate(t *testing.T) {
-	c := newTestCluster(t, 2, 1, "")
+	c := newTestCluster(t, 2, 2, "")
 	ids, err := c.InstallAlarms([]alarm.Alarm{{
 		Scope: alarm.Private, Owner: 1,
-		Region: geom.RectAround(geom.Pt(5000, 5000), 1000), // x 4500..5500
+		Region: geom.RectAround(geom.Pt(5000, 500), 1000), // x 4500..5500, y 0..1000
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := uint64(ids[0])
+	right := c.locate(geom.Pt(5200, 500))
+	for _, far := range []int{c.locate(geom.Pt(4800, 8000)), c.locate(geom.Pt(5200, 8000))} {
+		if _, held := c.Engine(far).Registry().Get(ids[0]); held {
+			t.Fatalf("shard %d holds the alarm; the detour would carry the mark", far)
+		}
+	}
 	rt := NewRouter(c)
 	hello(t, rt, 1)
 
-	out := update(t, rt, 1, 1, geom.Pt(4800, 5000)) // inside region, shard 0
+	out := update(t, rt, 1, 1, geom.Pt(4800, 500)) // inside region, left shard
 	if got := firedIDs(out); len(got) != 1 || got[0] != id {
 		t.Fatalf("first firing = %v, want [%d]", got, id)
 	}
 	rt.HandleAck(1, []uint64{id})
 
-	out = update(t, rt, 1, 2, geom.Pt(5200, 5000)) // handoff; still inside region
+	out = update(t, rt, 1, 2, geom.Pt(5200, 500)) // direct crossing; still inside region
 	if got := firedIDs(out); len(got) != 0 {
-		t.Fatalf("duplicate firing leaked through the router: %v", got)
+		t.Fatalf("duplicate firing after a direct crossing: %v", got)
 	}
-	met := c.Metrics().Snapshot()
-	if met.DuplicateFiringsSuppressed != 1 {
-		t.Errorf("DuplicateFiringsSuppressed = %d, want 1", met.DuplicateFiringsSuppressed)
+	if trig := c.Engine(right).Metrics().Snapshot().AlarmsTriggered; trig != 0 {
+		t.Errorf("shard %d refired the carried pair (AlarmsTriggered = %d)", right, trig)
 	}
-	// The synthetic ack drained shard 1's pending set: nothing redelivers.
-	if pending := c.Engine(1).PendingFired(1); len(pending) != 0 {
-		t.Errorf("shard 1 still holds pending %v after synthetic ack", pending)
+	if got := c.Metrics().Snapshot().DuplicateFiringsSuppressed; got != 0 {
+		t.Errorf("DuplicateFiringsSuppressed = %d after a direct crossing, want 0", got)
+	}
+
+	// User 2 fires on the left shard, then reaches the right shard the long
+	// way round.
+	hello(t, rt, 2)
+	if _, err := c.InstallAlarms([]alarm.Alarm{{
+		Scope: alarm.Private, Owner: 2,
+		Region: geom.RectAround(geom.Pt(5000, 500), 1000),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	out = update(t, rt, 2, 1, geom.Pt(4800, 500))
+	got := firedIDs(out)
+	if len(got) != 1 {
+		t.Fatalf("user 2 first firing = %v, want one id", got)
+	}
+	rt.HandleAck(2, got)
+	update(t, rt, 2, 2, geom.Pt(4800, 8000))
+	update(t, rt, 2, 3, geom.Pt(5200, 8000))
+	out = update(t, rt, 2, 4, geom.Pt(5200, 500))
+	if dup := firedIDs(out); len(dup) != 0 {
+		t.Fatalf("duplicate firing leaked through the router: %v", dup)
+	}
+	if got := c.Metrics().Snapshot().DuplicateFiringsSuppressed; got != 1 {
+		t.Errorf("DuplicateFiringsSuppressed = %d, want 1", got)
+	}
+	// The synthetic ack drained the right shard's pending set: nothing
+	// redelivers.
+	if pending := c.Engine(right).PendingFired(2); len(pending) != 0 {
+		t.Errorf("shard %d still holds pending %v after synthetic ack", right, pending)
 	}
 }
 

@@ -19,10 +19,13 @@ import (
 // connect to any shard; a position update owned by a different shard
 // triggers an in-process handoff (the shards share this process) and a
 // wire.Redirect reply pointing the client at the owning shard's address
-// with its freshly minted resume token. Cross-shard duplicate firings
-// are deduplicated client-side in this mode: the client acknowledges
-// everything it receives — including duplicates it suppresses — so each
-// shard's pending set drains (PROTOCOL.md "Redirect and handoff").
+// with its freshly minted resume token. The user's spent alarms move
+// with the session, so a direct crossing never refires an alarm
+// installed on both shards; what duplicates remain (a detour through
+// shards that do not hold the alarm) are deduplicated client-side in
+// this mode: the client acknowledges everything it receives — including
+// duplicates it suppresses — so each shard's pending set drains
+// (PROTOCOL.md "Redirect and handoff").
 type TCPCluster struct {
 	cl          *Cluster
 	log         *log.Logger
@@ -351,11 +354,12 @@ func (c *TCPCluster) serveConn(shard int, nc net.Conn) {
 	}
 }
 
-// redirectSession exports user's session from shard `from` and imports
-// it at shard `to`, returning the token the client should present there.
-// A missing session (never enrolled, or already expired) redirects with
-// token 0 — the client re-enrolls fresh at the owner. Reports false when
-// the owning shard is down.
+// redirectSession moves user's session from shard `from` to shard `to`
+// (moveSession: import durable, then drop) and returns the token the
+// client should present there. A missing session (never enrolled, or
+// already expired) redirects with token 0 — the client re-enrolls fresh
+// at the owner. Reports false, with the session still on `from`, when
+// the owning shard is down or its import failed.
 func (c *TCPCluster) redirectSession(from, to int, user uint64) (uint64, bool) {
 	newEng := c.cl.Engine(to)
 	if newEng == nil {
@@ -366,18 +370,12 @@ func (c *TCPCluster) redirectSession(from, to int, user uint64) (uint64, bool) {
 	if oldEng == nil {
 		return 0, false
 	}
-	rec, ok, err := oldEng.ExportSession(alarm.UserID(user))
+	_, tok, moved, err := moveSession(oldEng, newEng, alarm.UserID(user), nil)
 	if err != nil {
-		c.log.Printf("shard %d: export user %d: %v", from, user, err)
+		c.log.Printf("shard %d→%d: move user %d: %v", from, to, user, err)
 	}
-	if !ok {
-		return 0, true
+	if moved {
+		c.cl.met.AddHandoff()
 	}
-	tok, err := newEng.ImportSession(rec)
-	if err != nil {
-		c.log.Printf("shard %d: import user %d: %v", to, user, err)
-		return 0, false
-	}
-	c.cl.met.AddHandoff()
-	return tok, true
+	return tok, moved || err == nil
 }

@@ -101,3 +101,71 @@ func TestTCPAddrsMismatch(t *testing.T) {
 		t.Fatal("one address for two shards accepted")
 	}
 }
+
+// TestTCPPlainClientStraddlingAlarmFiresOnce: a plain-Register client —
+// no session, no acknowledgements, no client-side dedup — sits inside an
+// alarm that straddles the split while it crosses it. The alarm is
+// installed on both shards; the spent mark travels with the handoff, so
+// the client is sent one AlarmFired, not one per shard.
+func TestTCPPlainClientStraddlingAlarmFiresOnce(t *testing.T) {
+	c := newTestCluster(t, 2, 1, "") // split at x=5000
+	ids, err := c.InstallAlarms([]alarm.Alarm{{
+		Scope: alarm.Private, Owner: 7,
+		Region: geom.RectAround(geom.Pt(5000, 5000), 1000), // x 4500..5500
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startTCPCluster(t, c)
+
+	// roundTrip reads the reply to one report: any AlarmFired first, then
+	// one monitoring-state message or a Redirect.
+	var fired []uint64
+	roundTrip := func(conn transport.Conn, upd wire.PositionUpdate) wire.Message {
+		t.Helper()
+		if err := conn.Send(upd); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			m, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			af, more := m.(wire.AlarmFired)
+			if !more {
+				return m
+			}
+			fired = append(fired, af.Alarms...)
+		}
+	}
+	west, err := transport.Dial(srv.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer west.Close()
+	if err := west.Send(wire.Register{User: 7, Strategy: wire.StrategyMWPSR, MaxHeight: 5}); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(west, wire.PositionUpdate{User: 7, Seq: 1, Pos: geom.Pt(4800, 5000)})
+	if len(fired) != 1 || fired[0] != uint64(ids[0]) {
+		t.Fatalf("west of the split: fired %v, want [%d]", fired, ids[0])
+	}
+
+	crossing := wire.PositionUpdate{User: 7, Seq: 2, Pos: geom.Pt(5200, 5000)}
+	rd, ok := roundTrip(west, crossing).(wire.Redirect)
+	if !ok || rd.Addr != srv.Addrs()[1] || rd.Token != 0 {
+		t.Fatalf("crossing report answered with %+v, want a token-less Redirect to shard 1", rd)
+	}
+	east, err := transport.Dial(rd.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer east.Close()
+	roundTrip(east, crossing)
+	if len(fired) != 1 {
+		t.Fatalf("the client was sent %v: the straddling alarm fired once per shard", fired)
+	}
+	if trig := c.Engine(1).Metrics().Snapshot().AlarmsTriggered; trig != 0 {
+		t.Errorf("shard 1 refired the carried pair (AlarmsTriggered = %d)", trig)
+	}
+}

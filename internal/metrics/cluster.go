@@ -63,8 +63,8 @@ type ClusterSnapshot struct {
 	// Promotions counts followers promoted to primary after a missed-
 	// heartbeat failure detection.
 	Promotions uint64 `json:"promotions"`
-	// HandoffsParked counts handoffs that parked carried session state
-	// because the target shard was down at import time.
+	// HandoffsParked counts handoffs that had to wait — the session staying
+	// on its old shard — because the target shard was down at import time.
 	HandoffsParked uint64 `json:"handoffs_parked"`
 	// HandoffsFailedOver counts previously parked handoffs that later
 	// completed onto a shard a follower promotion revived.
@@ -148,8 +148,8 @@ func (c *Cluster) AddLocateClamped() { c.locateClamped.Add(1) }
 // AddPromotion records one follower promoted to primary.
 func (c *Cluster) AddPromotion() { c.promotions.Add(1) }
 
-// AddHandoffParked records a handoff whose carried session parked on a
-// down target shard.
+// AddHandoffParked records a handoff that parked (session left in
+// place) on a down target shard.
 func (c *Cluster) AddHandoffParked() { c.handoffsParked.Add(1) }
 
 // AddHandoffFailedOver records a parked handoff completed onto a

@@ -97,6 +97,7 @@ type Server struct {
 	walFsyncs         atomic.Uint64
 	walGroupCommits   atomic.Uint64
 	walGroupRecords   atomic.Uint64
+	walDeferred       atomic.Uint64
 	walSyncNs         atomic.Uint64
 	snapshots         atomic.Uint64
 	recoveries        atomic.Uint64
@@ -151,19 +152,23 @@ type Snapshot struct {
 	RedeliveredUpdates uint64
 	FiredRedeliveries  uint64
 
-	WALAppends        uint64
-	WALBytes          uint64
-	WALFsyncs         uint64
-	WALGroupCommits   uint64 `json:"wal_group_commits"`
-	WALGroupRecords   uint64 `json:"wal_group_records"`
-	WALSyncNs         uint64 `json:"wal_sync_ns"`
-	Snapshots         uint64
-	Recoveries        uint64
-	RecoveredRecords  uint64
-	WALTruncatedBytes uint64
-	FiredEvictions    uint64
-	SessionsExpired   uint64
-	FencedWrites      uint64 `json:"fenced_writes"`
+	WALAppends      uint64
+	WALBytes        uint64
+	WALFsyncs       uint64
+	WALGroupCommits uint64 `json:"wal_group_commits"`
+	WALGroupRecords uint64 `json:"wal_group_records"`
+	// WALDeferredRecords counts waiter-less records (a handed-off session's
+	// ExpireRec) that landed with a group commit; they are included in
+	// WALGroupRecords.
+	WALDeferredRecords uint64 `json:"wal_deferred_records"`
+	WALSyncNs          uint64 `json:"wal_sync_ns"`
+	Snapshots          uint64
+	Recoveries         uint64
+	RecoveredRecords   uint64
+	WALTruncatedBytes  uint64
+	FiredEvictions     uint64
+	SessionsExpired    uint64
+	FencedWrites       uint64 `json:"fenced_writes"`
 
 	SessionsExported uint64
 	SessionsImported uint64
@@ -210,6 +215,7 @@ func (s *Server) Snapshot() Snapshot {
 		WALFsyncs:              s.walFsyncs.Load(),
 		WALGroupCommits:        s.walGroupCommits.Load(),
 		WALGroupRecords:        s.walGroupRecords.Load(),
+		WALDeferredRecords:     s.walDeferred.Load(),
 		WALSyncNs:              s.walSyncNs.Load(),
 		Snapshots:              s.snapshots.Load(),
 		Recoveries:             s.recoveries.Load(),
@@ -258,6 +264,9 @@ func (s *Server) AddWALGroupCommit(records int, syncNanos int64) {
 		s.walSyncNs.Add(uint64(syncNanos))
 	}
 }
+
+// AddWALDeferred records waiter-less records landed by a group commit.
+func (s *Server) AddWALDeferred(records int) { s.walDeferred.Add(uint64(records)) }
 
 // WALGroupSizeAvg returns the average number of records landed per group
 // commit (0 before the first commit) — the WAL's syscall amortization

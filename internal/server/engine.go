@@ -126,9 +126,13 @@ type Engine struct {
 	// sessions maps resume tokens to users. Tokens are minted by
 	// HandleHello and survive transport restarts because they live here in
 	// the engine, not in the TCP layer. lastToken is the mint counter.
-	sessMu    sync.Mutex
-	sessions  map[uint64]alarm.UserID
-	lastToken uint64
+	// userTokens is the reverse index — every live token of a user — so
+	// dropping a session deletes exactly its tokens instead of walking the
+	// table.
+	sessMu     sync.Mutex
+	sessions   map[uint64]alarm.UserID
+	userTokens map[alarm.UserID][]uint64
+	lastToken  uint64
 
 	// wal is the durable backend (nil for a memory-only engine). Appends
 	// always happen outside every other engine lock; see persist.go.
@@ -268,6 +272,8 @@ func New(cfg Config) (*Engine, error) {
 		grid:          g,
 		met:           metrics.NewServer(cfg.Costs),
 		pendingCap:    pendingCap,
+		sessions:      make(map[uint64]alarm.UserID),
+		userTokens:    make(map[alarm.UserID][]uint64),
 		publicBitmaps: make(map[grid.CellID]*publicBitmapEntry),
 		anchors:       make(map[alarm.UserID]anchorObs),
 	}

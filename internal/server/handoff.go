@@ -6,155 +6,35 @@ import (
 	"github.com/sabre-geo/sabre/internal/alarm"
 	"github.com/sabre-geo/sabre/internal/geom"
 	"github.com/sabre-geo/sabre/internal/store"
-	"github.com/sabre-geo/sabre/internal/wire"
 )
 
-// This file implements the two halves of a cross-shard session handoff
-// (internal/cluster): the old shard exports the client's durable session
-// state and forgets it; the new shard imports that state and mints a
-// fresh resume token. Each half follows the write-ahead discipline of
-// its own shard's log — export logs an ExpireRec (replay drops the
-// client and its tokens, exactly like idle expiry), import logs a
-// HelloRec followed by a FiredRec carrying the pending firings (replay
-// reconstructs a reliable client with the same unacknowledged set). A
-// crash between the two halves cannot lose a firing: the router holds
-// the exported record until import succeeds.
+// This file moves a client's session between shards (internal/cluster).
+// One invariant orders everything: IMPORT DURABLE, THEN DROP — and the
+// drop is cleanup, not an acknowledgement.
+//
+//   - PeekSession snapshots the session at the source without touching it.
+//   - ImportSession enrolls the snapshot at the destination and logs every
+//     record that reconstructs it — carried machine states and spent
+//     alarms (TransitionRec, Delivered false), the session itself
+//     (RegisterRec, or HelloRec with the minted token) and the pending
+//     firings (FiredRec) — as ONE AppendBatch: the handoff's only
+//     synchronous commit. The Redirect or Resume that tells the client
+//     about the move is released after it returns, so everything the
+//     client can observe is durable (and replicated) first.
+//   - DropSession forgets the session at the source. Its ExpireRec is
+//     enqueued without a waiter (store.AppendDeferred) and lands with the
+//     source log's next group commit. Nothing depends on it: a crash first
+//     leaves the session on both shards, and the next handoff towards the
+//     stale copy merges into it — ImportSession is a union, so replaying
+//     or repeating an import is a no-op.
+//
+// There is no state in which the session is on neither shard.
 
-// ExportSession removes the user's session from this engine and returns
-// its durable record for re-enrollment elsewhere. The second return is
-// false when the user has no state here. Soft state (last position,
-// bitmap base cell, heading) is deliberately dropped — it regenerates
-// from the client's next report, exactly as it does across a crash.
-func (e *Engine) ExportSession(user alarm.UserID) (store.ClientRec, bool, error) {
-	sh := e.shardFor(user)
-	sh.mu.Lock()
-	st := sh.m[user]
-	delete(sh.m, user)
-	sh.mu.Unlock()
-	if st == nil {
-		return store.ClientRec{}, false, nil
-	}
-
-	st.mu.Lock()
-	rec := store.ClientRec{
-		User:         uint64(user),
-		Strategy:     st.strategy,
-		MaxHeight:    uint8(st.maxHeight),
-		Reliable:     st.reliable,
-		PendingFired: append([]uint64(nil), st.pendingFired...),
-		Lifecycle:    e.reg.Load().LifecycleStatesFor(user),
-		LastSeq:      st.lastSeq,
-		Epoch:        e.epoch.Load(),
-	}
-	st.mu.Unlock()
-
-	e.sessMu.Lock()
-	for tok, u := range e.sessions {
-		if u == user {
-			delete(e.sessions, tok)
-		}
-	}
-	e.sessMu.Unlock()
-	e.met.AddSessionExported()
-
-	// ExpireRec replay deletes the client and every token for it — the
-	// exact effect of the removal above.
-	if err := e.logRecord(store.ExpireRec{User: uint64(user)}); err != nil {
-		return rec, true, err
-	}
-	return rec, true, nil
-}
-
-// ImportSession enrolls a session exported from another shard. For a
-// reliable session it mints a resume token (returned for the router to
-// deliver to the client), carries the pending firings across, and marks
-// every carried id fired in the local registry so an alarm installed on
-// both shards cannot fire twice. Non-reliable (plain Register) clients
-// import as a plain registration and get token 0.
-func (e *Engine) ImportSession(rec store.ClientRec) (uint64, error) {
-	user := alarm.UserID(rec.User)
-	reg := e.reg.Load()
-	// Carry the user's lifecycle machines first: the monotone merge makes
-	// replay (and a racing duplicate import) idempotent, and Delivered is
-	// false because the delivery itself travels in PendingFired.
-	if len(rec.Lifecycle) > 0 {
-		reg.ApplyLifecycleStates(rec.Lifecycle)
-		if err := e.logRecords(lifecycleRecs(rec.Lifecycle)); err != nil {
-			return 0, err
-		}
-	}
-	if !rec.Reliable {
-		return 0, e.Register(wire.Register{
-			User: rec.User, Strategy: rec.Strategy, MaxHeight: rec.MaxHeight,
-		})
-	}
-
-	e.sessMu.Lock()
-	if e.sessions == nil {
-		e.sessions = make(map[uint64]alarm.UserID)
-	}
-	e.lastToken++
-	token := e.lastToken
-	e.sessions[token] = user
-	e.sessMu.Unlock()
-
-	pending := append([]uint64(nil), rec.PendingFired...)
-	// Retire the carried pairs locally: a pending firing was already
-	// delivered (or is being redelivered) — the local copy of the alarm
-	// must become free space here too, keeping pendingFired and any
-	// future newFired disjoint. Pending entries are packed events: only
-	// one-shot firings and composite severities fold into the fired map;
-	// enter/exit events carry machine state, which rec.Lifecycle already
-	// applied above.
-	for _, id := range pending {
-		markFiredEvent(reg, user, id)
-	}
-
-	sh := e.shardFor(user)
-	sh.mu.Lock()
-	sh.m[user] = &clientState{
-		strategy:     rec.Strategy,
-		maxHeight:    int(rec.MaxHeight),
-		reliable:     true,
-		pendingFired: pending,
-		lastSeq:      rec.LastSeq,
-		lastActive:   e.now(),
-	}
-	sh.mu.Unlock()
-	e.met.AddSessionImported()
-
-	// Write-ahead: HelloRec reconstructs the reliable client and its
-	// token; FiredRec re-marks the carried pairs fired and re-appends
-	// them to the pending set. Replay of the pair is idempotent.
-	if err := e.logRecord(store.HelloRec{
-		User: rec.User, Token: token, Strategy: rec.Strategy, MaxHeight: rec.MaxHeight,
-	}); err != nil {
-		return token, err
-	}
-	if len(pending) > 0 {
-		if err := e.logRecord(store.FiredRec{User: rec.User, Alarms: pending}); err != nil {
-			return token, err
-		}
-	}
-	return token, nil
-}
-
-// HasSession reports whether the user has client state on this engine.
-func (e *Engine) HasSession(user alarm.UserID) bool {
-	sh := e.shardFor(user)
-	sh.mu.RLock()
-	_, ok := sh.m[user]
-	sh.mu.RUnlock()
-	return ok
-}
-
-// PeekSession returns the user's durable session record without
-// removing anything — the read-only first half of a merge drain. The
-// drain imports the peeked record at the target and only then drops it
-// here (import-before-drop), so a crash at any point between the two
-// leaves at worst a benign duplicate session, which the router's
-// adoption path and the client's firing dedup absorb — never a lost
-// firing.
+// PeekSession returns the user's durable session record without removing
+// anything; false when the user has no state here. Soft state (last
+// position, bitmap base cell, heading) is deliberately left out — it
+// regenerates from the client's next report, exactly as it does across
+// a crash.
 func (e *Engine) PeekSession(user alarm.UserID) (store.ClientRec, bool) {
 	sh := e.shardFor(user)
 	sh.mu.RLock()
@@ -163,6 +43,7 @@ func (e *Engine) PeekSession(user alarm.UserID) (store.ClientRec, bool) {
 	if st == nil {
 		return store.ClientRec{}, false
 	}
+	reg := e.reg.Load()
 	st.mu.Lock()
 	rec := store.ClientRec{
 		User:         uint64(user),
@@ -170,7 +51,8 @@ func (e *Engine) PeekSession(user alarm.UserID) (store.ClientRec, bool) {
 		MaxHeight:    uint8(st.maxHeight),
 		Reliable:     st.reliable,
 		PendingFired: append([]uint64(nil), st.pendingFired...),
-		Lifecycle:    e.reg.Load().LifecycleStatesFor(user),
+		Fired:        reg.FiredBy(user),
+		Lifecycle:    reg.LifecycleStatesFor(user),
 		LastSeq:      st.lastSeq,
 		Epoch:        e.epoch.Load(),
 	}
@@ -178,74 +60,49 @@ func (e *Engine) PeekSession(user alarm.UserID) (store.ClientRec, bool) {
 	return rec, true
 }
 
-// DropSession removes the user's session after a drain imported it
-// elsewhere: client state and resume tokens go and an ExpireRec is
-// logged (replay re-drops them). A missing user is a no-op.
-func (e *Engine) DropSession(user alarm.UserID) error {
+// ImportSession enrolls a session peeked on another shard and returns
+// the resume token minted for it (0 for a plain Register client). It is
+// a merge: the user's machines advance monotonically, the carried spent
+// alarms this shard holds are marked so an alarm installed on both sides
+// of the boundary fires once, and a session already resident — a stale
+// copy a crash left behind, or a retried import — absorbs the record by
+// union: the newer stale-report watermark wins, a reliable record
+// re-declares the registration (as a fresh Hello would) and adds the
+// pending firings it does not hold yet. Everything that changed is
+// logged as one atomic group; replaying it, or a torn prefix of it, is
+// idempotent and never adds to a plain client's pending set.
+func (e *Engine) ImportSession(rec store.ClientRec) (uint64, error) {
+	user := alarm.UserID(rec.User)
+	reg := e.reg.Load()
+	reg.ApplyLifecycleStates(rec.Lifecycle)
+	recs := lifecycleRecs(rec.Lifecycle)
+	for _, id := range reg.MarkFiredInstalled(user, rec.Fired) {
+		// A raw alarm ID is its own TransFired event; Delivered false keeps
+		// it out of every pending set on replay.
+		recs = append(recs, store.TransitionRec{User: rec.User, Event: id})
+	}
+
 	sh := e.shardFor(user)
 	sh.mu.Lock()
 	st := sh.m[user]
-	delete(sh.m, user)
+	fresh := st == nil
+	if fresh {
+		st = &clientState{strategy: rec.Strategy, maxHeight: int(rec.MaxHeight)}
+		sh.m[user] = st
+	}
 	sh.mu.Unlock()
-	if st == nil {
-		return nil
-	}
-	e.sessMu.Lock()
-	for tok, u := range e.sessions {
-		if u == user {
-			delete(e.sessions, tok)
-		}
-	}
-	e.sessMu.Unlock()
-	e.met.AddSessionExported()
-	return e.logRecord(store.ExpireRec{User: uint64(user)})
-}
-
-// ImportSessionMerge enrolls a drained session, tolerating an existing
-// local session for the same user — the user may already have moved
-// here through the lazy redirect path while the drain was in flight, or
-// a crashed drain may retry a record it already imported. A reliable
-// local session absorbs the drained pending firings by union (so
-// nothing the source still owed the client is lost) and keeps its
-// token; only when the user is absent (or only registered fire-and-
-// forget while the record is reliable) does this fall back to a full
-// ImportSession. The second return reports whether an existing session
-// was merged into.
-func (e *Engine) ImportSessionMerge(rec store.ClientRec) (uint64, bool, error) {
-	user := alarm.UserID(rec.User)
-	sh := e.shardFor(user)
-	sh.mu.RLock()
-	st := sh.m[user]
-	sh.mu.RUnlock()
-	if st == nil {
-		tok, err := e.ImportSession(rec)
-		return tok, false, err
-	}
-
-	reg := e.reg.Load()
-	if len(rec.Lifecycle) > 0 {
-		reg.ApplyLifecycleStates(rec.Lifecycle)
-		if err := e.logRecords(lifecycleRecs(rec.Lifecycle)); err != nil {
-			return 0, true, err
-		}
-	}
 
 	var added []uint64
 	st.mu.Lock()
-	// Merge the stale-report watermarks forward: whichever side accepted
-	// the newer report wins, so a resend replayed after the merge still
-	// reads as stale.
+	// Whichever side accepted the newer report wins, so a resend replayed
+	// after the move still reads as stale.
 	if st.lastSeq == 0 || (rec.LastSeq != 0 && int32(rec.LastSeq-st.lastSeq) > 0) {
 		st.lastSeq = rec.LastSeq
 	}
-	if rec.Reliable && !st.reliable {
-		// The local state is a plain fire-and-forget registration; the
-		// drained session is the richer one. Promote in place so the
-		// pending firings survive.
+	if rec.Reliable {
+		st.strategy, st.maxHeight = rec.Strategy, int(rec.MaxHeight)
 		st.reliable = true
 		st.lastActive = e.now()
-	}
-	if rec.Reliable && st.reliable {
 		for _, id := range rec.PendingFired {
 			if !containsU64(st.pendingFired, id) {
 				st.pendingFired = append(st.pendingFired, id)
@@ -255,15 +112,60 @@ func (e *Engine) ImportSessionMerge(rec store.ClientRec) (uint64, bool, error) {
 	}
 	st.mu.Unlock()
 
-	if len(added) > 0 {
-		for _, id := range added {
-			markFiredEvent(reg, user, id)
+	var token uint64
+	switch {
+	case rec.Reliable:
+		token = e.mintToken(user)
+		recs = append(recs, store.HelloRec{User: rec.User, Token: token, Strategy: rec.Strategy, MaxHeight: rec.MaxHeight})
+		if len(added) > 0 {
+			// A pending firing was delivered (or is being redelivered): the
+			// local copy of its alarm is spent here too. FiredRec replay
+			// re-marks it and re-enters it into the pending set.
+			for _, id := range added {
+				markFiredEvent(reg, user, id)
+			}
+			recs = append(recs, store.FiredRec{User: rec.User, Alarms: added})
 		}
-		if err := e.logRecord(store.FiredRec{User: rec.User, Alarms: added}); err != nil {
-			return 0, true, err
-		}
+	case fresh:
+		recs = append(recs, store.RegisterRec{User: rec.User, Strategy: rec.Strategy, MaxHeight: rec.MaxHeight})
 	}
-	return 0, true, nil
+	e.met.AddSessionImported()
+	return token, e.logRecords(recs)
+}
+
+// DropSession forgets the user's session after it was imported
+// elsewhere: client state and resume tokens go, and the ExpireRec that
+// makes replay re-drop them rides the log's next group commit. A missing
+// user is a no-op. The error is the store's when the deferred-record
+// bound made this call commit.
+func (e *Engine) DropSession(user alarm.UserID) error {
+	if !e.dropClient(user) {
+		return nil
+	}
+	e.met.AddSessionExported()
+	if e.wal == nil {
+		return nil
+	}
+	return e.wal.AppendDeferred(store.ExpireRec{User: uint64(user)})
+}
+
+// ExportSession is PeekSession followed by DropSession, for callers that
+// hold the record themselves between the two shards.
+func (e *Engine) ExportSession(user alarm.UserID) (store.ClientRec, bool, error) {
+	rec, ok := e.PeekSession(user)
+	if !ok {
+		return rec, false, nil
+	}
+	return rec, true, e.DropSession(user)
+}
+
+// HasSession reports whether the user has client state on this engine.
+func (e *Engine) HasSession(user alarm.UserID) bool {
+	sh := e.shardFor(user)
+	sh.mu.RLock()
+	_, ok := sh.m[user]
+	sh.mu.RUnlock()
+	return ok
 }
 
 // markFiredEvent folds one pending delivery entry (a packed event) into

@@ -68,11 +68,8 @@ func (e *Engine) restoreState(state *store.State) error {
 		sh.mu.Unlock()
 	}
 	e.sessMu.Lock()
-	if e.sessions == nil {
-		e.sessions = make(map[uint64]alarm.UserID)
-	}
 	for _, s := range state.Sessions {
-		e.sessions[s.Token] = alarm.UserID(s.User)
+		e.addTokenLocked(s.Token, alarm.UserID(s.User))
 	}
 	e.lastToken = state.LastToken
 	e.sessMu.Unlock()
@@ -245,17 +242,7 @@ func (e *Engine) ExpireSessions(ttl time.Duration) (int, error) {
 	// Deterministic reap (and log) order.
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 	for _, user := range expired {
-		sh := e.shardFor(user)
-		sh.mu.Lock()
-		delete(sh.m, user)
-		sh.mu.Unlock()
-		e.sessMu.Lock()
-		for tok, u := range e.sessions {
-			if u == user {
-				delete(e.sessions, tok)
-			}
-		}
-		e.sessMu.Unlock()
+		e.dropClient(user)
 	}
 	e.met.AddSessionsExpired(uint64(len(expired)))
 	for _, user := range expired {

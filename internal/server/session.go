@@ -34,9 +34,6 @@ func (e *Engine) HandleHello(m wire.Hello) ([]wire.Message, bool, error) {
 	user := alarm.UserID(m.User)
 
 	e.sessMu.Lock()
-	if e.sessions == nil {
-		e.sessions = make(map[uint64]alarm.UserID)
-	}
 	owner, known := e.sessions[m.Token]
 	e.sessMu.Unlock()
 
@@ -52,11 +49,7 @@ func (e *Engine) HandleHello(m wire.Hello) ([]wire.Message, bool, error) {
 	// Resume frame, or expired), the unacknowledged firings carry over:
 	// re-enrollment must not silently discard deliveries the client never
 	// saw.
-	e.sessMu.Lock()
-	e.lastToken++
-	token := e.lastToken
-	e.sessions[token] = user
-	e.sessMu.Unlock()
+	token := e.mintToken(user)
 
 	var carried []uint64
 	sh := e.shardFor(user)
@@ -94,6 +87,40 @@ func (e *Engine) HandleHello(m wire.Hello) ([]wire.Message, bool, error) {
 		out = e.send(out, wire.AlarmFired{Seq: 0, Alarms: append([]uint64(nil), carried...)})
 	}
 	return out, false, nil
+}
+
+// mintToken mints the user's next resume token.
+func (e *Engine) mintToken(user alarm.UserID) uint64 {
+	e.sessMu.Lock()
+	defer e.sessMu.Unlock()
+	e.lastToken++
+	e.addTokenLocked(e.lastToken, user)
+	return e.lastToken
+}
+
+// addTokenLocked enters token into the session table and the user's
+// reverse index. The caller holds sessMu.
+func (e *Engine) addTokenLocked(token uint64, user alarm.UserID) {
+	e.sessions[token] = user
+	e.userTokens[user] = append(e.userTokens[user], token)
+}
+
+// dropClient removes the user's client state and every resume token
+// minted for it — what an ExpireRec replays to — and reports whether
+// there was client state to remove.
+func (e *Engine) dropClient(user alarm.UserID) bool {
+	sh := e.shardFor(user)
+	sh.mu.Lock()
+	_, ok := sh.m[user]
+	delete(sh.m, user)
+	sh.mu.Unlock()
+	e.sessMu.Lock()
+	for _, tok := range e.userTokens[user] {
+		delete(e.sessions, tok)
+	}
+	delete(e.userTokens, user)
+	e.sessMu.Unlock()
+	return ok
 }
 
 // tryResume resumes the session iff the retained state matches what the

@@ -284,7 +284,9 @@ func checkPairSplit(t *testing.T, _ string, _ []Trigger, got *Report, _ Plan) {
 //     clean, under link faults, across a crash with WAL tail loss, and
 //     on a cluster whose single shard splits mid-run — separating the
 //     pair endpoints — and whose new shard then crashes while the pair
-//     is still inside.
+//     is still inside, and on four static shards where each source of a
+//     mid-lifecycle handoff is killed right after it, before the
+//     ExpireRec it left queued has landed.
 func TestDeliveryEquality(t *testing.T) {
 	small := workloadSource(t, SmallWorkload(11))
 	ticks := SmallWorkload(11).DurationTicks
@@ -370,6 +372,23 @@ func TestDeliveryEquality(t *testing.T) {
 			Shards:        1,
 			Repartitions:  []RepartitionEvent{{Tick: 150, Op: "split", Shard: 0}},
 			ShardCrashes:  []ClusterCrashEvent{{Tick: 205, Shard: 1, Tear: store.TearTruncate, Down: 25}},
+			SnapshotEvery: 64,
+			DrainTicks:    250,
+		}},
+		// Four static shards: user 1 crosses x=2000 while Inside the
+		// continuous region, so its machine travels with the handoff
+		// (2→3 near tick 207, back 3→2 near tick 457). Shard 2 dies two
+		// ticks after the first one, with the ExpireRec of the session it
+		// handed away still waiting for a commit to ride — it recovers
+		// holding a stale copy, which the handoff back merges into; shard 3
+		// dies the same way with a torn tail after the second.
+		{name: "Lifecycle", suffix: "/handoff-crashed", src: lifecycle, check: checkCluster, plan: Plan{
+			Seed:   17,
+			Shards: 4,
+			ShardCrashes: []ClusterCrashEvent{
+				{Tick: 209, Shard: 2, Tear: store.TearNone, Down: 10},
+				{Tick: 459, Shard: 3, Tear: store.TearTruncate, Down: 10},
+			},
 			SnapshotEvery: 64,
 			DrainTicks:    250,
 		}},

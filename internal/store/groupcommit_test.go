@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/sabre-geo/sabre/internal/wire"
 )
 
 // countingCounters is a plain Counters sink for group-commit accounting
@@ -19,14 +21,16 @@ type countingCounters struct {
 	fenced       int
 	groupCommits int
 	groupRecords int
+	deferred     int
 	syncNs       int64
 }
 
-func (c *countingCounters) AddWALAppend(bytes int) { c.appends++; c.appendBytes += bytes }
-func (c *countingCounters) AddWALFsync()           { c.fsyncs++ }
-func (c *countingCounters) AddSnapshot()           { c.snapshots++ }
-func (c *countingCounters) AddRecovery(int, int64) {}
-func (c *countingCounters) AddFencedWrite()        { c.fenced++ }
+func (c *countingCounters) AddWALAppend(bytes int)     { c.appends++; c.appendBytes += bytes }
+func (c *countingCounters) AddWALFsync()               { c.fsyncs++ }
+func (c *countingCounters) AddSnapshot()               { c.snapshots++ }
+func (c *countingCounters) AddRecovery(int, int64)     {}
+func (c *countingCounters) AddFencedWrite()            { c.fenced++ }
+func (c *countingCounters) AddWALDeferred(records int) { c.deferred += records }
 func (c *countingCounters) AddWALGroupCommit(records int, syncNanos int64) {
 	c.groupCommits++
 	c.groupRecords += records
@@ -201,7 +205,14 @@ func TestGroupCommitHammer(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < perG; i++ {
-						if err := s.Append(FiredRec{User: uint64(g + 1), Alarms: []uint64{uint64(i)}}); err != nil {
+						// Every third record goes in without a waiter; it must
+						// still land before the appender's next record. The
+						// last one waits, so nothing is left queued.
+						appendRec := s.Append
+						if i%3 == 0 {
+							appendRec = s.AppendDeferred
+						}
+						if err := appendRec(FiredRec{User: uint64(g + 1), Alarms: []uint64{uint64(i)}}); err != nil {
 							t.Errorf("goroutine %d append %d: %v", g, i, err)
 							return
 						}
@@ -255,6 +266,9 @@ func TestGroupCommitHammer(t *testing.T) {
 // performs no heap allocation — encode, frame and group bookkeeping all
 // run in reused buffers.
 func TestAppendZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("Append pools its requests; see raceEnabled")
+	}
 	s, _, _ := openStore(t, t.TempDir(), Options{})
 	defer s.Close()
 	var rec Record = FiredRec{User: 1, Alarms: []uint64{7, 9, 11}}
@@ -441,4 +455,170 @@ func TestFollowerApplyBatchValidPrefix(t *testing.T) {
 			t.Fatalf("sealed: %v", err)
 		}
 	})
+}
+
+// TestAppendDeferredRidesNextCommit: a waiter-less record costs nothing
+// until somebody commits; then it lands first in that caller's group —
+// one write, one fsync, one replication batch with consecutive
+// positions — and replays in enqueue order.
+func TestAppendDeferredRidesNextCommit(t *testing.T) {
+	dir := t.TempDir()
+	met := &countingCounters{}
+	s, _, _ := openStore(t, dir, Options{Fsync: true, Counters: met})
+	var batches [][]ReplFrame
+	s.SetReplSink(func(frames []ReplFrame) { batches = append(batches, frames) })
+
+	if err := s.AppendDeferred(ExpireRec{User: 8}); err != nil {
+		t.Fatalf("AppendDeferred: %v", err)
+	}
+	if s.Pos() != 0 || met.groupCommits != 0 || met.fsyncs != 0 || len(batches) != 0 {
+		t.Fatalf("deferred record moved the store on its own: pos=%d groups=%d fsyncs=%d batches=%d",
+			s.Pos(), met.groupCommits, met.fsyncs, len(batches))
+	}
+	if err := s.Append(RegisterRec{User: 8, Strategy: wire.StrategyMWPSR}); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if met.groupCommits != 1 || met.groupRecords != 2 || met.fsyncs != 1 || met.appends != 2 {
+		t.Fatalf("groups=%d records=%d fsyncs=%d appends=%d, want one group of 2 with one fsync",
+			met.groupCommits, met.groupRecords, met.fsyncs, met.appends)
+	}
+	if met.deferred != 1 {
+		t.Fatalf("deferred records counted = %d, want 1", met.deferred)
+	}
+	if len(batches) != 1 || len(batches[0]) != 2 || batches[0][0].Pos != 1 || batches[0][1].Pos != 2 {
+		t.Fatalf("replication saw %+v, want one batch with positions 1,2", batches)
+	}
+	if rec, err := DecodeRecord(batches[0][0].Payload); err != nil || rec != (ExpireRec{User: 8}) {
+		t.Fatalf("first frame = %+v (%v), want the deferred ExpireRec", rec, err)
+	}
+	s.Kill()
+
+	// Enqueue order is replay order: expire, then register — user 8 lives.
+	_, state, info := openStore(t, dir, Options{})
+	if info.Replayed != 2 || len(state.Clients) != 1 || state.Clients[0].User != 8 {
+		t.Fatalf("recovered %d records, clients %+v; want the ExpireRec replayed before the RegisterRec", info.Replayed, state.Clients)
+	}
+}
+
+// TestAppendDeferredSharesTheGroupsFate: a crash point counts a deferred
+// record when it lands and kills the group it rode in; a fence rejects
+// it with the group and books it as a fenced write.
+func TestAppendDeferredSharesTheGroupsFate(t *testing.T) {
+	t.Run("crash point", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _, _ := openStore(t, dir, Options{Fsync: true})
+		s.SetCrashPoints([]CrashPoint{{AfterAppends: 1, TearBytes: 5, FlipBit: -1}})
+		if err := s.AppendDeferred(ExpireRec{User: 8}); err != nil {
+			t.Fatalf("AppendDeferred: %v (nothing has landed yet)", err)
+		}
+		if s.Crashed() {
+			t.Fatal("crash point fired at enqueue, not at landing")
+		}
+		if err := s.Append(RegisterRec{User: 8}); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("append riding with the hit record = %v, want ErrCrashed", err)
+		}
+		_, _, info := openStore(t, dir, Options{})
+		if info.Replayed != 0 || info.TruncatedBytes != 5 {
+			t.Fatalf("recovery info = %+v, want nothing replayed and the 5 torn bytes cut", info)
+		}
+	})
+	t.Run("fenced", func(t *testing.T) {
+		met := &countingCounters{}
+		s, _, _ := openStore(t, t.TempDir(), Options{Counters: met})
+		defer s.Close()
+		s.SetTermSource(func() uint64 { return 1 })
+		if err := s.AppendDeferred(ExpireRec{User: 8}); err != nil {
+			t.Fatalf("AppendDeferred: %v", err)
+		}
+		if err := s.Append(RegisterRec{User: 8}); !errors.Is(err, ErrFenced) {
+			t.Fatalf("append = %v, want ErrFenced", err)
+		}
+		if met.fenced != 2 || s.Pos() != 0 || met.deferred != 0 {
+			t.Fatalf("fenced=%d pos=%d deferred=%d, want both records fenced and nothing landed", met.fenced, s.Pos(), met.deferred)
+		}
+	})
+}
+
+// TestAppendDeferredDrains: Close lands what is still queued; Checkpoint
+// lands it in the old generation before it captures state; and the queue
+// never reaches deferredMax — the enqueue that would commits it.
+func TestAppendDeferredDrains(t *testing.T) {
+	t.Run("close", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _, _ := openStore(t, dir, Options{Fsync: true})
+		if err := s.AppendDeferred(EpochRec{Epoch: 9}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, state, info := openStore(t, dir, Options{})
+		if info.Replayed != 1 || state.Epoch != 9 {
+			t.Fatalf("after Close: replayed %d, epoch %d; the deferred record was lost", info.Replayed, state.Epoch)
+		}
+	})
+	t.Run("checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		met := &countingCounters{}
+		s, _, _ := openStore(t, dir, Options{Counters: met})
+		landedAtCapture := -1
+		s.SetStateSource(func() *State {
+			landedAtCapture = met.appends // both run under the store mutex
+			return &State{NextAlarmID: 1, Epoch: 9}
+		})
+		if err := s.AppendDeferred(EpochRec{Epoch: 9}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if landedAtCapture != 1 || met.snapshots != 1 {
+			t.Fatalf("appends landed when state was captured = %d (snapshots %d), want 1", landedAtCapture, met.snapshots)
+		}
+		s.Close()
+		_, state, info := openStore(t, dir, Options{})
+		if !info.FromSnapshot || info.Replayed != 0 || state.Epoch != 9 {
+			t.Fatalf("recovery info = %+v epoch %d, want the snapshot alone", info, state.Epoch)
+		}
+	})
+	t.Run("bound", func(t *testing.T) {
+		met := &countingCounters{}
+		s, _, _ := openStore(t, t.TempDir(), Options{Fsync: true, Counters: met})
+		defer s.Close()
+		for i := 1; i < deferredMax; i++ {
+			if err := s.AppendDeferred(ExpireRec{User: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Pos() != 0 || met.groupCommits != 0 {
+			t.Fatalf("queue below the bound committed: pos=%d groups=%d", s.Pos(), met.groupCommits)
+		}
+		if err := s.AppendDeferred(ExpireRec{User: deferredMax}); err != nil {
+			t.Fatal(err)
+		}
+		if s.Pos() != deferredMax || met.groupCommits != 1 || met.fsyncs != 1 {
+			t.Fatalf("at the bound: pos=%d groups=%d fsyncs=%d, want one group of %d", s.Pos(), met.groupCommits, met.fsyncs, deferredMax)
+		}
+		if met.deferred != deferredMax-1 {
+			t.Fatalf("deferred counted = %d, want %d (the committing enqueue waited)", met.deferred, deferredMax-1)
+		}
+	})
+}
+
+// TestExpireAbsentUserIsNoOp: a deferred ExpireRec can land after a
+// checkpoint whose snapshot already excludes the user; replaying it
+// changes nothing.
+func TestExpireAbsentUserIsNoOp(t *testing.T) {
+	base := &State{
+		NextAlarmID: 1,
+		Clients:     []ClientRec{{User: 7, Strategy: wire.StrategyMWPSR, Reliable: true, PendingFired: []uint64{3}}},
+		Sessions:    []SessionRec{{Token: 5, User: 7}},
+		LastToken:   5,
+	}
+	a := NewApplier(base, 0)
+	want := EncodeState(a.State())
+	a.Apply(ExpireRec{User: 8})
+	if got := EncodeState(a.State()); string(got) != string(want) {
+		t.Fatalf("ExpireRec for an absent user changed the state:\n%s\nwant\n%s", got, want)
+	}
 }

@@ -29,6 +29,11 @@ type ClientRec struct {
 	Reliable  bool          `json:"reliable,omitempty"`
 	// PendingFired holds fired-but-unacknowledged alarm ids, oldest first.
 	PendingFired []uint64 `json:"pendingFired,omitempty"`
+	// Fired carries the alarms already spent for the user across a session
+	// handoff, for every session kind, so an alarm installed on both sides
+	// of a partition boundary fires once. Populated only in handoff records
+	// — the registry-wide fired set lives in State.Fired.
+	Fired []uint64 `json:"fired,omitempty"`
 	// Epoch is the partition-map epoch of the shard that exported this
 	// session (zero for non-cluster sessions). The importer uses it to
 	// stamp Redirects so stale-epoch clients can be told the map moved.
@@ -191,6 +196,10 @@ func (b *stateBuilder) apply(rec Record) {
 		b.capPending(cl)
 	case TransitionRec:
 		switch alarm.EventTransition(r.Event) {
+		case alarm.TransFired:
+			// A spent alarm carried in by a session import: fired here too,
+			// and (Delivered false) owed to nobody.
+			b.fired[alarm.FiredPair{Alarm: alarm.ID(r.Event), User: r.User}] = struct{}{}
 		case alarm.TransSeverity:
 			b.fired[alarm.FiredPair{Alarm: alarm.EventAlarm(r.Event), User: r.User}] = struct{}{}
 		case alarm.TransEnter, alarm.TransExit:

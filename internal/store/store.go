@@ -38,12 +38,21 @@ type Counters interface {
 	// of records; syncNanos is the wall time of the group's fsync (0 when
 	// Fsync is off).
 	AddWALGroupCommit(records int, syncNanos int64)
+	// AddWALDeferred records waiter-less records (AppendDeferred) landed by
+	// a group commit; they are also counted in that group's records.
+	AddWALDeferred(records int)
 }
 
 // DefaultGroupMax is the records-per-group cap when Options.GroupMax is
 // zero. Large enough that a saturated 64-appender workload amortizes its
 // fsync ~64×, small enough that one group buffer stays cache-friendly.
 const DefaultGroupMax = 512
+
+// deferredMax bounds the waiter-less records (AppendDeferred) the commit
+// queue holds: the enqueue that would reach it commits the queue itself.
+// A constant, not an option — it only caps how much cleanup a crash can
+// leave undone (and the queue's memory), and every commit empties it.
+const deferredMax = 64
 
 // Options tunes a Store.
 type Options struct {
@@ -125,8 +134,9 @@ type Store struct {
 	// then contend for s.mu; whoever wins with its request still pending
 	// is the flush leader and lands the whole queue as one group. Lock
 	// order: qmu is taken either alone or inside s.mu, never around it.
-	qmu   sync.Mutex
-	queue []*commitReq
+	qmu       sync.Mutex
+	queue     []*commitReq
+	ndeferred int // waiter-less requests in queue
 
 	// Flush-leader scratch, touched only under s.mu: the spare queue
 	// backing array the leader swaps in, the gathered group write buffer,
@@ -301,8 +311,11 @@ type commitReq struct {
 	buf   []byte // framed records, concatenated
 	offs  []int  // per record: payload start, payload end within buf
 	nrecs int
-	done  bool // written and read only under s.mu
-	err   error
+	// deferred marks a request nobody waits for (AppendDeferred): the flush
+	// leader that lands it also returns it to the pool.
+	deferred bool
+	done     bool // written and read only under s.mu
+	err      error
 }
 
 var commitReqPool = sync.Pool{New: func() any { return new(commitReq) }}
@@ -312,6 +325,7 @@ func getCommitReq() *commitReq {
 	req.buf = req.buf[:0]
 	req.offs = req.offs[:0]
 	req.nrecs = 0
+	req.deferred = false
 	req.done = false
 	req.err = nil
 	return req
@@ -364,15 +378,48 @@ func (s *Store) AppendBatch(recs []Record) error {
 	return s.commit(req)
 }
 
+// AppendDeferred enqueues one record without waiting for it: it lands,
+// in enqueue order, with the log's next group commit — the same write,
+// fsync, replication batch, crash-point count and fence verdict as the
+// records around it — or when Close or Checkpoint drains the queue. It
+// is for records nothing client-visible depends on (the ExpireRec a
+// handed-off session leaves behind): a crash first simply loses them,
+// and their verdict is dropped, because a store that fails them fails
+// every later append the same way. The queue holds fewer than
+// deferredMax such records; the call that would reach the bound commits
+// like Append and returns that group's verdict.
+func (s *Store) AppendDeferred(rec Record) error {
+	req := getCommitReq()
+	req.addRecord(rec)
+	s.qmu.Lock()
+	deferred := s.ndeferred+1 < deferredMax
+	if deferred {
+		req.deferred = true
+		s.ndeferred++
+	}
+	s.queue = append(s.queue, req)
+	s.qmu.Unlock()
+	if deferred {
+		return nil // the flush leader owns req from here
+	}
+	return s.await(req)
+}
+
 // commit enqueues req and blocks until a flush leader — possibly this
-// caller — completes it. Termination invariant: a request is either
-// completed or still in the queue, and flushQueueLocked always drains
-// the whole queue, so the first pass through the loop body either
-// observes done or flushes the queue containing req.
+// caller — completes it.
 func (s *Store) commit(req *commitReq) error {
 	s.qmu.Lock()
 	s.queue = append(s.queue, req)
 	s.qmu.Unlock()
+	return s.await(req)
+}
+
+// await blocks until the enqueued req is complete. Termination
+// invariant: a request is either completed or still in the queue, and
+// flushQueueLocked always drains the whole queue, so the first pass
+// through the loop body either observes done or flushes the queue
+// containing req.
+func (s *Store) await(req *commitReq) error {
 	s.mu.Lock()
 	for !req.done {
 		s.flushQueueLocked()
@@ -395,6 +442,7 @@ func (s *Store) flushQueueLocked() {
 	s.qmu.Lock()
 	batch := s.queue
 	s.queue = s.spareQ[:0]
+	s.ndeferred = 0
 	s.qmu.Unlock()
 	s.spareQ = batch // the two backing arrays rotate; emptied below
 
@@ -411,8 +459,23 @@ func (s *Store) flushQueueLocked() {
 		s.flushChunkLocked(batch[start:end], nrecs)
 		start = end
 	}
-	for i := range batch {
+	for i, req := range batch {
+		if req.deferred {
+			commitReqPool.Put(req) // no waiter: its verdict is dropped
+		}
 		batch[i] = nil // completed; waiters own them again once s.mu drops
+	}
+}
+
+// drainQueueLocked lands whatever the commit queue still holds — deferred
+// records with no commit left to ride — before Close or Checkpoint. Runs
+// with s.mu held.
+func (s *Store) drainQueueLocked() {
+	s.qmu.Lock()
+	n := len(s.queue)
+	s.qmu.Unlock()
+	if n > 0 {
+		s.flushQueueLocked()
 	}
 }
 
@@ -436,7 +499,11 @@ func (s *Store) flushChunkLocked(chunk []*commitReq, nrecs int) {
 	// record's frame-end offset so a scripted crash can tear mid-group.
 	gb := s.groupBuf[:0]
 	ends := s.groupEnd[:0]
+	ndeferred := 0
 	for _, req := range chunk {
+		if req.deferred {
+			ndeferred += req.nrecs
+		}
 		base := len(gb)
 		gb = append(gb, req.buf...)
 		for r := 0; r < req.nrecs; r++ {
@@ -492,6 +559,9 @@ func (s *Store) flushChunkLocked(chunk []*commitReq, nrecs int) {
 			c.AddWALFsync()
 		}
 		c.AddWALGroupCommit(nrecs, syncNs)
+		if ndeferred > 0 {
+			c.AddWALDeferred(ndeferred)
+		}
 	}
 	s.appends += nrecs
 	basePos := s.pos
@@ -621,6 +691,11 @@ func (s *Store) Checkpoint() error {
 	if s.stateSource == nil {
 		return errors.New("store: no state source installed")
 	}
+	// Deferred records belong to the generation they were enqueued in.
+	s.drainQueueLocked()
+	if s.crashed {
+		return ErrCrashed
+	}
 	return s.checkpointLocked(s.stateSource())
 }
 
@@ -698,10 +773,12 @@ func (s *Store) Kill() {
 }
 
 // Close checkpoints nothing (call Checkpoint first for a clean-shutdown
-// snapshot) but syncs and closes the WAL.
+// snapshot) but lands any deferred records still queued, then syncs and
+// closes the WAL.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainQueueLocked()
 	if s.crashed {
 		return nil
 	}

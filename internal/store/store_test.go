@@ -360,3 +360,27 @@ func TestMangleTailNoCompleteFrame(t *testing.T) {
 		t.Fatalf("missing file: %v", err)
 	}
 }
+
+// TestCarriedFiredReplay: a session import logs each spent alarm it
+// carried in as a TransitionRec holding the raw alarm ID with Delivered
+// false. Replay marks the pair fired and owes it to nobody — not even a
+// reliable client's pending set — however often it is applied.
+func TestCarriedFiredReplay(t *testing.T) {
+	a := NewApplier(nil, 0)
+	a.Apply(HelloRec{User: 8, Token: 1, Strategy: wire.StrategyMWPSR})
+	a.Apply(RegisterRec{User: 9, Strategy: wire.StrategyMWPSR})
+	for i := 0; i < 2; i++ {
+		a.Apply(TransitionRec{User: 8, Event: 5})
+		a.Apply(TransitionRec{User: 9, Event: 5})
+	}
+	st := a.State()
+	want := []alarm.FiredPair{{Alarm: 5, User: 8}, {Alarm: 5, User: 9}}
+	if !reflect.DeepEqual(st.Fired, want) {
+		t.Fatalf("fired = %+v, want %+v", st.Fired, want)
+	}
+	for _, c := range st.Clients {
+		if len(c.PendingFired) != 0 {
+			t.Fatalf("client %d pending = %v, want none", c.User, c.PendingFired)
+		}
+	}
+}

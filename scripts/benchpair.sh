@@ -3,6 +3,10 @@
 #
 #   scripts/benchpair.sh BASE WORKLOAD PAIRS [SEED]      (make benchpair)
 #
+# WORKLOAD is a workload name from BENCHMARK.json, or `all` for every
+# workload it lists, one table each — the claim and the "nothing else
+# moved" evidence from one command.
+#
 # BASE is exported with git archive into .bench_build/base-<rev>/ (built
 # there by its own bench/run.sh, nothing is downloaded), then both trees
 # run `bench/run.sh --workload WORKLOAD --seed SEED --trace 0` PAIRS times
@@ -20,6 +24,17 @@ fi
 base=$1 workload=$2 pairs=$3 seed=${4:-1}
 
 root=$(cd "$(dirname "$0")/.." && pwd)
+if [ "$workload" = all ]; then
+	# BENCHMARK.json, pretty-printed: the workloads block names each one.
+	names=$(awk '/"workloads"/ { w = 1 } /"end_to_end"/ { w = 0 }
+		w && $1 == "\"name\":" { gsub(/[",]/, "", $2); print $2 }' "$root/BENCHMARK.json")
+	rc=0
+	for w in $names; do
+		bash "$0" "$base" "$w" "$pairs" "$seed" || rc=$?
+		echo
+	done
+	exit $rc
+fi
 rev=$(git -C "$root" rev-parse --short "$base^{commit}")
 tree=$root/.bench_build/base-$rev
 if [ ! -d "$tree" ]; then
