@@ -57,6 +57,12 @@
 #                metric (scripts/benchpair.sh; BASE is exported with git
 #                archive under .bench_build/); WORKLOAD=all runs every
 #                workload of BENCHMARK.json, one table each
+#   make logdiff BASE=<rev>
+#                the simulation rows (TestDeliveryEquality and
+#                TestDriveDeterministic, ./internal/sim/) on BASE and on
+#                this checkout; diffs their t.Logf lines with timings
+#                stripped and fails on any difference
+#                (scripts/logdiff.sh; BASE is exported like benchpair's)
 
 GO ?= go
 
@@ -71,7 +77,7 @@ sim = echo "$(GO) test -race -v -run '$(1)' ./internal/sim/"; \
 	echo "$$out" | grep -q '^ *--- PASS: [^ ]*/' || \
 		{ echo "make: -run '$(1)' selected no test in ./internal/sim/" >&2; exit 1; }
 
-.PHONY: tier1 race crash cluster rebalance failover lifecycle bench bench-cluster bench-wal bench-wal-smoke bench-smoke figures benchpair
+.PHONY: tier1 race crash cluster rebalance failover lifecycle bench bench-cluster bench-wal bench-wal-smoke bench-smoke figures benchpair logdiff
 
 tier1:
 	$(GO) build ./...
@@ -132,3 +138,6 @@ SEED ?= 1
 
 benchpair:
 	bash scripts/benchpair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
+
+logdiff:
+	bash scripts/logdiff.sh $(BASE)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/sabre-geo/sabre/internal/alarm"
 	"github.com/sabre-geo/sabre/internal/geom"
+	"github.com/sabre-geo/sabre/internal/server"
 	"github.com/sabre-geo/sabre/internal/store"
 	"github.com/sabre-geo/sabre/internal/wire"
 )
@@ -170,55 +171,23 @@ func (r *Router) HandleHello(m wire.Hello) ([]wire.Message, error) {
 		return nil, err
 	}
 	rt.pushToken = 0 // the Hello response carries a fresh Resume already
-	return r.filterFired(rt, rt.shard, out), nil
+	return r.filterFired(rt, rt.shard, nil, out), nil
 }
 
 // HandleUpdate routes one position report, handing the session off first
-// when the position crossed into another shard's partition.
+// when the position crossed into another shard's partition: a run of one
+// through routeUserRun, served by the shard as a single-update frame.
 func (r *Router) HandleUpdate(u wire.PositionUpdate) ([]wire.Message, error) {
-	rt := r.route(u.User)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	r.cl.met.AddRoutedUpdate()
-	owner := r.cl.locate(u.Pos)
-	r.resolveShard(rt)
-	if rt.shard < 0 {
-		rt.shard = owner // first contact: enroll where the client is
-	}
-	if rt.shard != owner {
-		if err := r.handoff(rt, owner); err != nil {
-			return nil, err
-		}
-	}
-	eng := r.cl.Engine(rt.shard)
-	if eng == nil {
-		return nil, r.downErr(rt.shard)
-	}
-	out, err := eng.HandleUpdate(u)
-	if err != nil {
-		if errors.Is(err, store.ErrCrashed) {
-			return nil, r.downErr(rt.shard)
-		}
-		return nil, err
-	}
-	r.fanOutAnchor(rt.shard, u.User, u.Pos)
-	out = r.filterFired(rt, rt.shard, out)
-	if rt.pushToken != 0 {
-		// Tell the client its session moved: adopt the new shard's token.
-		msg := wire.Resume{Token: rt.pushToken, Resumed: true}
-		eng.Metrics().AddDownlink(wire.EncodedSize(msg))
-		out = append([]wire.Message{msg}, out...)
-		rt.pushToken = 0
-	}
-	return out, nil
+	return r.routeUserRun(u.User, []wire.PositionUpdate{u}, false)
 }
 
 // HandleUpdateBatch routes one UpdateBatch frame. Updates are grouped by
-// user (first-appearance order, chronological within a user, matching the
-// engine's batch contract) and each group is split into maximal runs of
-// positions owned by the same shard; the handoff dance between runs is
-// exactly the single-update path's, so a mis-routed entry falls back to
-// the normal cross-shard handoff. Each run is forwarded as its own
+// user (server.UserGroups: first-appearance order, chronological within a
+// user, the engine's batch contract) and each group is split into maximal
+// runs of positions owned by the same shard; the handoff dance between
+// runs is exactly the single-update path's, so a mis-routed entry falls
+// back to the normal cross-shard handoff. Each run is forwarded as its own
 // engine-level batch, so the shard charges uplink per run frame — the
 // router re-frames per shard.
 //
@@ -231,27 +200,18 @@ func (r *Router) HandleUpdateBatch(b wire.UpdateBatch) (wire.BatchReply, error) 
 		return wire.BatchReply{}, nil
 	}
 	r.cl.met.AddRoutedBatch(len(b.Updates))
-	reply := wire.BatchReply{}
+	var g server.UserGroups
+	g.Group(b.Updates)
+	reply := wire.BatchReply{Entries: make([]wire.BatchEntry, 0, len(g.First))}
 	var down error
-	for i := range b.Updates {
-		user := b.Updates[i].User
-		seenBefore := false
-		for j := 0; j < i; j++ {
-			if b.Updates[j].User == user {
-				seenBefore = true
-				break
-			}
+	var ups []wire.PositionUpdate
+	for _, first := range g.First {
+		ups = ups[:0]
+		for j := first; j >= 0; j = g.Next[j] {
+			ups = append(ups, b.Updates[j])
 		}
-		if seenBefore {
-			continue
-		}
-		var ups []wire.PositionUpdate
-		for j := i; j < len(b.Updates); j++ {
-			if b.Updates[j].User == user {
-				ups = append(ups, b.Updates[j])
-			}
-		}
-		msgs, err := r.routeUserRun(user, ups)
+		user := ups[0].User
+		msgs, err := r.routeUserRun(user, ups, true)
 		if err != nil {
 			if _, ok := IsShardDown(err); ok {
 				if down == nil {
@@ -270,11 +230,12 @@ func (r *Router) HandleUpdateBatch(b wire.UpdateBatch) (wire.BatchReply, error) 
 }
 
 // routeUserRun forwards one user's chronological updates, splitting them
-// into maximal same-shard runs with a handoff between runs. It returns a
-// *ShardDownError when nothing could be processed. The returned messages
-// may cover a prefix of ups when a shard died mid-group; the client
-// resends the unanswered tail.
-func (r *Router) routeUserRun(user uint64, ups []wire.PositionUpdate) ([]wire.Message, error) {
+// into maximal same-shard runs with a handoff between runs. Each run is
+// one engine call: HandleUpdateBatch when batched, otherwise HandleUpdate
+// on the lone update. It returns a *ShardDownError when nothing could be
+// processed. The returned messages may cover a prefix of ups when a shard
+// died mid-group; the client resends the unanswered tail.
+func (r *Router) routeUserRun(user uint64, ups []wire.PositionUpdate, batched bool) ([]wire.Message, error) {
 	rt := r.route(user)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -285,7 +246,7 @@ func (r *Router) routeUserRun(user uint64, ups []wire.PositionUpdate) ([]wire.Me
 		owner := r.cl.locate(ups[i].Pos)
 		r.resolveShard(rt)
 		if rt.shard < 0 {
-			rt.shard = owner
+			rt.shard = owner // first contact: enroll where the client is
 		}
 		if rt.shard != owner {
 			if blocked = r.handoff(rt, owner); blocked != nil {
@@ -301,7 +262,16 @@ func (r *Router) routeUserRun(user uint64, ups []wire.PositionUpdate) ([]wire.Me
 			blocked = r.downErr(rt.shard)
 			break
 		}
-		br, err := eng.HandleUpdateBatch(wire.UpdateBatch{Updates: ups[i:j]})
+		var out []wire.Message
+		var err error
+		if batched {
+			var br wire.BatchReply
+			if br, err = eng.HandleUpdateBatch(wire.UpdateBatch{Updates: ups[i:j]}); err == nil {
+				out = br.Entries[0].Msgs // one user: one entry
+			}
+		} else {
+			out, err = eng.HandleUpdate(ups[i])
+		}
 		if err != nil {
 			if errors.Is(err, store.ErrCrashed) {
 				blocked = r.downErr(rt.shard)
@@ -311,24 +281,25 @@ func (r *Router) routeUserRun(user uint64, ups []wire.PositionUpdate) ([]wire.Me
 		}
 		processed = true
 		r.fanOutAnchor(rt.shard, user, ups[j-1].Pos)
-		for _, ent := range br.Entries {
-			filtered := r.filterFired(rt, rt.shard, ent.Msgs)
+		start := len(msgs)
+		msgs = r.filterFired(rt, rt.shard, msgs, out)
+		if batched {
 			// Dedup may strip an update's only response (an AlarmFired another
-			// shard already delivered). Every processed update must still be
-			// answered or the client resends it forever, so backfill a bare
-			// Ack for any seq the filtered reply no longer covers.
-			answered := make(map[uint32]bool, len(filtered))
-			for _, m := range filtered {
+			// shard already delivered). Every processed update of a batch
+			// must still be answered or the client resends it forever, so
+			// backfill a bare Ack for any seq the filtered reply no longer
+			// covers. A lone update is answered by its front end instead.
+			answered := make(map[uint32]bool, len(msgs)-start)
+			for _, m := range msgs[start:] {
 				if seq, ok := wire.SeqOf(m); ok {
 					answered[seq] = true
 				}
 			}
 			for _, u := range ups[i:j] {
 				if !answered[u.Seq] {
-					filtered = append(filtered, wire.Ack{Seq: u.Seq})
+					msgs = append(msgs, wire.Ack{Seq: u.Seq})
 				}
 			}
-			msgs = append(msgs, filtered...)
 		}
 		i = j
 	}
@@ -336,15 +307,13 @@ func (r *Router) routeUserRun(user uint64, ups []wire.PositionUpdate) ([]wire.Me
 		return nil, blocked
 	}
 	if rt.pushToken != 0 {
+		// Tell the client its session moved: adopt the new shard's token.
 		msg := wire.Resume{Token: rt.pushToken, Resumed: true}
 		if eng := r.cl.Engine(rt.shard); eng != nil {
 			eng.Metrics().AddDownlink(wire.EncodedSize(msg))
 		}
 		msgs = append([]wire.Message{msg}, msgs...)
 		rt.pushToken = 0
-	}
-	if msgs == nil {
-		msgs = []wire.Message{} // processed but silent: keep the entry
 	}
 	return msgs, nil
 }
@@ -479,7 +448,7 @@ func (r *Router) HandleHeartbeat(user uint64, hb wire.Heartbeat) []wire.Message 
 	if eng == nil {
 		return []wire.Message{hb}
 	}
-	return r.filterFired(rt, rt.shard, eng.HandleHeartbeat(alarm.UserID(user), hb))
+	return r.filterFired(rt, rt.shard, nil, eng.HandleHeartbeat(alarm.UserID(user), hb))
 }
 
 // HandleAck forwards a FiredAck to the owning shard. While the shard is
@@ -501,18 +470,17 @@ func (r *Router) HandleAck(user uint64, ids []uint64) {
 	_ = eng.AckFired(alarm.UserID(user), ids) // ErrCrashed: redelivery re-acks
 }
 
-// filterFired strips duplicate firings from shard's responses. The first
-// shard to deliver an id owns it; the same shard may redeliver (the
-// client's session dedups and re-acks), but an id arriving from a
-// different shard is an overlapping-install duplicate — it is removed
-// from the response and acknowledged straight back to that shard so it
-// stops redelivering. The caller holds rt.mu.
-func (r *Router) filterFired(rt *route, shard int, msgs []wire.Message) []wire.Message {
-	out := msgs[:0:0]
+// filterFired appends shard's responses to dst, stripping duplicate
+// firings. The first shard to deliver an id owns it; the same shard may
+// redeliver (the client's session dedups and re-acks), but an id arriving
+// from a different shard is an overlapping-install duplicate — it is
+// removed from the response and acknowledged straight back to that shard
+// so it stops redelivering. The caller holds rt.mu.
+func (r *Router) filterFired(rt *route, shard int, dst, msgs []wire.Message) []wire.Message {
 	for _, m := range msgs {
 		af, isFired := m.(wire.AlarmFired)
 		if !isFired {
-			out = append(out, m)
+			dst = append(dst, m)
 			continue
 		}
 		pass := make([]uint64, 0, len(af.Alarms))
@@ -538,7 +506,7 @@ func (r *Router) filterFired(rt *route, shard int, msgs []wire.Message) []wire.M
 		if len(pass) == 0 {
 			continue // fully deduplicated: drop the frame
 		}
-		out = append(out, wire.AlarmFired{Seq: af.Seq, Alarms: pass})
+		dst = append(dst, wire.AlarmFired{Seq: af.Seq, Alarms: pass})
 	}
-	return out
+	return dst
 }

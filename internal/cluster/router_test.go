@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -314,5 +315,81 @@ func TestRouterConcurrent(t *testing.T) {
 	met := c.Metrics().Snapshot()
 	if met.Handoffs == 0 {
 		t.Error("random walks produced no handoffs")
+	}
+}
+
+// TestRouterBatchInterleavedDuplicates mirrors the engine's test of the
+// same name through a 2-shard router: a 2 000-update batch in which 250
+// users each report eight times, interleaved and in a shuffled user order
+// per round, walking across the partition boundary. The batched router
+// must deliver what an unbatched twin delivers — entries in
+// first-appearance order, the same firings in the same order, and the
+// final region each user's last unbatched report earned.
+func TestRouterBatchInterleavedDuplicates(t *testing.T) {
+	const users, rounds = 250, 8
+	var routers [2]*Router
+	for i := range routers {
+		c := newTestCluster(t, 2, 1, "") // split at x=5000
+		if _, err := c.InstallAlarms([]alarm.Alarm{
+			{Scope: alarm.Public, Owner: 999, Region: geom.R(1200, 400, 1400, 600)}, // shard 0, round 1
+			{Scope: alarm.Public, Owner: 999, Region: geom.R(6200, 400, 6400, 600)}, // shard 1, round 6
+		}); err != nil {
+			t.Fatal(err)
+		}
+		routers[i] = NewRouter(c)
+		for u := uint64(1); u <= users; u++ {
+			if !routers[i].HandleRegister(wire.Register{User: u, Strategy: wire.StrategyMWPSR, MaxHeight: 5}) {
+				t.Fatalf("register user %d", u)
+			}
+		}
+	}
+	single, batched := routers[0], routers[1]
+	var batch wire.UpdateBatch
+	var firstSeen []uint64
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < users; k++ {
+			u := uint64((k*7+r*31)%users) + 1
+			if r == 0 {
+				firstSeen = append(firstSeen, u)
+			}
+			pos := geom.Pt(300+float64(r)*1000, 450+float64(u%100))
+			batch.Updates = append(batch.Updates, wire.PositionUpdate{User: u, Seq: uint32(r + 1), Pos: pos})
+		}
+	}
+
+	wantFired := map[uint64][]uint64{}
+	wantLast := map[uint64]wire.Message{}
+	for _, u := range batch.Updates {
+		out := update(t, single, u.User, u.Seq, u.Pos)
+		wantFired[u.User] = append(wantFired[u.User], firedIDs(out)...)
+		wantLast[u.User] = out[len(out)-1]
+	}
+	if got := single.cl.Metrics().Snapshot().Handoffs; got != users {
+		t.Fatalf("unbatched run made %d handoffs, want one per user", got)
+	}
+
+	reply, err := batched.HandleUpdateBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Entries) != users {
+		t.Fatalf("entries = %d, want %d", len(reply.Entries), users)
+	}
+	for i, ent := range reply.Entries {
+		if ent.User != firstSeen[i] {
+			t.Fatalf("entry %d is user %d, want %d (first-appearance order)", i, ent.User, firstSeen[i])
+		}
+		if len(ent.Msgs) < rounds {
+			t.Errorf("user %d: %d msgs for %d updates", ent.User, len(ent.Msgs), rounds)
+		}
+		if got, want := firedIDs(ent.Msgs), wantFired[ent.User]; !reflect.DeepEqual(got, want) || len(got) != 2 {
+			t.Errorf("user %d fired %v, unbatched %v", ent.User, got, want)
+		}
+		if got, want := ent.Msgs[len(ent.Msgs)-1], wantLast[ent.User]; !reflect.DeepEqual(got, want) {
+			t.Errorf("user %d final message %v, unbatched %v", ent.User, got, want)
+		}
+	}
+	if got := batched.cl.Metrics().Snapshot().Handoffs; got != users {
+		t.Errorf("batched run made %d handoffs, want one per user", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
+	"github.com/sabre-geo/sabre/internal/server"
 	"github.com/sabre-geo/sabre/internal/transport"
 	"github.com/sabre-geo/sabre/internal/wire"
 )
@@ -275,83 +276,70 @@ func (c *TCPCluster) serveConn(shard int, nc net.Conn) {
 				}
 			}
 		case wire.PositionUpdate:
-			owner := c.cl.locate(m.Pos)
-			if owner != shard {
-				// Cross-partition report: move the session in-process and
-				// point the client at the owning shard.
-				addr := c.addrOf(owner)
-				if addr == "" {
-					continue // no listener yet: drop, client resends
-				}
-				tok, ok := c.redirectSession(shard, owner, m.User)
-				if !ok {
-					continue // owner down: drop, client resends
-				}
-				rd := wire.Redirect{Token: tok, Epoch: c.cl.Epoch(), Addr: addr}
-				eng.Metrics().AddDownlink(wire.EncodedSize(rd))
-				c.cl.met.AddRedirectSent()
-				if !reply([]wire.Message{rd}) {
-					return
-				}
-				continue
-			}
-			responses, err := eng.HandleUpdate(m)
-			if err != nil {
-				c.log.Printf("shard %d conn %s: update: %v", shard, nc.RemoteAddr(), err)
-				return
-			}
-			if len(responses) == 0 {
-				responses = []wire.Message{wire.Ack{Seq: m.Seq}}
-			}
-			if !reply(responses) {
+			if !c.serveUpdates(shard, nc, eng, []wire.PositionUpdate{m}, false, reply) {
 				return
 			}
 		case wire.UpdateBatch:
-			if len(m.Updates) == 0 {
-				continue
-			}
-			// The maximal prefix owned by this shard is served as one
-			// batch; the first cross-partition update redirects the
-			// client exactly as a stand-alone update would, and the rest
-			// of the frame is left for the client's resend machinery to
-			// retry at the new shard.
-			n := 0
-			for n < len(m.Updates) && c.cl.locate(m.Updates[n].Pos) == shard {
-				n++
-			}
-			if n > 0 {
-				br, err := eng.HandleUpdateBatch(wire.UpdateBatch{Updates: m.Updates[:n]})
-				if err != nil {
-					c.log.Printf("shard %d conn %s: update-batch: %v", shard, nc.RemoteAddr(), err)
-					return
-				}
-				if !reply([]wire.Message{br}) {
-					return
-				}
-			}
-			if n < len(m.Updates) {
-				u := m.Updates[n]
-				owner := c.cl.locate(u.Pos)
-				addr := c.addrOf(owner)
-				if addr == "" {
-					continue // no listener yet: drop, client resends
-				}
-				tok, ok := c.redirectSession(shard, owner, u.User)
-				if !ok {
-					continue // owner down: drop, client resends
-				}
-				rd := wire.Redirect{Token: tok, Epoch: c.cl.Epoch(), Addr: addr}
-				eng.Metrics().AddDownlink(wire.EncodedSize(rd))
-				c.cl.met.AddRedirectSent()
-				if !reply([]wire.Message{rd}) {
-					return
-				}
+			if !c.serveUpdates(shard, nc, eng, m.Updates, true, reply) {
+				return
 			}
 		default:
 			c.log.Printf("shard %d conn %s: unexpected %v", shard, nc.RemoteAddr(), msg.Kind())
 			return
 		}
 	}
+}
+
+// serveUpdates serves the maximal prefix of ups this shard owns, then
+// redirects the client on the first update it does not own, exactly as a
+// stand-alone update would be redirected; the rest of the frame is left
+// for the client's resend machinery to retry at the new shard. A lone
+// PositionUpdate (batched false) is answered with the engine's messages,
+// or a bare Ack when there are none; a batch with one BatchReply. It
+// reports false when the connection must close.
+func (c *TCPCluster) serveUpdates(shard int, nc net.Conn, eng *server.Engine, ups []wire.PositionUpdate, batched bool, reply func([]wire.Message) bool) bool {
+	n := 0
+	for n < len(ups) && c.cl.locate(ups[n].Pos) == shard {
+		n++
+	}
+	if n > 0 {
+		var out []wire.Message
+		var err error
+		if batched {
+			var br wire.BatchReply
+			br, err = eng.HandleUpdateBatch(wire.UpdateBatch{Updates: ups[:n]})
+			out = []wire.Message{br}
+		} else {
+			out, err = eng.HandleUpdate(ups[0])
+			if len(out) == 0 {
+				out = []wire.Message{wire.Ack{Seq: ups[0].Seq}} // periodic clients get a bare Ack
+			}
+		}
+		if err != nil {
+			c.log.Printf("shard %d conn %s: update: %v", shard, nc.RemoteAddr(), err)
+			return false
+		}
+		if !reply(out) {
+			return false
+		}
+	}
+	if n == len(ups) {
+		return true
+	}
+	u := ups[n]
+	owner := c.cl.locate(u.Pos)
+	addr := c.addrOf(owner)
+	if addr == "" {
+		return true // no listener yet: drop, client resends
+	}
+	tok, ok := c.redirectSession(shard, owner, u.User)
+	if !ok {
+		return true // owner down: drop, client resends
+	}
+	rd := wire.Redirect{Token: tok, Epoch: c.cl.Epoch(), Addr: addr}
+	eng.Metrics().AddDownlink(wire.EncodedSize(rd))
+	c.cl.met.AddRedirectSent()
+	return reply([]wire.Message{rd})
 }
 
 // redirectSession moves user's session from shard `from` to shard `to`

@@ -1,29 +1,21 @@
-// Batched and allocation-free update handling.
+// The update pipeline (DESIGN.md §10). Every position report, alone or in
+// an UpdateBatch frame, goes through handleUpdates: a single report is a
+// batch of one, so HandleUpdate and HandleUpdateBatch differ only in the
+// uplink charge and the shape of the reply.
 //
-// Three entry points share one core (processUpdate in engine.go):
-//
-//   - HandleUpdate: one update, self-contained response values. Scratch
-//     comes from the engine pool and never escapes.
-//   - HandleUpdateScratch: one update against caller-owned scratch; the
-//     returned messages are the scratch's embedded fields boxed by
-//     pointer, so the steady-state MWPSR path performs zero heap
-//     allocations. The result aliases the scratch.
-//   - HandleUpdateBatch: one UpdateBatch frame; updates are grouped by
-//     user, each user's striped lock is taken once per group, and only
-//     the chronologically last update of a group earns the full strategy
-//     response — the monitoring state of earlier positions would be stale
-//     before the reply hits the wire. Every update is still individually
-//     evaluated against the alarm index, so triggers are never skipped
-//     and batched delivery equals unbatched delivery.
-//
-// Ownership rules (DESIGN.md §10): whoever takes a scratch from the pool
-// returns it; pooled scratches never back a message that outlives the
-// handler call; pointer-boxed (scratch-backed) messages never travel
-// through a transport.Pipe, which retains messages un-serialized.
+// The pipeline validates every position before any state changes, moves
+// the alarms of reporting targets (in batch order), groups the updates by
+// user and takes each user's lock once per group. Under it every update is
+// evaluated in chronological order; only the last of a group earns the
+// strategy response — the monitoring state of an earlier position would
+// be stale before the reply hits the wire — so triggers are never skipped
+// and batched delivery equals unbatched delivery. Everything the reports
+// fired or transitioned, and the transitions of the pair partners they
+// woke, lands in one group commit before any reply or push is released.
 package server
 
 import (
-	"fmt"
+	"slices"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
 	"github.com/sabre-geo/sabre/internal/geom"
@@ -33,9 +25,8 @@ import (
 )
 
 // UpdateScratch holds every reusable buffer of one update evaluation. A
-// zero value is ready; after a few updates the buffers are warm and the
-// MWPSR steady path stops allocating entirely. A scratch must not be
-// shared between concurrent calls.
+// zero value is ready; scratches come from the engine's pool, are owned
+// by one call at a time and never back a message that outlives it.
 type UpdateScratch struct {
 	// Index query results.
 	triggered []alarm.ID
@@ -47,49 +38,50 @@ type UpdateScratch struct {
 	pairs  []alarm.PairView
 	// Safe-region computation scratch.
 	rect saferegion.RectScratch
-	// Response slice handed back by HandleUpdateScratch.
-	out []wire.Message
-	// Embedded response values boxed by pointer on the zero-alloc path. A
-	// single update emits at most one message of each kind, so one field
-	// per kind suffices.
-	firedMsg wire.AlarmFired
-	rectMsg  wire.RectRegion
-	spMsg    wire.SafePeriod
-	ackMsg   wire.Ack
-	// Batch grouping, filled by groupByUser.
-	groups  []batchGroup
-	next    []int
-	groupOf map[uint64]int
+	// The batch being served, grouped by user.
+	groups UserGroups
 }
 
-// batchGroup is one user's updates in a batch: the indices of the first
-// and the last; UpdateScratch.next chains the ones between.
-type batchGroup struct{ first, last int }
+// UserGroups is a batch's updates grouped by user, the order every batch
+// is served in: First holds each distinct user's first update index, in
+// order of first appearance, and Next[i] the index of the next update by
+// update i's user (-1 after its last). The zero value is ready and keeps
+// its buffers across Group calls.
+type UserGroups struct {
+	First []int
+	Next  []int
+	last  []int          // per group, its last update so far
+	index map[uint64]int // user → group; empty between Group calls
+}
 
-// groupByUser walks the batch once and leaves in sc.groups every distinct
-// user's group, in order of first appearance, and in sc.next[i] the index
-// of the next update by update i's user (-1 after the last).
-func (sc *UpdateScratch) groupByUser(updates []wire.PositionUpdate) {
-	if sc.groupOf == nil {
-		sc.groupOf = make(map[uint64]int)
+// Group indexes updates in one pass.
+func (g *UserGroups) Group(updates []wire.PositionUpdate) {
+	g.First, g.Next, g.last = g.First[:0], g.Next[:0], g.last[:0]
+	if len(updates) == 1 {
+		g.First, g.Next = append(g.First, 0), append(g.Next, -1)
+		return
 	}
-	clear(sc.groupOf)
-	sc.groups, sc.next = sc.groups[:0], sc.next[:0]
+	if g.index == nil {
+		g.index = make(map[uint64]int)
+	}
 	for i, u := range updates {
-		sc.next = append(sc.next, -1)
-		g, seen := sc.groupOf[u.User]
+		g.Next = append(g.Next, -1)
+		k, seen := g.index[u.User]
 		if !seen {
-			sc.groupOf[u.User] = len(sc.groups)
-			sc.groups = append(sc.groups, batchGroup{first: i, last: i})
+			g.index[u.User] = len(g.First)
+			g.First = append(g.First, i)
+			g.last = append(g.last, i)
 			continue
 		}
-		sc.next[sc.groups[g].last] = i
-		sc.groups[g].last = i
+		g.Next[g.last[k]] = i
+		g.last[k] = i
+	}
+	// Deleting the keys, not clearing the map, keeps the next call O(B)
+	// however large a batch the map once held.
+	for _, i := range g.First {
+		delete(g.index, updates[i].User)
 	}
 }
-
-// NewUpdateScratch returns an empty scratch; buffers grow on first use.
-func NewUpdateScratch() *UpdateScratch { return &UpdateScratch{} }
 
 func (e *Engine) getScratch() *UpdateScratch {
 	return e.scratchPool.Get().(*UpdateScratch)
@@ -97,142 +89,127 @@ func (e *Engine) getScratch() *UpdateScratch {
 
 func (e *Engine) putScratch(sc *UpdateScratch) { e.scratchPool.Put(sc) }
 
-// HandleUpdateScratch is HandleUpdate against caller-owned scratch
-// buffers. Once sc is warm the MWPSR/SP/periodic steady paths allocate
-// nothing: evaluation, safe-region computation and the response all run
-// in sc.
+// HandleUpdate processes one client position report and returns the
+// messages to send back: any AlarmFired notification first, then the
+// strategy-specific monitoring state (safe region, safe period or alarm
+// push). Unknown clients are treated as periodic.
 //
-// The returned slice and its messages alias sc: they are valid only until
-// the next call with the same scratch, must not be retained, and must not
-// be sent through an in-process transport.Pipe (serialize them, as the
-// TCP path does, or copy). HandleUpdate is the safe general-purpose
-// entry point.
-func (e *Engine) HandleUpdateScratch(u wire.PositionUpdate, sc *UpdateScratch) ([]wire.Message, error) {
-	if err := e.validatePosition(u.Pos); err != nil {
-		return nil, err
-	}
-	user := alarm.UserID(u.User)
-	st := e.clientFor(user, wire.StrategyPeriodic)
-	reg := e.reg.Load()
-	e.met.AddUplink(wire.SizePositionUpdate)
-
-	pushes := e.moveTargetPushes(reg, user, u.Pos)
-
-	st.mu.Lock()
-	out, newFired, newTrans, err := e.processUpdate(reg, u, user, st, sc, sc.out[:0], true, true)
-	st.mu.Unlock()
-	sc.out = out
-
-	if err == nil {
-		if lerr := e.logFired(u.User, newFired, newTrans); lerr != nil {
-			return nil, lerr
-		}
-		if reg.IsPairEndpoint(user) {
-			wrecs, wpushes := e.wakePartners(reg, user)
-			if lerr := e.logRecords(wrecs); lerr != nil {
-				return nil, lerr
-			}
-			pushes = append(pushes, wpushes...)
-		}
-	}
-	e.deliverPushes(pushes)
+// HandleUpdate is safe for concurrent use; updates for distinct users run
+// in parallel, updates for one user serialize.
+func (e *Engine) HandleUpdate(u wire.PositionUpdate) ([]wire.Message, error) {
+	var one [1]wire.BatchEntry // the reply entry stays off the heap
+	entries, err := e.handleUpdates([]wire.PositionUpdate{u}, false, one[:0])
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return entries[0].Msgs, nil
 }
 
 // HandleUpdateBatch processes one UpdateBatch frame and returns the
 // per-user reply entries, in first-appearance order of each user in the
-// batch. Same-user updates are processed in batch (chronological) order
-// under one acquisition of that user's lock; every position is evaluated
-// for triggers, but only the last update of a user's group receives the
-// strategy response — earlier updates get their AlarmFired or a bare Ack.
-//
-// The whole batch shares one uplink charge (the encoded frame), per the
-// batching accounting rules. Any invalid position rejects the whole
-// batch before any state changes; a WAL append failure withholds the
-// whole reply (clients resend, and replay re-derives the firings) — the
-// same discipline as HandleUpdate. One combined FiredRec per user is
-// logged, not one per update, and all of the batch's FiredRecs land as
-// one store.AppendBatch group commit: a single write(2) and fsync.
+// batch. Every position is evaluated for triggers, but only the last
+// update of a user's group receives the strategy response — earlier
+// updates get their AlarmFired or a bare Ack. The whole frame is one
+// uplink charge, per the batching accounting rules.
 func (e *Engine) HandleUpdateBatch(b wire.UpdateBatch) (wire.BatchReply, error) {
-	for _, u := range b.Updates {
+	entries, err := e.handleUpdates(b.Updates, true, nil)
+	if err != nil {
+		return wire.BatchReply{}, err
+	}
+	return wire.BatchReply{Entries: entries}, nil
+}
+
+// handleUpdates is the update pipeline. It appends one reply entry per
+// distinct user of updates to entries, charging the uplink as one
+// UpdateBatch frame when batched and as one PositionUpdate otherwise.
+// Any invalid position rejects every update before any state changes. A
+// WAL append failure withholds the whole reply (clients resend, and
+// replay re-derives the firings).
+func (e *Engine) handleUpdates(updates []wire.PositionUpdate, batched bool, entries []wire.BatchEntry) ([]wire.BatchEntry, error) {
+	for _, u := range updates {
 		if err := e.validatePosition(u.Pos); err != nil {
-			return wire.BatchReply{}, fmt.Errorf("server: batch rejected: %w", err)
+			return nil, err
 		}
 	}
-	reply := wire.BatchReply{}
-	if len(b.Updates) == 0 {
-		return reply, nil
+	if len(updates) == 0 {
+		return entries, nil
+	}
+	if batched {
+		e.met.AddUplinkBatch(wire.SizeUpdateBatch(len(updates)), len(updates))
+	} else {
+		e.met.AddUplink(wire.SizePositionUpdate)
 	}
 	reg := e.reg.Load()
-	e.met.AddUplinkBatch(wire.SizeUpdateBatch(len(b.Updates)), len(b.Updates))
 
-	// Moving-target re-anchoring happens in batch order, before any group
-	// is processed, mirroring the single-update path where the move
-	// precedes the mover's own evaluation.
+	// A target's alarms move before any report is evaluated, so the
+	// target's own evaluation already sees them where they are now.
 	var pushes []pendingPush
-	for _, u := range b.Updates {
-		if p := e.moveTargetPushes(reg, alarm.UserID(u.User), u.Pos); len(p) > 0 {
-			pushes = append(pushes, p...)
-		}
+	for _, u := range updates {
+		pushes = append(pushes, e.moveTargetPushes(reg, alarm.UserID(u.User), u.Pos)...)
 	}
 
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	sc.groupByUser(b.Updates)
-	reply.Entries = make([]wire.BatchEntry, 0, len(sc.groups))
-	var firedRecs []store.Record
-	for _, g := range sc.groups {
-		user64 := b.Updates[g.first].User
-		user := alarm.UserID(user64)
-		st := e.clientFor(user, wire.StrategyPeriodic)
+	g := &sc.groups
+	g.Group(updates)
+	entries = slices.Grow(entries, len(g.First))
+	var recs []store.Record
+	for _, first := range g.First {
+		user := updates[first].User
+		st := e.clientFor(alarm.UserID(user), wire.StrategyPeriodic)
 		var msgs []wire.Message
-		var combined, combinedTrans []uint64
+		var fired, trans []uint64
 		st.mu.Lock()
-		for j := g.first; j >= 0; j = sc.next[j] {
-			var newFired, newTrans []uint64
-			var err error
-			msgs, newFired, newTrans, err = e.processUpdate(reg, b.Updates[j], user, st, sc, msgs, false, j == g.last)
+		for j := first; j >= 0; j = g.Next[j] {
+			out, f, tr, err := e.processUpdate(reg, updates[j], st, sc, msgs, g.Next[j] < 0)
 			if err != nil {
 				st.mu.Unlock()
-				return wire.BatchReply{}, err
+				return nil, err
 			}
-			combined = append(combined, newFired...)
-			combinedTrans = append(combinedTrans, newTrans...)
+			msgs, fired, trans = out, append(fired, f...), append(trans, tr...)
 		}
 		st.mu.Unlock()
-		if len(combined) > 0 || len(combinedTrans) > 0 {
-			all := append(append([]uint64(nil), combined...), combinedTrans...)
-			firedRecs = append(firedRecs, store.FiredRec{User: user64, Alarms: all})
-			tick := e.tick.Load()
-			for _, ev := range combinedTrans {
-				firedRecs = append(firedRecs, store.TransitionRec{User: user64, Event: ev, Tick: tick, Delivered: true})
-			}
-		}
-		reply.Entries = append(reply.Entries, wire.BatchEntry{User: user64, Msgs: msgs})
+		recs = e.appendEventRecs(recs, user, fired, trans)
+		entries = append(entries, wire.BatchEntry{User: user, Msgs: msgs})
 	}
-	// Pair endpoints that reported in this batch wake their partners once,
+	// Pair endpoints that reported wake their resident partners once,
 	// after every group has settled, against each reporter's final anchor.
 	if reg.HasLifecycle() {
-		for _, g := range sc.groups {
-			user := alarm.UserID(b.Updates[g.first].User)
+		for _, first := range g.First {
+			user := alarm.UserID(updates[first].User)
 			if !reg.IsPairEndpoint(user) {
 				continue
 			}
 			wrecs, wpushes := e.wakePartners(reg, user)
-			firedRecs = append(firedRecs, wrecs...)
+			recs = append(recs, wrecs...)
 			pushes = append(pushes, wpushes...)
 		}
 	}
-	// One group commit for the whole batch — a B-user batch costs one
-	// write(2) + one fsync, not B. The write-ahead discipline holds: an
-	// append failure withholds every entry of the reply, and no entry is
-	// released before the group is handed to the OS.
-	if err := e.logRecords(firedRecs); err != nil {
-		return wire.BatchReply{}, err
+	// Write-ahead discipline: one group commit — one write(2) and one
+	// fsync however many users reported — before any reply or push is
+	// released, outside st.mu (see persist.go for why).
+	if err := e.logRecords(recs); err != nil {
+		return nil, err
 	}
+	// The Pusher may block or re-enter the engine freely: every engine
+	// lock is released by now.
 	e.deliverPushes(pushes)
-	return reply, nil
+	return entries, nil
+}
+
+// appendEventRecs appends the log records of one user's delivered events
+// to recs: a FiredRec listing the firings and then the lifecycle events,
+// plus one TransitionRec per lifecycle event carrying the machine state
+// replay needs. Both land in the same group, so recovery never sees a
+// firing without its transition or vice versa.
+func (e *Engine) appendEventRecs(recs []store.Record, user uint64, fired, trans []uint64) []store.Record {
+	if len(fired) == 0 && len(trans) == 0 {
+		return recs
+	}
+	recs = append(recs, store.FiredRec{User: user, Alarms: append(fired, trans...)})
+	tick := e.tick.Load()
+	for _, ev := range trans {
+		recs = append(recs, store.TransitionRec{User: user, Event: ev, Tick: tick, Delivered: true})
+	}
+	return recs
 }

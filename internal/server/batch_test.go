@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"testing"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
 	"github.com/sabre-geo/sabre/internal/geom"
+	"github.com/sabre-geo/sabre/internal/store"
 	"github.com/sabre-geo/sabre/internal/wire"
 )
 
@@ -173,65 +175,206 @@ func TestHandleUpdateBatchRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestHandleUpdateScratchMatchesHandleUpdate: the zero-alloc entry point
-// must produce byte-identical responses to HandleUpdate on a twin engine.
-func TestHandleUpdateScratchMatchesHandleUpdate(t *testing.T) {
-	plain := newEngine(t, nil)
-	scratch := newEngine(t, nil)
-	installBatchAlarms(t, plain)
-	installBatchAlarms(t, scratch)
-	for _, e := range []*Engine{plain, scratch} {
-		register(t, e, 1, wire.StrategyMWPSR)
-		register(t, e, 2, wire.StrategySafePeriod)
-	}
-	sc := NewUpdateScratch()
-	path := []geom.Point{geom.Pt(3000, 3000), geom.Pt(2900, 3000), geom.Pt(500, 500), geom.Pt(520, 510)}
-	for i, p := range path {
-		for u := uint64(1); u <= 2; u++ {
-			upd := wire.PositionUpdate{User: u, Seq: uint32(i + 1), Pos: p}
-			want, err := plain.HandleUpdate(upd)
-			if err != nil {
-				t.Fatal(err)
+// TestDurableHandleUpdateIsBatchOfOne: a report handed to HandleUpdate
+// and the same report handed to HandleUpdateBatch as a batch of one take
+// the same path. Twin durable engines see the same reports — one-shot,
+// continuous, composite and pair alarms, and a public alarm following a
+// moving target — under every strategy, plain and reliable; their
+// replies and pushes are byte-equal, their logs hold the same records,
+// and their counters differ only in how the uplink frame was charged.
+func TestDurableHandleUpdateIsBatchOfOne(t *testing.T) {
+	for _, s := range []wire.Strategy{wire.StrategyPeriodic, wire.StrategySafePeriod, wire.StrategyMWPSR, wire.StrategyPBSR, wire.StrategyOptimal} {
+		for _, reliable := range []bool{false, true} {
+			name := s.String() + "/plain"
+			if reliable {
+				name = s.String() + "/reliable"
 			}
-			got, err := scratch.HandleUpdateScratch(upd, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("step %d user %d: %d msgs, want %d", i, u, len(got), len(want))
-			}
-			for k := range got {
-				if !bytes.Equal(wire.Encode(got[k]), wire.Encode(want[k])) {
-					t.Errorf("step %d user %d msg %d: %v != %v", i, u, k, got[k], want[k])
+			t.Run(name, func(t *testing.T) {
+				single, batched := newDurableEngine(t, t.TempDir(), nil), newDurableEngine(t, t.TempDir(), nil)
+				// Per user: the order in which one report's pushes reach
+				// distinct users is map order.
+				pushed := map[*Engine]map[alarm.UserID][]byte{}
+				for _, e := range []*Engine{single, batched} {
+					if _, err := e.InstallAlarms([]alarm.Alarm{
+						{Scope: alarm.Private, Owner: 1, Region: geom.R(400, 400, 600, 600)},
+						{Scope: alarm.Private, Owner: 1, Kind: alarm.KindContinuous, Region: geom.R(1000, 300, 1400, 700)},
+						{Scope: alarm.Private, Owner: 1, Kind: alarm.KindComposite, Threshold: 2, Factors: []alarm.Factor{
+							{Region: geom.R(2000, 300, 2400, 700), Weight: 1}, {Center: geom.Pt(2200, 500), Radius: 150, Weight: 1}}},
+						{Scope: alarm.Shared, Owner: 1, Subscribers: []alarm.UserID{1}, Kind: alarm.KindPair, Anchor: 2, Radius: 300},
+						{Scope: alarm.Public, Owner: 3, Target: 3, Region: geom.RectAround(geom.Pt(3000, 3000), 150)},
+					}); err != nil {
+						t.Fatal(err)
+					}
+					for u := uint64(1); u <= 3; u++ {
+						if reliable {
+							hello(t, e, u, s, 0)
+						} else {
+							register(t, e, u, s)
+						}
+					}
+					pushed[e] = map[alarm.UserID][]byte{}
+					e.SetPusher(func(user alarm.UserID, msgs []wire.Message) {
+						pushed[e][user] = append(pushed[e][user], encodeAll(msgs)...)
+					})
 				}
-			}
+				steps := []struct {
+					user uint64
+					seq  uint32
+					pos  geom.Point
+				}{
+					{2, 1, geom.Pt(3000, 500)},  // the pair's anchor, far away
+					{3, 1, geom.Pt(3000, 3000)}, // the moving target
+					{1, 1, geom.Pt(100, 100)},
+					{1, 2, geom.Pt(500, 500)},   // one-shot fires
+					{1, 3, geom.Pt(1200, 500)},  // continuous enter
+					{1, 4, geom.Pt(1600, 500)},  // continuous exit
+					{1, 5, geom.Pt(2200, 500)},  // composite crosses its threshold
+					{2, 2, geom.Pt(2300, 500)},  // the anchor comes into range: both pair machines enter
+					{3, 2, geom.Pt(2300, 800)},  // the target brings its alarm to user 1's cell
+					{1, 6, geom.Pt(2300, 800)},  // inside the moved public alarm
+					{1, 7, geom.Pt(100, 100)},   // pair exit
+					{1, 7, geom.Pt(100, 100)},   // a resend
+					{2, 3, geom.Pt(2400, 2400)}, // anchor leaves; user 1 is already out of range
+				}
+				for i, st := range steps {
+					for _, e := range []*Engine{single, batched} {
+						if err := e.SetTick(uint64(i + 1)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					u := wire.PositionUpdate{User: st.user, Seq: st.seq, Pos: st.pos}
+					want, err := single.HandleUpdate(u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					br, err := batched.HandleUpdateBatch(wire.UpdateBatch{Updates: []wire.PositionUpdate{u}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(br.Entries) != 1 || br.Entries[0].User != u.User {
+						t.Fatalf("step %d: batch of one answered with %d entries", i, len(br.Entries))
+					}
+					got := br.Entries[0].Msgs
+					if !bytes.Equal(encodeAll(got), encodeAll(want)) {
+						t.Fatalf("step %d: batch of one answered %v, HandleUpdate %v", i, got, want)
+					}
+					if !reflect.DeepEqual(pushed[batched], pushed[single]) {
+						t.Fatalf("step %d: pushes differ", i)
+					}
+				}
+				if len(pushed[single][1]) == 0 && s != wire.StrategyPeriodic {
+					t.Error("the scenario pushed nothing: neither the pair wake nor the moving target reached user 1")
+				}
+				if got, want := walBytes(t, batched), walBytes(t, single); !bytes.Equal(got, want) {
+					t.Errorf("logs differ: %d bytes after batches of one, %d after single reports", len(got), len(want))
+				}
+				sn, bn := single.Metrics().Snapshot(), batched.Metrics().Snapshot()
+				if sn.AlarmsTriggered == 0 || sn.AlarmTransitions == 0 {
+					t.Fatalf("the scenario fired %d alarms and %d transitions", sn.AlarmsTriggered, sn.AlarmTransitions)
+				}
+				if bn.UpdateBatches != uint64(len(steps)) || bn.UplinkBytes != uint64(len(steps)*wire.SizeUpdateBatch(1)) ||
+					sn.UpdateBatches != 0 || sn.UplinkBytes != uint64(len(steps)*wire.SizePositionUpdate) {
+					t.Errorf("uplink frames: %d batches / %d bytes batched, %d / %d single", bn.UpdateBatches, bn.UplinkBytes, sn.UpdateBatches, sn.UplinkBytes)
+				}
+				bn.UplinkBytes, bn.UpdateBatches, bn.BatchedUpdates = sn.UplinkBytes, sn.UpdateBatches, sn.BatchedUpdates
+				if !reflect.DeepEqual(bn, sn) {
+					t.Errorf("counters differ beyond the uplink frame:\n batched %+v\n single  %+v", bn, sn)
+				}
+			})
 		}
 	}
 }
 
-// TestHandleUpdateScratchZeroAlloc is the acceptance gate for the
-// zero-alloc MWPSR steady path: once the scratch is warm, a position
-// update that fires nothing must not allocate at all.
-func TestHandleUpdateScratchZeroAlloc(t *testing.T) {
+func encodeAll(msgs []wire.Message) []byte {
+	var b []byte
+	for _, m := range msgs {
+		b = wire.AppendEncode(b, m)
+	}
+	return b
+}
+
+func walBytes(t *testing.T, e *Engine) []byte {
+	t.Helper()
+	b, err := os.ReadFile(e.Store().WALPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestHandleUpdateSteadyStateAllocs guards the single-report path: once
+// the pooled scratch is warm, an MWPSR report that fires nothing costs
+// the reply slice and its boxed region, and nothing more.
+func TestHandleUpdateSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("HandleUpdate pools its scratch; see raceEnabled")
+	}
 	e := newEngine(t, nil)
 	// Alarms exist (the index is non-trivial) but are far from the
 	// client's wander area, so the steady state never fires.
 	installBatchAlarms(t, e)
 	register(t, e, 1, wire.StrategyMWPSR)
-	sc := NewUpdateScratch()
 	seq := uint32(0)
 	step := func() {
 		seq++
-		p := geom.Pt(3000+float64(seq%8)*10, 3000)
-		if _, err := e.HandleUpdateScratch(wire.PositionUpdate{User: 1, Seq: seq, Pos: p}, sc); err != nil {
-			t.Fatal(err)
-		}
+		handle(t, e, 1, seq, geom.Pt(3000+float64(seq%8)*10, 3000))
 	}
 	for i := 0; i < 200; i++ {
 		step() // warm the scratch, heading tracker and metric path
 	}
-	if got := testing.AllocsPerRun(200, step); got != 0 {
-		t.Errorf("steady-state MWPSR update allocates %.2f/op, want 0", got)
+	if got := testing.AllocsPerRun(200, step); got > 2 {
+		t.Errorf("steady-state MWPSR update allocates %.2f/op, want at most 2", got)
+	}
+}
+
+// TestLifecyclePairReportIsOneCommit: a pair endpoint's report that
+// transitions its own machines and wakes a resident partner lands as one
+// group commit, in order: the reporter's FiredRec, its TransitionRecs,
+// then the partner's.
+func TestLifecyclePairReportIsOneCommit(t *testing.T) {
+	e := newDurableEngine(t, t.TempDir(), nil)
+	ids, err := e.InstallAlarms([]alarm.Alarm{
+		{Scope: alarm.Private, Owner: 1, Kind: alarm.KindContinuous, Region: geom.R(400, 400, 600, 600)},
+		{Scope: alarm.Shared, Owner: 1, Subscribers: []alarm.UserID{1}, Kind: alarm.KindPair, Anchor: 2, Radius: 200},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(t, e, 1, wire.StrategyMWPSR)
+	register(t, e, 2, wire.StrategyMWPSR)
+	if err := e.SetTick(1); err != nil {
+		t.Fatal(err)
+	}
+	handle(t, e, 2, 1, geom.Pt(600, 500)) // the partner is resident, with an anchor
+
+	before, logged := e.Metrics().Snapshot(), len(walBytes(t, e))
+	out := handle(t, e, 1, 1, geom.Pt(500, 500)) // continuous enter, and into pair range
+	if got := e.Metrics().Snapshot().WALGroupCommits - before.WALGroupCommits; got != 1 {
+		t.Errorf("one report made %d group commits, want 1", got)
+	}
+	payloads, _, reason := store.ScanFrames(walBytes(t, e)[logged:])
+	if reason != "" {
+		t.Fatal(reason)
+	}
+	var recs []store.Record
+	for _, p := range payloads {
+		rec, err := store.DecodeRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	own := []uint64{alarm.PackEvent(ids[0], alarm.TransEnter, 1), alarm.PackEvent(ids[1], alarm.TransEnter, 1)}
+	if got := firedIn(out); !reflect.DeepEqual(got, own) {
+		t.Fatalf("reporter delivered %#x, want %#x", got, own)
+	}
+	want := []store.Record{store.FiredRec{User: 1, Alarms: own}}
+	for _, ev := range own {
+		want = append(want, store.TransitionRec{User: 1, Event: ev, Tick: 1, Delivered: true})
+	}
+	want = append(want, store.TransitionRec{User: 2, Event: alarm.PackEvent(ids[1], alarm.TransEnter, 1), Tick: 1, Delivered: true})
+	if !reflect.DeepEqual(recs, want) {
+		t.Errorf("logged %+v\nwant   %+v", recs, want)
 	}
 }
 

@@ -173,9 +173,8 @@ type Engine struct {
 	pbMu          sync.RWMutex
 	publicBitmaps map[grid.CellID]*publicBitmapEntry
 
-	// scratchPool recycles per-update scratch buffers for callers that do
-	// not hold their own (HandleUpdate, HandleUpdateBatch, invalidation
-	// pushes). See batch.go for the ownership rules.
+	// scratchPool recycles the scratch buffers of the update pipeline and
+	// of invalidation pushes (batch.go).
 	scratchPool sync.Pool
 }
 
@@ -280,7 +279,7 @@ func New(cfg Config) (*Engine, error) {
 	e.reg.Store(alarm.NewRegistry())
 	part := cfg.Partition
 	e.part.Store(&part)
-	e.scratchPool.New = func() any { return NewUpdateScratch() }
+	e.scratchPool.New = func() any { return new(UpdateScratch) }
 	for i := range e.shards {
 		e.shards[i].m = make(map[alarm.UserID]*clientState)
 	}
@@ -446,58 +445,6 @@ func (e *Engine) Register(m wire.Register) error {
 	return e.logRecord(store.RegisterRec{User: m.User, Strategy: m.Strategy, MaxHeight: m.MaxHeight})
 }
 
-// HandleUpdate processes one client position report and returns the
-// messages to send back: any AlarmFired notification first, then the
-// strategy-specific monitoring state (safe region, safe period or alarm
-// push). Unknown clients are treated as periodic.
-//
-// HandleUpdate is safe for concurrent use; updates for distinct users run
-// in parallel, updates for one user serialize.
-func (e *Engine) HandleUpdate(u wire.PositionUpdate) ([]wire.Message, error) {
-	if err := e.validatePosition(u.Pos); err != nil {
-		return nil, err
-	}
-	user := alarm.UserID(u.User)
-	st := e.clientFor(user, wire.StrategyPeriodic)
-	reg := e.reg.Load()
-	e.met.AddUplink(wire.SizePositionUpdate)
-
-	pushes := e.moveTargetPushes(reg, user, u.Pos)
-
-	sc := e.getScratch()
-	st.mu.Lock()
-	out, newFired, newTrans, err := e.processUpdate(reg, u, user, st, sc, nil, false, true)
-	st.mu.Unlock()
-	e.putScratch(sc)
-
-	// Write-ahead discipline: firings are logged after the state mutation
-	// (outside st.mu — see persist.go for why) but before the response is
-	// released. If the append fails the response is withheld; the client
-	// retries against the recovered server, which re-derives the firing.
-	if err == nil {
-		if lerr := e.logFired(u.User, newFired, newTrans); lerr != nil {
-			return nil, lerr
-		}
-		// Cross-user invalidation: the report may move this user closer to
-		// (or away from) pair partners resident here; wake their machines.
-		if reg.IsPairEndpoint(user) {
-			wrecs, wpushes := e.wakePartners(reg, user)
-			if lerr := e.logRecords(wrecs); lerr != nil {
-				return nil, lerr
-			}
-			pushes = append(pushes, wpushes...)
-		}
-	}
-
-	// Deliver invalidation pushes outside all engine locks: the Pusher may
-	// block or re-enter the engine freely.
-	e.deliverPushes(pushes)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // moveTargetPushes handles moving-target alarms (paper §1 classes 2 and
 // 3): when the reporting user is an alarm target, re-anchor those alarm
 // regions to the new position and compute fresh monitoring state for
@@ -539,21 +486,16 @@ func (e *Engine) deliverPushes(pushes []pendingPush) {
 
 // processUpdate runs alarm evaluation and the strategy response for one
 // update, appending the response messages to out and returning it plus the
-// alarm IDs that newly fired (for the caller to log durably). The caller
-// holds st.mu and supplies sc, whose buffers carry every intermediate
-// computation.
+// alarm IDs that newly fired and the lifecycle events that transitioned
+// (for the caller to log durably). The caller holds st.mu and supplies sc,
+// whose buffers carry every intermediate computation.
 //
-// With boxPointers the response messages are the scratch's embedded
-// message fields boxed by pointer — zero heap traffic, but the result
-// aliases sc and must be consumed before sc is reused (and must never
-// travel through an in-process transport.Pipe, which retains messages
-// un-serialized). Without it every message is a self-contained value.
-//
-// withStrategy selects the full strategy response; without it only alarm
+// final selects the full strategy response; without it only alarm
 // firings are answered (a bare Ack when nothing fired) — the treatment of
-// non-final updates of a batch run, whose monitoring state would be stale
-// on arrival anyway.
-func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user alarm.UserID, st *clientState, sc *UpdateScratch, out []wire.Message, boxPointers, withStrategy bool) ([]wire.Message, []uint64, []uint64, error) {
+// every update of a user's group but the last, whose monitoring state
+// would be stale on arrival anyway.
+func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, st *clientState, sc *UpdateScratch, out []wire.Message, final bool) ([]wire.Message, []uint64, []uint64, error) {
+	user := alarm.UserID(u.User)
 	// Alarm evaluation against the registry (every strategy does this; it
 	// is the "alarm processing" bucket of Figures 4(b)/6(d)).
 	var candidates int
@@ -635,28 +577,18 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user 
 		st.pendingFired = firedIDs
 	}
 	if len(firedIDs) > 0 {
-		if boxPointers {
-			sc.firedMsg = wire.AlarmFired{Seq: u.Seq, Alarms: firedIDs}
-			out = e.send(out, &sc.firedMsg)
-		} else {
-			out = e.send(out, wire.AlarmFired{Seq: u.Seq, Alarms: firedIDs})
-		}
+		out = e.send(out, wire.AlarmFired{Seq: u.Seq, Alarms: firedIDs})
 	}
 
-	if !withStrategy {
-		// Non-final update of a batch run: its monitoring state would be
+	if !final {
+		// Non-final update of a group: its monitoring state would be
 		// superseded within the same reply. Acknowledge it (unless an
 		// AlarmFired already does) so the client retires the queued report.
 		// The cap still rides along: the batch's final message carries the
 		// authoritative one, but an ack processed in isolation must never
 		// leave a pair endpoint uncapped.
 		if len(firedIDs) == 0 {
-			if boxPointers {
-				sc.ackMsg = wire.Ack{Seq: u.Seq, Cap: e.regionCap(sc, u.Pos)}
-				out = e.send(out, &sc.ackMsg)
-			} else {
-				out = e.send(out, wire.Ack{Seq: u.Seq, Cap: e.regionCap(sc, u.Pos)})
-			}
+			out = e.send(out, wire.Ack{Seq: u.Seq, Cap: e.regionCap(sc, u.Pos)})
 		}
 		st.lastPos = u.Pos
 		st.hasPos = true
@@ -667,19 +599,9 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user 
 	case wire.StrategyPeriodic:
 		// Server-centric periodic evaluation: nothing goes back.
 	case wire.StrategySafePeriod:
-		if boxPointers {
-			sc.spMsg = e.safePeriodFor(reg, u, sc)
-			out = e.send(out, &sc.spMsg)
-		} else {
-			out = e.send(out, e.safePeriodFor(reg, u, sc))
-		}
+		out = e.send(out, e.safePeriodFor(reg, u, sc))
 	case wire.StrategyMWPSR:
-		if boxPointers {
-			sc.rectMsg = e.rectRegionFor(reg, u, st, sc)
-			out = e.send(out, &sc.rectMsg)
-		} else {
-			out = e.send(out, e.rectRegionFor(reg, u, st, sc))
-		}
+		out = e.send(out, e.rectRegionFor(reg, u, st, sc))
 	case wire.StrategyPBSR:
 		cellID := e.grid.Locate(u.Pos)
 		sameCell := st.hasBitmapCell && st.bitmapCell == cellID
@@ -692,9 +614,6 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, user 
 			// coverage around the client instead.
 			if reg.AnyFiredIn(e.grid.CellRect(cellID), user) {
 				out = e.send(out, e.rectRegionFor(reg, u, st, sc))
-			} else if boxPointers {
-				sc.ackMsg = wire.Ack{Seq: u.Seq, Cap: e.regionCap(sc, u.Pos)}
-				out = e.send(out, &sc.ackMsg)
 			} else {
 				out = e.send(out, wire.Ack{Seq: u.Seq, Cap: e.regionCap(sc, u.Pos)})
 			}

@@ -137,32 +137,6 @@ func (e *Engine) logRecords(recs []store.Record) error {
 	return e.wal.AppendBatch(recs)
 }
 
-// logFired logs one user's delivered firings for a single update: the
-// legacy FiredRec for the combined event list plus one TransitionRec per
-// lifecycle event (carrying the machine state replay needs). With no
-// lifecycle events this stays the single-record append the one-shot path
-// has always issued; with them, the group lands atomically so recovery
-// never sees a firing without its transition (or vice versa).
-func (e *Engine) logFired(user uint64, fired, transitions []uint64) error {
-	if len(fired) == 0 && len(transitions) == 0 {
-		return nil
-	}
-	all := fired
-	if len(transitions) > 0 {
-		all = append(append(make([]uint64, 0, len(fired)+len(transitions)), fired...), transitions...)
-	}
-	if len(transitions) == 0 {
-		return e.logRecord(store.FiredRec{User: user, Alarms: all})
-	}
-	tick := e.tick.Load()
-	recs := make([]store.Record, 0, 1+len(transitions))
-	recs = append(recs, store.FiredRec{User: user, Alarms: all})
-	for _, ev := range transitions {
-		recs = append(recs, store.TransitionRec{User: user, Event: ev, Tick: tick, Delivered: true})
-	}
-	return e.logRecords(recs)
-}
-
 // InstallAlarms durably installs a batch of alarms: registry insertion,
 // then one InstallRec per alarm (carrying the assigned ID) before the IDs
 // are returned to the caller.

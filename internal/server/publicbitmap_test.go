@@ -205,7 +205,7 @@ func BenchmarkBitmapRegion(b *testing.B) {
 			st := e.clientFor(alarm.UserID(mode.user), wire.StrategyPBSR)
 			u := wire.PositionUpdate{User: mode.user, Seq: 1, Pos: geom.Pt(60, 60)}
 			cellID := e.grid.Locate(u.Pos)
-			sc := NewUpdateScratch()
+			sc := new(UpdateScratch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -551,32 +551,24 @@ func sizeUpdateBatch(n int) int { return 1 + 4 + n*28 }
 func SizeUpdateBatch(n int) int { return sizeUpdateBatch(n) }
 
 // EncodedSize returns len(Encode(m)) without allocating — the quantity the
-// bandwidth metrics charge. Pointer forms of the fixed-size response types
-// are included so scratch-backed messages (see server.UpdateScratch) can
-// be sized without hitting the allocating default case.
+// bandwidth metrics charge.
 func EncodedSize(m Message) int {
 	switch v := m.(type) {
 	case Register:
 		return 1 + 8 + 2
-	case PositionUpdate, *PositionUpdate:
+	case PositionUpdate:
 		return SizePositionUpdate
-	case RectRegion, *RectRegion:
+	case RectRegion:
 		return 1 + 4 + 32 + 4
 	case BitmapRegion:
 		return 1 + 4 + 32 + 3 + 4 + 4 + len(v.Data)
-	case *BitmapRegion:
-		return 1 + 4 + 32 + 3 + 4 + 4 + len(v.Data)
 	case AlarmPush:
 		return 1 + 4 + 32 + 4 + 4 + len(v.Alarms)*40
-	case *AlarmPush:
-		return 1 + 4 + 32 + 4 + 4 + len(v.Alarms)*40
-	case SafePeriod, *SafePeriod:
+	case SafePeriod:
 		return 1 + 4 + 4
 	case AlarmFired:
 		return 1 + 4 + 4 + len(v.Alarms)*8
-	case *AlarmFired:
-		return 1 + 4 + 4 + len(v.Alarms)*8
-	case Ack, *Ack:
+	case Ack:
 		return 1 + 4 + 4
 	case Hello:
 		return 1 + 8 + 8 + 2
@@ -590,11 +582,7 @@ func EncodedSize(m Message) int {
 		return 1 + 8 + 8 + 2 + len(v.Addr)
 	case UpdateBatch:
 		return sizeUpdateBatch(len(v.Updates))
-	case *UpdateBatch:
-		return sizeUpdateBatch(len(v.Updates))
 	case BatchReply:
-		return sizeBatchReply(v.Entries)
-	case *BatchReply:
 		return sizeBatchReply(v.Entries)
 	case InstallContinuous:
 		return 1 + 8 + 4 + len(v.Subscribers)*8 + 32 + 4
