@@ -9,8 +9,10 @@
 #                partitioner/router/handoff unit tests (incl. the handoff
 #                crash-window table), the engine's session-transfer and
 #                the store's deferred-append tests, the TCP redirect
-#                end-to-end tests and the multi-shard delivery-equality
-#                simulation (4 shards, forced handoffs, shard crashes)
+#                end-to-end tests, the shared TCP front end's tests (each
+#                over a single engine and a 2x1 cluster) and the
+#                multi-shard delivery-equality simulation (4 shards,
+#                forced handoffs, shard crashes)
 #   make rebalance
 #                dynamic repartitioning suite under the race detector:
 #                partition-map invariant/property tests, the balancer,
@@ -94,6 +96,7 @@ crash:
 cluster:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'Export|Import|ExpiredSession|Handoff|DropSession' ./internal/server/
+	$(GO) test -race -run 'TCP' ./internal/server/
 	$(GO) test -race -run 'Deferred|ExpireAbsent|CarriedFired' ./internal/store/
 	@$(call sim,(DeliveryEquality|DriveDeterministic)/Cluster)
 

@@ -497,8 +497,9 @@ type clusterParams struct {
 const replTickInterval = 500 * time.Millisecond
 
 // runClustered serves a horizontally sharded cluster: one engine and one
-// TCP listener per spatial partition, with cross-shard handoff and
-// redirects handled by the per-listener routers inside cluster.NewTCP.
+// TCP listener per spatial partition behind the same front end a single
+// engine uses, with cross-shard handoff and redirects supplied by
+// cluster.NewTCP.
 func runClustered(p clusterParams) error {
 	cl, err := cluster.New(cluster.Config{
 		Shards:       p.shards,

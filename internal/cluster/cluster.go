@@ -128,6 +128,11 @@ type Cluster struct {
 	reps    map[int]*Replicator
 	replSeq int
 	fd      FailureDetector
+
+	// pusher is wired into every engine stored into a slot (setEngine);
+	// pushMu orders that against SetPusher.
+	pushMu sync.Mutex
+	pusher server.Pusher
 }
 
 type slot struct {
@@ -204,7 +209,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return fmt.Errorf("cluster: boot shard %d: %w", id, err)
 		}
-		slots[id].eng.Store(eng)
+		c.setEngine(slots[id], eng)
 		if next := uint64(eng.Registry().NextID()); next > c.nextAlarmID {
 			c.nextAlarmID = next
 		}
@@ -305,6 +310,57 @@ func (c *Cluster) Engine(i int) *server.Engine {
 // Up reports whether shard i is serving.
 func (c *Cluster) Up(i int) bool { return c.Engine(i) != nil }
 
+// SetPusher routes every shard engine's server-initiated pushes to p: the
+// engines serving now and every engine later booted into a slot by a
+// split, a recovery or a promotion, so pushes survive all three.
+func (c *Cluster) SetPusher(p server.Pusher) {
+	c.pushMu.Lock()
+	defer c.pushMu.Unlock()
+	c.pusher = p
+	for _, sl := range c.slotList() {
+		if eng := sl.eng.Load(); eng != nil {
+			eng.SetPusher(p)
+		}
+	}
+}
+
+// setEngine puts eng in service in sl, wired to the cluster's pusher.
+func (c *Cluster) setEngine(sl *slot, eng *server.Engine) {
+	c.pushMu.Lock()
+	defer c.pushMu.Unlock()
+	eng.SetPusher(c.pusher)
+	sl.eng.Store(eng)
+}
+
+// fanOutAnchor broadcasts a pair endpoint's fresh position to every
+// OTHER live shard, so partner machines resident elsewhere transition
+// promptly even when the pair is split across shards. Down shards are
+// skipped: the anchor table is soft state that refills from the next
+// report after recovery, and the safe-period cap keeps the interim
+// sound. An ObserveAnchor log failure means that shard is dying — its
+// own next message surfaces it; the serving shard's response stands.
+func (c *Cluster) fanOutAnchor(served int, user uint64, pos geom.Point) {
+	srcEng := c.Engine(served)
+	if srcEng == nil || !srcEng.Registry().HasLifecycle() || !srcEng.Registry().IsPairEndpoint(alarm.UserID(user)) {
+		return
+	}
+	// Broadcast the serving engine's accepted anchor, not the raw report
+	// position: the anchor only advances on fresh (in-seq) reports, so a
+	// redelivered stale report never ripples an old position to other
+	// shards (which would flip a remote partner machine backward).
+	if acc, ok := srcEng.Anchor(alarm.UserID(user)); ok {
+		pos = acc
+	}
+	for _, s := range c.PartitionMap().Shards() {
+		if s == served {
+			continue
+		}
+		if eng := c.Engine(s); eng != nil {
+			_ = eng.ObserveAnchor(alarm.UserID(user), pos)
+		}
+	}
+}
+
 // locate returns the live shard owning pt under the current map,
 // counting out-of-universe clamps.
 func (c *Cluster) locate(pt geom.Point) int {
@@ -384,7 +440,13 @@ func (c *Cluster) InstallAlarms(alarms []alarm.Alarm) ([]alarm.ID, error) {
 			// Pair alarms follow their endpoints, which any shard may
 			// serve (or come to serve after a repartition), so every live
 			// shard gets a copy; region alarms go where the margin says.
-			if a.Kind == alarm.KindPair || a.Region.Intersects(margin) {
+			// A composite's region is its factors' bound, which the
+			// registry derives only at install.
+			region := a.Region
+			if a.Kind == alarm.KindComposite {
+				region = alarm.FactorsBound(a.Factors)
+			}
+			if a.Kind == alarm.KindPair || region.Intersects(margin) {
 				batch = append(batch, a)
 			}
 		}
@@ -528,7 +590,7 @@ func (c *Cluster) SplitShard(shard int) (int, error) {
 	if err := c.commitMap(next); err != nil {
 		return 0, err
 	}
-	sl[newShard].eng.Store(eng)
+	c.setEngine(sl[newShard], eng)
 	// The parent's rectangle shrank; tightening its safe-period clamp is
 	// always sound (its alarm table still covers the old, larger margin).
 	loRect, _ := next.RectOf(shard)
@@ -806,7 +868,7 @@ func (c *Cluster) RecoverShard(i int) error {
 		// its followers resync against the new incarnation's positions.
 		rep.AttachPrimary(eng.Store())
 	}
-	sl[i].eng.Store(eng)
+	c.setEngine(sl[i], eng)
 	c.met.AddShardRecovery()
 	return nil
 }

@@ -42,23 +42,29 @@ func newTestCluster(t testing.TB, cols, rows int, dataDir string) *Cluster {
 }
 
 // TestInstallAlarmsMarginPlacement: an alarm deep inside one partition
-// lands only on that shard; an alarm near the boundary lands on both.
+// lands only on that shard; an alarm near the boundary lands on both. A
+// composite, whose region the install derives from its factors, is placed
+// by those factors.
 func TestInstallAlarmsMarginPlacement(t *testing.T) {
 	c := newTestCluster(t, 2, 1, "") // split at x=5000, margin ~3162 m
 	deep := alarm.Alarm{Scope: alarm.Private, Owner: 1, Region: geom.RectAround(geom.Pt(9500, 5000), 200)}
 	boundary := alarm.Alarm{Scope: alarm.Private, Owner: 1, Region: geom.RectAround(geom.Pt(5000, 5000), 200)}
-	ids, err := c.InstallAlarms([]alarm.Alarm{deep, boundary})
+	deepComposite := alarm.Alarm{
+		Scope: alarm.Private, Owner: 1, Kind: alarm.KindComposite, Threshold: 0.5,
+		Factors: []alarm.Factor{{Center: geom.Pt(9500, 5000), Radius: 100, Weight: 1}},
+	}
+	ids, err := c.InstallAlarms([]alarm.Alarm{deep, boundary, deepComposite})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 2 || ids[0] == ids[1] {
+	if len(ids) != 3 || ids[0] == ids[1] || ids[1] == ids[2] {
 		t.Fatalf("ids = %v", ids)
 	}
 	if got := c.Engine(0).Registry().Len(); got != 1 {
 		t.Errorf("shard 0 holds %d alarms, want 1 (boundary only)", got)
 	}
-	if got := c.Engine(1).Registry().Len(); got != 2 {
-		t.Errorf("shard 1 holds %d alarms, want 2", got)
+	if got := c.Engine(1).Registry().Len(); got != 3 {
+		t.Errorf("shard 1 holds %d alarms, want 3", got)
 	}
 }
 

@@ -649,7 +649,7 @@ func (c *Cluster) PromoteFollower(shard int) error {
 
 	sl := c.slotList()
 	sl[shard].dir = fl.Dir()
-	sl[shard].eng.Store(eng)
+	c.setEngine(sl[shard], eng)
 	// Epoch bump is the promotion's client-visible commit: Redirects and
 	// exported sessions stamped with the old epoch are now stale.
 	if err := c.commitMap(pm.BumpEpoch()); err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
-	"github.com/sabre-geo/sabre/internal/geom"
 	"github.com/sabre-geo/sabre/internal/server"
 	"github.com/sabre-geo/sabre/internal/store"
 	"github.com/sabre-geo/sabre/internal/wire"
@@ -280,7 +279,7 @@ func (r *Router) routeUserRun(user uint64, ups []wire.PositionUpdate, batched bo
 			return nil, err
 		}
 		processed = true
-		r.fanOutAnchor(rt.shard, user, ups[j-1].Pos)
+		r.cl.fanOutAnchor(rt.shard, user, ups[j-1].Pos)
 		start := len(msgs)
 		msgs = r.filterFired(rt, rt.shard, msgs, out)
 		if batched {
@@ -316,35 +315,6 @@ func (r *Router) routeUserRun(user uint64, ups []wire.PositionUpdate, batched bo
 		rt.pushToken = 0
 	}
 	return msgs, nil
-}
-
-// fanOutAnchor broadcasts a pair endpoint's fresh position to every
-// OTHER live shard, so partner machines resident elsewhere transition
-// promptly even when the pair is split across shards. Down shards are
-// skipped: the anchor table is soft state that refills from the next
-// report after recovery, and the safe-period cap keeps the interim
-// sound. An ObserveAnchor log failure means that shard is dying — its
-// own next message surfaces it; the serving shard's response stands.
-func (r *Router) fanOutAnchor(served int, user uint64, pos geom.Point) {
-	srcEng := r.cl.Engine(served)
-	if srcEng == nil || !srcEng.Registry().IsPairEndpoint(alarm.UserID(user)) {
-		return
-	}
-	// Broadcast the serving engine's accepted anchor, not the raw report
-	// position: the anchor only advances on fresh (in-seq) reports, so a
-	// redelivered stale report never ripples an old position to other
-	// shards (which would flip a remote partner machine backward).
-	if acc, ok := srcEng.Anchor(alarm.UserID(user)); ok {
-		pos = acc
-	}
-	for _, s := range r.cl.PartitionMap().Shards() {
-		if s == served {
-			continue
-		}
-		if eng := r.cl.Engine(s); eng != nil {
-			_ = eng.ObserveAnchor(alarm.UserID(user), pos)
-		}
-	}
 }
 
 // handoff moves rt's session from rt.shard to owner (moveSession: import

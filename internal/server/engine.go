@@ -468,9 +468,10 @@ func (e *Engine) moveTargetPushes(reg *alarm.Registry, user alarm.UserID, pos ge
 	return e.collectInvalidations(reg, user, movedRegions)
 }
 
-// deliverPushes hands invalidation pushes to the pusher; callers must have
-// released every engine lock first (the Pusher may block or re-enter the
-// engine freely).
+// deliverPushes hands invalidation pushes to the pusher, charging their
+// downlink bytes as it does: without a pusher nothing is sent, so nothing
+// is charged. Callers must have released every engine lock first (the
+// Pusher may block or re-enter the engine freely).
 func (e *Engine) deliverPushes(pushes []pendingPush) {
 	if len(pushes) == 0 {
 		return
@@ -480,6 +481,9 @@ func (e *Engine) deliverPushes(pushes []pendingPush) {
 		return
 	}
 	for _, p := range pushes {
+		for _, m := range p.msgs {
+			e.met.AddDownlink(wire.EncodedSize(m))
+		}
 		pusher(p.user, p.msgs)
 	}
 }
@@ -735,9 +739,6 @@ func (e *Engine) collectInvalidations(reg *alarm.Registry, mover alarm.UserID, m
 		st.mu.Unlock()
 		if len(msgs) == 0 {
 			continue
-		}
-		for _, m := range msgs {
-			e.met.AddDownlink(wire.EncodedSize(m))
 		}
 		pushes = append(pushes, pendingPush{user: user, msgs: msgs})
 	}

@@ -91,7 +91,7 @@ func (e *Engine) anchorOf(user alarm.UserID) (geom.Point, bool) {
 }
 
 // Anchor returns the engine's newest accepted position for a pair
-// endpoint. The cluster router broadcasts THIS — not the raw report
+// endpoint. The cluster broadcasts THIS — not the raw report
 // position — to other shards: the anchor table only advances on fresh
 // (in-seq) reports, so a redelivered stale report cannot ripple an old
 // position across shards and flip a remote pair machine backward.
@@ -101,7 +101,7 @@ func (e *Engine) Anchor(user alarm.UserID) (geom.Point, bool) {
 
 // ObserveAnchor folds a pair endpoint's position observed on another
 // shard into the local anchor table and wakes resident partner machines —
-// the cluster router fans each pair endpoint's report to every other live
+// the cluster fans each pair endpoint's report to every other live
 // shard through this, so a pair split across shards transitions on both.
 func (e *Engine) ObserveAnchor(user alarm.UserID, pos geom.Point) error {
 	reg := e.reg.Load()
@@ -141,7 +141,7 @@ func (e *Engine) wakePartners(reg *alarm.Registry, mover alarm.UserID) ([]store.
 		st := sh.m[p]
 		sh.mu.RUnlock()
 		if st == nil {
-			continue // not resident here: the router's anchor fan-out covers it
+			continue // not resident here: the cluster's anchor fan-out covers it
 		}
 		ppos, _, ok := e.anchor(p)
 		if !ok {
@@ -175,9 +175,6 @@ func (e *Engine) wakePartners(reg *alarm.Registry, mover alarm.UserID) ([]store.
 		}
 		st.mu.Unlock()
 		if len(msgs) > 0 {
-			for _, m := range msgs {
-				e.met.AddDownlink(wire.EncodedSize(m))
-			}
 			pushes = append(pushes, pendingPush{user: p, msgs: msgs})
 		}
 	}

@@ -63,6 +63,45 @@ func TestMovingTargetPushes(t *testing.T) {
 	}
 }
 
+// TestPairWakeChargesOnlyWhatIsPushed: a partner wake-up's messages are
+// charged to the downlink when they are handed to the pusher — exactly
+// their encoded size — and not at all when there is no pusher to send
+// them.
+func TestPairWakeChargesOnlyWhatIsPushed(t *testing.T) {
+	for _, withPusher := range []bool{false, true} {
+		e := newEngine(t, nil)
+		if _, err := e.InstallAlarms([]alarm.Alarm{{
+			Scope: alarm.Shared, Owner: 1, Subscribers: []alarm.UserID{1},
+			Kind: alarm.KindPair, Anchor: 2, Radius: 200,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		register(t, e, 1, wire.StrategyMWPSR)
+		handle(t, e, 1, 1, geom.Pt(500, 500)) // the owner is resident, with an anchor
+		pushedBytes := 0
+		if withPusher {
+			e.SetPusher(func(_ alarm.UserID, msgs []wire.Message) {
+				for _, m := range msgs {
+					pushedBytes += wire.EncodedSize(m)
+				}
+			})
+		}
+		before := e.Metrics().Snapshot().DownlinkBytes
+		if err := e.ObserveAnchor(2, geom.Pt(600, 500)); err != nil { // into radius
+			t.Fatal(err)
+		}
+		if got := e.Metrics().Snapshot().AlarmTransitions; got != 1 {
+			t.Fatalf("pusher=%v: %d transitions, want the owner's enter", withPusher, got)
+		}
+		if withPusher && pushedBytes == 0 {
+			t.Fatal("the wake-up pushed nothing")
+		}
+		if got := e.Metrics().Snapshot().DownlinkBytes - before; got != uint64(pushedBytes) {
+			t.Errorf("pusher=%v: wake-up charged %d downlink bytes, pushed %d", withPusher, got, pushedBytes)
+		}
+	}
+}
+
 // TestMovingTargetWithoutPusher: without a pusher the engine still moves
 // the region (evaluation correctness) and does not panic.
 func TestMovingTargetWithoutPusher(t *testing.T) {

@@ -21,77 +21,164 @@ import (
 // the engine for a later resume.
 const DefaultIdleTimeout = 2 * time.Minute
 
-// TCPServer fronts an Engine with a TCP listener speaking length-prefixed
+// Topology is what a TCP front end needs to know about the deployment
+// behind its listeners. Everything else — accepting, the per-connection
+// message loop, typed installs and the user→connection binding pushes
+// follow — is the same however many engines serve the space. A single
+// engine is one listener that owns every position (NewTCPServerIdle); a
+// sharded cluster puts one listener in front of each shard.
+type Topology interface {
+	// Engine returns the engine behind listener i, nil while it is down.
+	Engine(i int) *Engine
+	// Owned returns how many leading updates of ups listener i serves.
+	Owned(i int, ups []wire.PositionUpdate) int
+	// Redirect moves u's session from listener i to the listener owning
+	// u.Pos and returns the Redirect to answer u with; false leaves u
+	// unanswered for the client to resend.
+	Redirect(i int, u wire.PositionUpdate) (wire.Redirect, bool)
+	// Retired returns where the clients of listener i, whose engine is
+	// down, should go; false when they should just retry.
+	Retired(i int) (wire.Redirect, bool)
+	// Served runs after listener i's engine served ups.
+	Served(i int, ups []wire.PositionUpdate)
+	// InstallAlarms durably installs alarms deployment-wide.
+	InstallAlarms(alarms []alarm.Alarm) ([]alarm.ID, error)
+	// SetPusher routes every engine's server-initiated pushes to p.
+	SetPusher(p Pusher)
+}
+
+// TCPServer fronts a Topology with TCP listeners speaking length-prefixed
 // wire frames: one connection per client, one serving goroutine per
-// connection. It demonstrates the engine outside the in-process
-// simulation; cmd/alarmserver wraps it.
+// connection. cmd/alarmserver and the benchmark wrap it.
 type TCPServer struct {
-	eng         *Engine
-	ln          net.Listener
+	topo        Topology
 	log         *log.Logger
 	idleTimeout time.Duration
 
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	// userConns maps registered users to their connection so the engine's
-	// moving-target pushes reach them.
+	mu      sync.Mutex
+	closed  bool
+	serving bool
+	// listeners and addrs are indexed by listener; nil and "" where none
+	// is bound yet.
+	listeners []net.Listener
+	addrs     []string
+	conns     map[net.Conn]struct{}
+	// userConns maps registered users to their connection so the engines'
+	// pushes reach them.
 	userConns map[uint64]transport.Conn
 	wg        sync.WaitGroup
 }
 
-// NewTCPServer starts listening on addr (e.g. ":7700") with the default
-// idle timeout. Serving starts with Serve.
-func NewTCPServer(eng *Engine, addr string, logger *log.Logger) (*TCPServer, error) {
-	return NewTCPServerIdle(eng, addr, logger, DefaultIdleTimeout)
+// NewTCPServerIdle fronts one engine with a listener on addr (e.g.
+// ":7700"); a zero idle timeout disables dead-peer reaping. Serving
+// starts with Serve.
+func NewTCPServerIdle(eng *Engine, addr string, logger *log.Logger, idleTimeout time.Duration) (*TCPServer, error) {
+	return NewTCPFrontEnd(single{eng}, []string{addr}, logger, idleTimeout)
 }
 
-// NewTCPServerIdle is NewTCPServer with an explicit idle timeout; zero
-// disables dead-peer reaping.
-func NewTCPServerIdle(eng *Engine, addr string, logger *log.Logger, idleTimeout time.Duration) (*TCPServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("server: listen %s: %w", addr, err)
-	}
+// NewTCPFrontEnd listens on addrs[i] for listener i (":0" picks a port;
+// Addrs reports the bound ones) and installs the front end's pusher on
+// the topology. Serving starts with Serve.
+func NewTCPFrontEnd(topo Topology, addrs []string, logger *log.Logger, idleTimeout time.Duration) (*TCPServer, error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
 	s := &TCPServer{
-		eng:         eng,
-		ln:          ln,
+		topo:        topo,
 		log:         logger,
 		idleTimeout: idleTimeout,
 		conns:       make(map[net.Conn]struct{}),
 		userConns:   make(map[uint64]transport.Conn),
 	}
-	// Deliver moving-target invalidations (Seq-0 pushes) to connected
-	// clients. The engine invokes the pusher after releasing its locks, so
-	// a blocking Send (or even a callback into the engine) is safe here.
-	eng.SetPusher(func(user alarm.UserID, msgs []wire.Message) {
-		s.mu.Lock()
-		conn := s.userConns[uint64(user)]
-		s.mu.Unlock()
-		if conn == nil {
-			return
-		}
-		for _, m := range msgs {
-			if err := conn.Send(m); err != nil {
-				s.log.Printf("push to user %d: %v", user, err)
-				return
+	for _, addr := range addrs {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			for _, l := range s.listeners {
+				l.Close()
 			}
+			return nil, fmt.Errorf("server: listen %s: %w", addr, err)
 		}
-	})
+		s.listeners = append(s.listeners, ln)
+		s.addrs = append(s.addrs, ln.Addr().String())
+	}
+	// The engines invoke the pusher after releasing their locks, so a
+	// blocking Send (or even a callback into an engine) is safe there.
+	topo.SetPusher(s.push)
 	return s, nil
 }
 
-// Addr returns the bound listener address.
-func (s *TCPServer) Addr() net.Addr { return s.ln.Addr() }
+// Addr returns listener 0's bound address.
+func (s *TCPServer) Addr() net.Addr {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.listeners[0].Addr()
+}
 
-// Serve accepts and serves connections until Close. It always returns a
-// non-nil error; after Close the error wraps net.ErrClosed.
+// Addrs returns every listener's bound address ("" where none is bound).
+func (s *TCPServer) Addrs() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.addrs...)
+}
+
+// Listen binds listener i on addr unless it is bound already, and
+// returns its address. A listener added after Serve started accepts at
+// once.
+func (s *TCPServer) Listen(i int, addr string) (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return "", errors.New("server: closed")
+	}
+	for len(s.addrs) <= i {
+		s.addrs = append(s.addrs, "")
+		s.listeners = append(s.listeners, nil)
+	}
+	if s.addrs[i] != "" {
+		return s.addrs[i], nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("server: listen %d on %s: %w", i, addr, err)
+	}
+	s.listeners[i], s.addrs[i] = ln, ln.Addr().String()
+	if s.serving {
+		s.acceptInBackground(i, ln)
+	}
+	return s.addrs[i], nil
+}
+
+// Serve accepts on every listener until Close, and on each listener
+// Listen adds meanwhile. It returns listener 0's error, always non-nil;
+// after Close it wraps net.ErrClosed.
 func (s *TCPServer) Serve() error {
+	s.mu.Lock()
+	s.serving = true
+	for i := 1; i < len(s.listeners); i++ {
+		if s.listeners[i] != nil {
+			s.acceptInBackground(i, s.listeners[i])
+		}
+	}
+	ln := s.listeners[0]
+	s.mu.Unlock()
+	return s.accept(0, ln)
+}
+
+// acceptInBackground accepts on listener i from its own goroutine, which
+// Close waits for. The caller holds s.mu.
+func (s *TCPServer) acceptInBackground(i int, ln net.Listener) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		if err := s.accept(i, ln); !errors.Is(err, net.ErrClosed) {
+			s.log.Printf("listener %d: %v", i, err)
+		}
+	}()
+}
+
+func (s *TCPServer) accept(i int, ln net.Listener) error {
 	for {
-		nc, err := s.ln.Accept()
+		nc, err := ln.Accept()
 		if err != nil {
 			s.mu.Lock()
 			closed := s.closed
@@ -99,26 +186,26 @@ func (s *TCPServer) Serve() error {
 			if closed {
 				return fmt.Errorf("server: closed: %w", err)
 			}
-			return fmt.Errorf("server: accept: %w", err)
+			return fmt.Errorf("server: listener %d accept: %w", i, err)
 		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			nc.Close()
-			return errors.New("server: closed")
+			return fmt.Errorf("server: closed: %w", net.ErrClosed)
 		}
 		s.conns[nc] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			s.serveConn(nc)
+			s.serveConn(i, nc)
 		}()
 	}
 }
 
-// Close stops the listener and all connections, then waits for the
-// serving goroutines to exit.
+// Close stops every listener and connection, then waits for the serving
+// goroutines to exit.
 func (s *TCPServer) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -126,107 +213,150 @@ func (s *TCPServer) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.ln.Close()
+	var first error
+	for _, ln := range s.listeners {
+		if ln == nil {
+			continue
+		}
+		if err := ln.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
 	for nc := range s.conns {
 		nc.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	return err
+	return first
 }
 
-func (s *TCPServer) serveConn(nc net.Conn) {
-	defer func() {
-		nc.Close()
-		s.mu.Lock()
-		delete(s.conns, nc)
-		s.mu.Unlock()
-	}()
+// push delivers an engine's server-initiated messages (Seq-0 region
+// refreshes, partner wake-ups) to the user's connection, if any.
+func (s *TCPServer) push(user alarm.UserID, msgs []wire.Message) {
+	s.mu.Lock()
+	conn := s.userConns[uint64(user)]
+	s.mu.Unlock()
+	if conn == nil {
+		return
+	}
+	for _, m := range msgs {
+		if err := conn.Send(m); err != nil {
+			s.log.Printf("push to user %d: %v", user, err)
+			return
+		}
+	}
+}
+
+// send writes msgs in order, reporting false (after logging) on the
+// first failure.
+func (s *TCPServer) send(conn transport.Conn, peer string, msgs ...wire.Message) bool {
+	for _, m := range msgs {
+		if err := conn.Send(m); err != nil {
+			s.log.Printf("%s: send: %v", peer, err)
+			return false
+		}
+	}
+	return true
+}
+
+func (s *TCPServer) serveConn(i int, nc net.Conn) {
 	// The read deadline doubles as dead-peer detection: a client that
 	// neither reports nor heartbeats within the idle window is reaped. Its
 	// session state stays in the engine for a later Hello+token resume.
 	conn := transport.NewTCPDeadline(nc, s.idleTimeout, 30*time.Second)
-	var registeredUser uint64
+	peer := fmt.Sprintf("listener %d conn %s", i, nc.RemoteAddr())
+	// user is the connection's latest enrolled user; bound is every user
+	// it enrolled (a batching client enrolls many), unbound on exit.
+	var user uint64
+	var bound []uint64
 	defer func() {
-		if registeredUser != 0 {
-			s.mu.Lock()
-			if s.userConns[registeredUser] == conn {
-				delete(s.userConns, registeredUser)
-			}
-			s.mu.Unlock()
-		}
-	}()
-	bind := func(user uint64) {
-		registeredUser = user
+		nc.Close()
 		s.mu.Lock()
-		s.userConns[user] = conn
+		delete(s.conns, nc)
+		for _, u := range bound {
+			if s.userConns[u] == conn {
+				delete(s.userConns, u)
+			}
+		}
+		s.mu.Unlock()
+	}()
+	bind := func(u uint64) {
+		user = u
+		bound = append(bound, u)
+		s.mu.Lock()
+		s.userConns[u] = conn
 		s.mu.Unlock()
 	}
-	reply := func(responses []wire.Message) bool {
-		for _, r := range responses {
-			if err := conn.Send(r); err != nil {
-				s.log.Printf("conn %s: send: %v", nc.RemoteAddr(), err)
-				return false
-			}
-		}
-		return true
-	}
+	// A lone report is served as a run of one.
+	one := make([]wire.PositionUpdate, 1)
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
 			switch {
 			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
 			case errors.Is(err, os.ErrDeadlineExceeded):
-				s.log.Printf("conn %s: idle timeout, reaping", nc.RemoteAddr())
+				s.log.Printf("%s: idle timeout, reaping", peer)
 			default:
-				s.log.Printf("conn %s: recv: %v", nc.RemoteAddr(), err)
+				s.log.Printf("%s: recv: %v", peer, err)
 			}
+			return
+		}
+		eng := s.topo.Engine(i)
+		if eng == nil {
+			// A retired listener sends its clients where the topology says
+			// (a merged-away shard: to the shard that absorbed it). A
+			// merely-down engine drops the connection and the client's
+			// resend machinery retries.
+			if rd, ok := s.topo.Retired(i); ok {
+				s.send(conn, peer, rd)
+			}
+			s.log.Printf("%s: engine down, dropping %v", peer, msg.Kind())
 			return
 		}
 		switch m := msg.(type) {
 		case wire.Register:
-			if err := s.eng.Register(m); err != nil {
-				s.log.Printf("conn %s: register: %v", nc.RemoteAddr(), err)
+			if err := eng.Register(m); err != nil {
+				s.log.Printf("%s: register: %v", peer, err)
 				return
 			}
 			bind(m.User)
 		case wire.Hello:
-			responses, resumed, err := s.eng.HandleHello(m)
+			responses, resumed, err := eng.HandleHello(m)
 			if err != nil {
-				s.log.Printf("conn %s: hello: %v", nc.RemoteAddr(), err)
+				s.log.Printf("%s: hello: %v", peer, err)
 				return
 			}
 			bind(m.User)
-			if !reply(responses) {
+			if !s.send(conn, peer, responses...) {
 				return
 			}
 			if resumed {
-				s.log.Printf("conn %s: user %d resumed session", nc.RemoteAddr(), m.User)
+				s.log.Printf("%s: user %d resumed session", peer, m.User)
 			}
 		case wire.Heartbeat:
-			if !reply(s.eng.HandleHeartbeat(alarm.UserID(registeredUser), m)) {
+			if !s.send(conn, peer, eng.HandleHeartbeat(alarm.UserID(user), m)...) {
 				return
 			}
 		case wire.FiredAck:
-			if registeredUser != 0 {
-				if err := s.eng.AckFired(alarm.UserID(registeredUser), m.Alarms); err != nil {
-					s.log.Printf("conn %s: fired-ack: %v", nc.RemoteAddr(), err)
+			if user != 0 {
+				if err := eng.AckFired(alarm.UserID(user), m.Alarms); err != nil {
+					s.log.Printf("%s: fired-ack: %v", peer, err)
 					return
 				}
 			}
 		case wire.InstallContinuous:
-			if !reply([]wire.Message{s.installReply(alarm.Alarm{
+			if !s.send(conn, peer, s.installReply(alarm.Alarm{
 				Scope:       scopeFor(m.Subscribers),
 				Owner:       alarm.UserID(m.Owner),
 				Subscribers: toUserIDs(m.Subscribers),
 				Region:      m.Region,
 				Kind:        alarm.KindContinuous,
 				Cooldown:    m.Cooldown,
-			})}) {
+			})) {
 				return
 			}
 		case wire.InstallPair:
-			if !reply([]wire.Message{s.installReply(alarm.Alarm{
+			if !s.send(conn, peer, s.installReply(alarm.Alarm{
 				Scope:       alarm.Shared,
 				Owner:       alarm.UserID(m.Owner),
 				Subscribers: []alarm.UserID{alarm.UserID(m.Owner)},
@@ -234,7 +364,7 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 				Anchor:      alarm.UserID(m.Anchor),
 				Radius:      m.Radius,
 				Cooldown:    m.Cooldown,
-			})}) {
+			})) {
 				return
 			}
 		case wire.InstallComposite:
@@ -242,7 +372,7 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 			for i, f := range m.Factors {
 				factors[i] = alarm.Factor{Center: f.Center, Radius: f.Radius, Region: f.Region, Weight: f.Weight}
 			}
-			if !reply([]wire.Message{s.installReply(alarm.Alarm{
+			if !s.send(conn, peer, s.installReply(alarm.Alarm{
 				Scope:       scopeFor(m.Subscribers),
 				Owner:       alarm.UserID(m.Owner),
 				Subscribers: toUserIDs(m.Subscribers),
@@ -250,41 +380,65 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 				Factors:     factors,
 				Threshold:   m.Threshold,
 				ExpiresAt:   m.ExpiresAt,
-			})}) {
-				return
-			}
-		case wire.UpdateBatch:
-			br, err := s.eng.HandleUpdateBatch(m)
-			if err != nil {
-				s.log.Printf("conn %s: update-batch: %v", nc.RemoteAddr(), err)
-				return
-			}
-			if err := conn.Send(br); err != nil {
-				s.log.Printf("conn %s: send: %v", nc.RemoteAddr(), err)
+			})) {
 				return
 			}
 		case wire.PositionUpdate:
-			responses, err := s.eng.HandleUpdate(m)
-			if err != nil {
-				s.log.Printf("conn %s: update: %v", nc.RemoteAddr(), err)
+			one[0] = m
+			if !s.serveUpdates(i, conn, peer, eng, one, false) {
 				return
 			}
-			// Always answer something so the client can resume monitoring
-			// (periodic clients get a bare Ack).
-			if len(responses) == 0 {
-				responses = []wire.Message{wire.Ack{Seq: m.Seq}}
-			}
-			for _, r := range responses {
-				if err := conn.Send(r); err != nil {
-					s.log.Printf("conn %s: send: %v", nc.RemoteAddr(), err)
-					return
-				}
+		case wire.UpdateBatch:
+			if !s.serveUpdates(i, conn, peer, eng, m.Updates, true) {
+				return
 			}
 		default:
-			s.log.Printf("conn %s: unexpected %v", nc.RemoteAddr(), msg.Kind())
+			s.log.Printf("%s: unexpected %v", peer, msg.Kind())
 			return
 		}
 	}
+}
+
+// serveUpdates serves the maximal prefix of ups listener i owns, then
+// redirects the client on the first update it does not own, exactly as a
+// stand-alone update would be redirected; the rest of the frame is left
+// for the client's resend machinery to retry at the owner. A lone
+// PositionUpdate (batched false) is answered with the engine's messages,
+// or a bare Ack when there are none; a batch with one BatchReply. It
+// reports false when the connection must close.
+func (s *TCPServer) serveUpdates(i int, conn transport.Conn, peer string, eng *Engine, ups []wire.PositionUpdate, batched bool) bool {
+	n := s.topo.Owned(i, ups)
+	if n > 0 {
+		var out []wire.Message
+		var err error
+		if batched {
+			var br wire.BatchReply
+			br, err = eng.HandleUpdateBatch(wire.UpdateBatch{Updates: ups[:n]})
+			out = []wire.Message{br}
+		} else {
+			out, err = eng.HandleUpdate(ups[0])
+			if len(out) == 0 {
+				out = []wire.Message{wire.Ack{Seq: ups[0].Seq}} // periodic clients get a bare Ack
+			}
+		}
+		if err != nil {
+			s.log.Printf("%s: update: %v", peer, err)
+			return false
+		}
+		s.topo.Served(i, ups[:n])
+		if !s.send(conn, peer, out...) {
+			return false
+		}
+	}
+	if n == len(ups) {
+		return true
+	}
+	rd, ok := s.topo.Redirect(i, ups[n])
+	if !ok {
+		return true // dropped: the client resends
+	}
+	eng.Metrics().AddDownlink(wire.EncodedSize(rd))
+	return s.send(conn, peer, rd)
 }
 
 // installReply durably installs one lifecycle alarm and builds the typed
@@ -292,7 +446,7 @@ func (s *TCPServer) serveConn(nc net.Conn) {
 // A rejected install is an application-level failure, not a protocol
 // one, so the connection stays up.
 func (s *TCPServer) installReply(a alarm.Alarm) wire.InstallReply {
-	ids, err := s.eng.InstallAlarms([]alarm.Alarm{a})
+	ids, err := s.topo.InstallAlarms([]alarm.Alarm{a})
 	if err != nil || len(ids) == 0 {
 		s.log.Printf("install %v rejected: %v", a.Kind, err)
 		return wire.InstallReply{}
@@ -315,4 +469,18 @@ func toUserIDs(subs []uint64) []alarm.UserID {
 		out[i] = alarm.UserID(s)
 	}
 	return out
+}
+
+// single is the Topology of one engine behind one listener: it owns every
+// position, so nothing is ever redirected or fanned out.
+type single struct{ eng *Engine }
+
+func (t single) Engine(int) *Engine                                    { return t.eng }
+func (single) Owned(_ int, ups []wire.PositionUpdate) int              { return len(ups) }
+func (single) Redirect(int, wire.PositionUpdate) (wire.Redirect, bool) { return wire.Redirect{}, false }
+func (single) Retired(int) (wire.Redirect, bool)                       { return wire.Redirect{}, false }
+func (single) Served(int, []wire.PositionUpdate)                       {}
+func (t single) SetPusher(p Pusher)                                    { t.eng.SetPusher(p) }
+func (t single) InstallAlarms(alarms []alarm.Alarm) ([]alarm.ID, error) {
+	return t.eng.InstallAlarms(alarms)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 func startTCP(t *testing.T) (*Engine, string) {
 	t.Helper()
 	eng := newEngine(t, nil)
-	srv, err := NewTCPServer(eng, "127.0.0.1:0", nil)
+	srv, err := NewTCPServerIdle(eng, "127.0.0.1:0", nil, DefaultIdleTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,81 +97,6 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 }
 
-func TestTCPMultipleClients(t *testing.T) {
-	eng, addr := startTCP(t)
-	install(t, eng, alarm.Alarm{Scope: alarm.Public, Owner: 1, Region: geom.RectAround(geom.Pt(1000, 1000), 200)})
-
-	results := make(chan error, 4)
-	for u := uint64(10); u < 14; u++ {
-		go func(user uint64) {
-			conn, err := transport.Dial(addr)
-			if err != nil {
-				results <- err
-				return
-			}
-			defer conn.Close()
-			if err := conn.Send(wire.Register{User: user, Strategy: wire.StrategyPBSR, MaxHeight: 4}); err != nil {
-				results <- err
-				return
-			}
-			cl := client.New(user, wire.StrategyPBSR, &metrics.Client{})
-			for tick := 0; tick < 120; tick++ {
-				pos := geom.Pt(500+float64(tick)*10, 1000)
-				upd := cl.Tick(tick, pos)
-				if upd == nil {
-					continue
-				}
-				if err := conn.Send(*upd); err != nil {
-					results <- err
-					return
-				}
-				for {
-					msg, err := conn.Recv()
-					if err != nil {
-						results <- err
-						return
-					}
-					if err := cl.Handle(tick, msg); err != nil {
-						results <- err
-						return
-					}
-					if _, ok := msg.(wire.AlarmFired); !ok {
-						break
-					}
-				}
-			}
-			if len(cl.Fired()) != 1 {
-				results <- fmt.Errorf("client %d fired %d alarms, want 1", user, len(cl.Fired()))
-				return
-			}
-			results <- nil
-		}(u)
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-results; err != nil {
-			t.Error(err)
-		}
-	}
-	if got := eng.Metrics().Snapshot().AlarmsTriggered; got != 4 {
-		t.Errorf("AlarmsTriggered = %d, want 4 (public alarm per user)", got)
-	}
-}
-
-func TestTCPServerCloseIdempotent(t *testing.T) {
-	eng := newEngine(t, nil)
-	srv, err := NewTCPServer(eng, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
-}
-
 // TestTCPMovingTargetPush: a subscriber connected over TCP receives a
 // Seq-0 safe region push when the alarm target (another connection)
 // reports a new position.
@@ -242,89 +166,5 @@ func TestTCPMovingTargetPush(t *testing.T) {
 		t.Fatal(err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("no push arrived over TCP")
-	}
-}
-
-// TestTCPLifecycleInstall drives the typed lifecycle installs (wire kinds
-// 16–19) over a real TCP connection: valid installs answer InstallReply
-// with the assigned id, a rejected one answers id 0 on a still-live
-// connection, and a continuous alarm installed this way delivers its
-// packed enter event end to end.
-func TestTCPLifecycleInstall(t *testing.T) {
-	eng, addr := startTCP(t)
-	conn, err := transport.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	installOver := func(m wire.Message) uint64 {
-		t.Helper()
-		if err := conn.Send(m); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ir, ok := reply.(wire.InstallReply)
-		if !ok {
-			t.Fatalf("expected InstallReply, got %#v", reply)
-		}
-		return ir.ID
-	}
-
-	contID := installOver(wire.InstallContinuous{
-		Owner: 7, Region: geom.RectAround(geom.Pt(2000, 500), 200),
-	})
-	if contID == 0 {
-		t.Fatal("continuous install rejected")
-	}
-	if pairID := installOver(wire.InstallPair{Owner: 7, Anchor: 8, Radius: 150}); pairID == 0 {
-		t.Fatal("pair install rejected")
-	}
-	if compID := installOver(wire.InstallComposite{
-		Owner: 7,
-		Factors: []wire.FactorInfo{
-			{Center: geom.Pt(900, 900), Radius: 100, Weight: 1},
-		},
-		Threshold: 0.5,
-	}); compID == 0 {
-		t.Fatal("composite install rejected")
-	}
-	// Anchor == owner is invalid: the reply carries id 0 and the
-	// connection survives (the follow-up install still answers).
-	if badID := installOver(wire.InstallPair{Owner: 7, Anchor: 7, Radius: 150}); badID != 0 {
-		t.Fatalf("invalid pair install accepted with id %d", badID)
-	}
-	sn := eng.Metrics().Snapshot()
-	if sn.AlarmsContinuous != 1 || sn.AlarmsPair != 1 || sn.AlarmsComposite != 1 {
-		t.Fatalf("gauges = %d/%d/%d, want 1/1/1",
-			sn.AlarmsContinuous, sn.AlarmsPair, sn.AlarmsComposite)
-	}
-
-	// The installed continuous alarm fires its packed enter event over the
-	// same wire path a one-shot firing uses.
-	if err := conn.Send(wire.Register{User: 7, Strategy: wire.StrategyMWPSR}); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(wire.PositionUpdate{User: 7, Seq: 1, Pos: geom.Pt(2000, 500)}); err != nil {
-		t.Fatal(err)
-	}
-	want := alarm.PackEvent(alarm.ID(contID), alarm.TransEnter, 1)
-	var fired []uint64
-	for len(fired) == 0 {
-		msg, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, ok := msg.(wire.AlarmFired)
-		if !ok {
-			t.Fatalf("expected AlarmFired first, got %#v", msg)
-		}
-		fired = append(fired, f.Alarms...)
-	}
-	if len(fired) != 1 || fired[0] != want {
-		t.Fatalf("fired = %#x, want [%#x]", fired, want)
 	}
 }
