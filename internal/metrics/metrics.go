@@ -99,6 +99,8 @@ type Server struct {
 	walGroupRecords   atomic.Uint64
 	walDeferred       atomic.Uint64
 	walSyncNs         atomic.Uint64
+	walPreallocBytes  atomic.Uint64
+	walPreallocNs     atomic.Int64
 	snapshots         atomic.Uint64
 	recoveries        atomic.Uint64
 	recoveredRecords  atomic.Uint64
@@ -170,6 +172,13 @@ type Snapshot struct {
 	SessionsExpired    uint64
 	FencedWrites       uint64 `json:"fenced_writes"`
 
+	// WALPreallocBytes counts the zeros written ahead of the WAL's log end
+	// (not WALBytes) and WALPreallocNs the time those growths took, their
+	// syncs included (not WALSyncNs, and none of them is a WALFsyncs). The
+	// time is a duration, int64 like time.Duration.
+	WALPreallocBytes uint64 `json:"wal_prealloc_bytes"`
+	WALPreallocNs    int64  `json:"wal_prealloc_ns"`
+
 	SessionsExported uint64
 	SessionsImported uint64
 
@@ -217,6 +226,8 @@ func (s *Server) Snapshot() Snapshot {
 		WALGroupRecords:        s.walGroupRecords.Load(),
 		WALDeferredRecords:     s.walDeferred.Load(),
 		WALSyncNs:              s.walSyncNs.Load(),
+		WALPreallocBytes:       s.walPreallocBytes.Load(),
+		WALPreallocNs:          s.walPreallocNs.Load(),
 		Snapshots:              s.snapshots.Load(),
 		Recoveries:             s.recoveries.Load(),
 		RecoveredRecords:       s.recoveredRecords.Load(),
@@ -267,6 +278,14 @@ func (s *Server) AddWALGroupCommit(records int, syncNanos int64) {
 
 // AddWALDeferred records waiter-less records landed by a group commit.
 func (s *Server) AddWALDeferred(records int) { s.walDeferred.Add(uint64(records)) }
+
+// AddWALPrealloc records one growth of a WAL file's zero-filled region:
+// the zero bytes written and the wall time of the write and its sync
+// (0 when fsync is disabled).
+func (s *Server) AddWALPrealloc(bytes int, nanos int64) {
+	s.walPreallocBytes.Add(uint64(bytes))
+	s.walPreallocNs.Add(nanos)
+}
 
 // WALGroupSizeAvg returns the average number of records landed per group
 // commit (0 before the first commit) — the WAL's syscall amortization

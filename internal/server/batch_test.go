@@ -265,7 +265,7 @@ func TestDurableHandleUpdateIsBatchOfOne(t *testing.T) {
 				if len(pushed[single][1]) == 0 && s != wire.StrategyPeriodic {
 					t.Error("the scenario pushed nothing: neither the pair wake nor the moving target reached user 1")
 				}
-				if got, want := walBytes(t, batched), walBytes(t, single); !bytes.Equal(got, want) {
+				if got, want := walLog(t, batched), walLog(t, single); !bytes.Equal(got, want) {
 					t.Errorf("logs differ: %d bytes after batches of one, %d after single reports", len(got), len(want))
 				}
 				sn, bn := single.Metrics().Snapshot(), batched.Metrics().Snapshot()
@@ -293,13 +293,19 @@ func encodeAll(msgs []wire.Message) []byte {
 	return b
 }
 
-func walBytes(t *testing.T, e *Engine) []byte {
+// walLog returns the engine's WAL up to its log end: the frames, without
+// the zero-filled tail the file is preallocated with.
+func walLog(t *testing.T, e *Engine) []byte {
 	t.Helper()
 	b, err := os.ReadFile(e.Store().WALPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	_, end, reason := store.ScanFrames(b)
+	if reason != "" {
+		t.Fatal(reason)
+	}
+	return b[:end]
 }
 
 // TestHandleUpdateSteadyStateAllocs guards the single-report path: once
@@ -347,12 +353,12 @@ func TestLifecyclePairReportIsOneCommit(t *testing.T) {
 	}
 	handle(t, e, 2, 1, geom.Pt(600, 500)) // the partner is resident, with an anchor
 
-	before, logged := e.Metrics().Snapshot(), len(walBytes(t, e))
+	before, logged := e.Metrics().Snapshot(), len(walLog(t, e))
 	out := handle(t, e, 1, 1, geom.Pt(500, 500)) // continuous enter, and into pair range
 	if got := e.Metrics().Snapshot().WALGroupCommits - before.WALGroupCommits; got != 1 {
 		t.Errorf("one report made %d group commits, want 1", got)
 	}
-	payloads, _, reason := store.ScanFrames(walBytes(t, e)[logged:])
+	payloads, _, reason := store.ScanFrames(walLog(t, e)[logged:])
 	if reason != "" {
 		t.Fatal(reason)
 	}

@@ -8,10 +8,13 @@ import (
 )
 
 // Tail-mangling injectors for the crash harness. They corrupt ONLY the
-// final frame of a WAL file: because every append is a single write(2),
-// a real crash can tear at most the last frame, and recovery's
+// final frame of a WAL file: because every group lands with a single
+// write, a real crash can tear at most the last frames, and recovery's
 // truncation-repair is allowed to discard only records that were never
-// acknowledged — which is exactly the final (in-flight) one.
+// acknowledged — which is exactly the final (in-flight) one. They mangle
+// in place and keep the file's zero-filled tail, as a crash would: bytes
+// of the frame that never reached the disk read back as the zeros the
+// file was preallocated with.
 
 // TearMode selects how a simulated crash mangles the WAL tail.
 type TearMode int
@@ -19,10 +22,11 @@ type TearMode int
 const (
 	// TearNone kills at a record boundary: the file is left intact.
 	TearNone TearMode = iota
-	// TearTruncate cuts the final frame short (torn write).
+	// TearTruncate cuts the final frame short (torn write): its tail
+	// reverts to zeros.
 	TearTruncate
-	// TearGarbage truncates mid-frame and appends random junk, as if the
-	// filesystem surfaced stale blocks.
+	// TearGarbage cuts the final frame short and writes random junk at
+	// the cut, as if the filesystem surfaced stale blocks.
 	TearGarbage
 	// TearFlipBit flips one bit inside the final frame (latent corruption
 	// caught by the CRC).
@@ -67,25 +71,30 @@ func MangleTail(path string, mode TearMode, rng *rand.Rand) error {
 		// Keep a strict prefix of the final frame (possibly zero bytes of
 		// it — a boundary-adjacent tear).
 		keep := lastStart + rng.Intn(lastLen)
-		return os.Truncate(path, int64(keep))
+		clear(buf[keep : lastStart+lastLen])
 	case TearGarbage:
 		keep := lastStart + rng.Intn(lastLen)
 		junk := make([]byte, 3+rng.Intn(16))
 		rng.Read(junk)
-		out := append(append([]byte(nil), buf[:keep]...), junk...)
-		return os.WriteFile(path, out, 0o644)
+		clear(buf[keep : lastStart+lastLen])
+		if grow := keep + len(junk) - len(buf); grow > 0 {
+			buf = append(buf, make([]byte, grow)...)
+		}
+		copy(buf[keep:], junk)
 	case TearFlipBit:
 		bit := rng.Intn(lastLen * 8)
 		buf[lastStart+bit/8] ^= 1 << (bit % 8)
-		return os.WriteFile(path, buf, 0o644)
+	default:
+		return fmt.Errorf("store: unknown tear mode %d", int(mode))
 	}
-	return fmt.Errorf("store: unknown tear mode %d", int(mode))
+	return os.WriteFile(path, buf, 0o644)
 }
 
 // lastFrame walks the frame chain and returns the offset and length of
-// the final well-formed frame (0,0 when the file holds none). Trailing
-// damage from an earlier mangle is ignored — walking stops where the
-// chain breaks, same as recovery.
+// the final well-formed frame (0,0 when the file holds none). It stops
+// at a zero header, where the preallocated tail starts; trailing damage
+// from an earlier mangle is ignored — walking stops where the chain
+// breaks, same as recovery.
 func lastFrame(buf []byte) (start, length int) {
 	off := 0
 	for {
@@ -93,26 +102,13 @@ func lastFrame(buf []byte) (start, length int) {
 			return start, length
 		}
 		n := binary.BigEndian.Uint32(buf[off:])
+		if n == 0 && binary.BigEndian.Uint32(buf[off+4:]) == 0 {
+			return start, length
+		}
 		if n > maxFramePayload || uint64(len(buf)-off-frameHeader) < uint64(n) {
 			return start, length
 		}
 		start, length = off, frameHeader+int(n)
 		off += length
 	}
-}
-
-// flipBitFromEnd flips one bit in the file at path, addressed as a bit
-// index counting backwards from EOF (0 = lowest bit of the final byte).
-// Used by CrashPoint scripting.
-func flipBitFromEnd(path string, bit int64) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	idx := int64(len(buf)) - 1 - bit/8
-	if idx < 0 {
-		return fmt.Errorf("store: flip bit %d out of range (file %d bytes)", bit, len(buf))
-	}
-	buf[idx] ^= 1 << (bit % 8)
-	return os.WriteFile(path, buf, 0o644)
 }

@@ -9,12 +9,13 @@ import (
 
 // Follower-side replication: a FollowerLog mirrors a primary store's
 // snapshot + WAL generation on its own directory, applying the frames
-// the primary's repl sink emits. The on-disk layout is byte-for-byte the
-// primary's (snap-<gen>.json plus wal-<gen>.log of ordinary WAL frames),
-// so promotion is simply Seal followed by Open — the existing recovery
-// path rebuilds the full engine state from the follower's disk in
-// bounded time. Alongside the disk mirror the follower keeps a warm
-// Applier so its current state is inspectable without a replay.
+// the primary's repl sink emits. The on-disk layout is the primary's
+// (snap-<gen>.json plus wal-<gen>.log of ordinary WAL frames ahead of a
+// zero-filled tail, synced with fdatasync), so promotion is simply Seal
+// followed by Open — the existing recovery path rebuilds the full engine
+// state from the follower's disk in bounded time. Alongside the disk
+// mirror the follower keeps a warm Applier so its current state is
+// inspectable without a replay.
 //
 // Apply rules (the stream's safety argument):
 //   - a frame whose term is older than the newest term seen is rejected
@@ -46,7 +47,7 @@ type FollowerLog struct {
 	gen     uint64
 	pos     uint64
 	term    uint64
-	wal     *os.File
+	wal     *walFile
 	applier *Applier
 	applied uint64 // records applied over the log's lifetime
 
@@ -120,39 +121,22 @@ func (l *FollowerLog) State() *State {
 	return l.applier.State()
 }
 
-// Apply folds one replication frame. The bool reports whether the frame
-// advanced the log (false for skipped duplicates and heartbeats).
+// Apply folds one replication frame: an ApplyBatch of one. The bool
+// reports whether the frame advanced the log (false for skipped
+// duplicates, heartbeats and failures).
 func (l *FollowerLog) Apply(f ReplFrame) (bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sealed {
-		return false, ErrSealed
-	}
-	if f.Term < l.term {
-		return false, fmt.Errorf("%w: frame term %d below %d", ErrBadReplFrame, f.Term, l.term)
-	}
-	l.term = f.Term
-	switch f.Type {
-	case ReplHeartbeat:
-		return false, nil
-	case ReplSnapshot:
-		return true, l.installSnapshotLocked(f)
-	case ReplRecord:
-		return l.applyRecordLocked(f)
-	default:
-		return false, fmt.Errorf("%w: unknown type %d", ErrBadReplFrame, f.Type)
-	}
+	records, snapshots, err := l.ApplyBatch([]ReplFrame{f})
+	return records+snapshots > 0, err
 }
 
 // ApplyBatch folds a batch of replication frames in order, coalescing
 // every run of consecutive applicable record frames into a single WAL
-// write and (per Options.Fsync) a single fsync — the follower half of
-// the primary's group commit. Per-frame validation is identical to
-// Apply: records decode before any byte reaches the WAL, duplicates are
-// skipped, gaps demand a snapshot. On error the valid prefix before the
-// failing frame has been applied and the first failure is reported —
-// the caller resyncs, exactly as for a failed Apply. It returns how
-// many record frames and snapshot frames advanced the log.
+// write and (per Options.Fsync) a single fdatasync — the follower half of
+// the primary's group commit. Records decode before any byte reaches the
+// WAL, duplicates are skipped, gaps demand a snapshot. On error the
+// valid prefix before the failing frame has been applied and the first
+// failure is reported — the caller resyncs. It returns how many record
+// frames and snapshot frames advanced the log.
 func (l *FollowerLog) ApplyBatch(frames []ReplFrame) (records, snapshots int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -166,11 +150,11 @@ func (l *FollowerLog) ApplyBatch(frames []ReplFrame) (records, snapshots int, er
 		if len(recs) == 0 {
 			return nil
 		}
-		if _, werr := l.wal.Write(buf); werr != nil {
+		if werr := l.wal.append(buf); werr != nil {
 			return fmt.Errorf("store: follower wal: %w", werr)
 		}
 		if l.opts.Fsync {
-			if serr := l.wal.Sync(); serr != nil {
+			if serr := l.wal.sync(); serr != nil {
 				return fmt.Errorf("store: follower wal: %w", serr)
 			}
 		}
@@ -242,8 +226,8 @@ loop:
 }
 
 // installSnapshotLocked replaces the follower's disk with generation
-// f.Gen: snapshot written via tmp+rename, a fresh WAL, the previous
-// generation's files removed, and the warm applier reseeded.
+// f.Gen: snapshot written via tmp+rename, a fresh (empty) WAL, the
+// previous generation's files removed, and the warm applier reseeded.
 func (l *FollowerLog) installSnapshotLocked(f ReplFrame) error {
 	state, err := DecodeState(f.Payload)
 	if err != nil {
@@ -269,12 +253,12 @@ func (l *FollowerLog) installSnapshotLocked(f ReplFrame) error {
 		return fmt.Errorf("store: follower snapshot: %w", err)
 	}
 	syncDir(l.dir)
-	wal, err := os.OpenFile(walPath(l.dir, f.Gen), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	wal, err := createWALFile(walPath(l.dir, f.Gen), &l.opts)
 	if err != nil {
 		return fmt.Errorf("store: follower wal: %w", err)
 	}
 	if l.wal != nil {
-		l.wal.Close()
+		l.wal.close()
 		if l.gen != f.Gen {
 			os.Remove(walPath(l.dir, l.gen))
 			os.Remove(snapPath(l.dir, l.gen))
@@ -287,41 +271,6 @@ func (l *FollowerLog) installSnapshotLocked(f ReplFrame) error {
 	l.applier = NewApplier(state, l.opts.PendingCap)
 	l.synced = true
 	return nil
-}
-
-// applyRecordLocked validates and appends one record frame. The record
-// must decode before anything touches disk; a gap in position or an
-// unseen generation demands a snapshot resync.
-func (l *FollowerLog) applyRecordLocked(f ReplFrame) (bool, error) {
-	if !l.synced {
-		return false, ErrNeedSnapshot
-	}
-	if f.Gen < l.gen || f.Pos <= l.pos {
-		return false, nil // duplicate from before a resync or rotation
-	}
-	if f.Gen > l.gen {
-		return false, fmt.Errorf("%w: record for gen %d, follower at %d", ErrNeedSnapshot, f.Gen, l.gen)
-	}
-	if f.Pos != l.pos+1 {
-		return false, fmt.Errorf("%w: record position %d, follower at %d", ErrNeedSnapshot, f.Pos, l.pos)
-	}
-	rec, err := DecodeRecord(f.Payload)
-	if err != nil {
-		// A corrupt record never reaches the follower's WAL or state.
-		return false, fmt.Errorf("%w: record does not decode: %v", ErrBadReplFrame, err)
-	}
-	if _, err := l.wal.Write(Frame(f.Payload)); err != nil {
-		return false, fmt.Errorf("store: follower wal: %w", err)
-	}
-	if l.opts.Fsync {
-		if err := l.wal.Sync(); err != nil {
-			return false, fmt.Errorf("store: follower wal: %w", err)
-		}
-	}
-	l.applier.Apply(rec)
-	l.pos = f.Pos
-	l.applied++
-	return true, nil
 }
 
 // Seal syncs and closes the follower's WAL and refuses every further
@@ -337,18 +286,18 @@ func (l *FollowerLog) Seal() error {
 	if l.wal == nil {
 		return nil
 	}
-	if err := l.wal.Sync(); err != nil {
-		l.wal.Close()
+	if err := l.wal.sync(); err != nil {
+		l.wal.close()
 		return fmt.Errorf("store: follower seal: %w", err)
 	}
-	return l.wal.Close()
+	return l.wal.close()
 }
 
 // Reopen reverses Seal for a promotion attempt that failed after the
 // log was sealed and removed from the fan-out: the WAL reopens for
-// appends and Apply resumes, so the log can rejoin the follower set and
-// a later promotion can retry from it. The directory must still be
-// intact (Reopen after Close is an error).
+// appends at its log end and Apply resumes, so the log can rejoin the
+// follower set and a later promotion can retry from it. The directory
+// must still be intact (Reopen after Close is an error).
 func (l *FollowerLog) Reopen() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -356,7 +305,7 @@ func (l *FollowerLog) Reopen() error {
 		return nil
 	}
 	if l.synced {
-		wal, err := os.OpenFile(walPath(l.dir, l.gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		wal, err := openWALFile(walPath(l.dir, l.gen), l.wal.end, &l.opts)
 		if err != nil {
 			return fmt.Errorf("store: follower reopen: %w", err)
 		}

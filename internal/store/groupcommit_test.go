@@ -23,6 +23,7 @@ type countingCounters struct {
 	groupRecords int
 	deferred     int
 	syncNs       int64
+	prealloc     []int // bytes of each zero-fill growth, in order
 }
 
 func (c *countingCounters) AddWALAppend(bytes int)     { c.appends++; c.appendBytes += bytes }
@@ -31,6 +32,9 @@ func (c *countingCounters) AddSnapshot()               { c.snapshots++ }
 func (c *countingCounters) AddRecovery(int, int64)     {}
 func (c *countingCounters) AddFencedWrite()            { c.fenced++ }
 func (c *countingCounters) AddWALDeferred(records int) { c.deferred += records }
+func (c *countingCounters) AddWALPrealloc(bytes int, _ int64) {
+	c.prealloc = append(c.prealloc, bytes)
+}
 func (c *countingCounters) AddWALGroupCommit(records int, syncNanos int64) {
 	c.groupCommits++
 	c.groupRecords += records

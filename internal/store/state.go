@@ -88,7 +88,8 @@ type stateBuilder struct {
 	fired      map[alarm.FiredPair]struct{}
 	lifecycle  map[lcKey]alarm.LifecycleState
 	clients    map[uint64]*ClientRec
-	sessions   map[uint64]uint64 // token -> user
+	sessions   map[uint64]uint64   // token -> user
+	userTokens map[uint64][]uint64 // user -> its tokens, for ExpireRec
 	nextID     uint64
 	lastToken  uint64
 	epoch      uint64
@@ -111,6 +112,7 @@ func newBuilder(base *State, pendingCap int) *stateBuilder {
 		lifecycle:  make(map[lcKey]alarm.LifecycleState),
 		clients:    make(map[uint64]*ClientRec),
 		sessions:   make(map[uint64]uint64),
+		userTokens: make(map[uint64][]uint64),
 		nextID:     1,
 		pendingCap: pendingCap,
 	}
@@ -138,7 +140,7 @@ func newBuilder(base *State, pendingCap int) *stateBuilder {
 		b.clients[c.User] = &cc
 	}
 	for _, s := range base.Sessions {
-		b.sessions[s.Token] = s.User
+		b.addSession(s.Token, s.User)
 	}
 	return b
 }
@@ -172,7 +174,7 @@ func (b *stateBuilder) apply(rec Record) {
 			User: r.User, Strategy: r.Strategy, MaxHeight: r.MaxHeight,
 			Reliable: true, PendingFired: carried,
 		}
-		b.sessions[r.Token] = r.User
+		b.addSession(r.Token, r.User)
 		if r.Token > b.lastToken {
 			b.lastToken = r.Token
 		}
@@ -238,16 +240,27 @@ func (b *stateBuilder) apply(rec Record) {
 		cl.PendingFired = keep
 	case ExpireRec:
 		delete(b.clients, r.User)
-		for tok, user := range b.sessions {
-			if user == r.User {
+		for _, tok := range b.userTokens[r.User] {
+			if b.sessions[tok] == r.User {
 				delete(b.sessions, tok)
 			}
 		}
+		delete(b.userTokens, r.User)
 	case EpochRec:
 		if r.Epoch > b.epoch {
 			b.epoch = r.Epoch
 		}
 	}
+}
+
+// addSession maps token to user and indexes it under the user. A token
+// that moves to another user stays in its old user's list; ExpireRec
+// skips such stale entries.
+func (b *stateBuilder) addSession(token, user uint64) {
+	if u, ok := b.sessions[token]; !ok || u != user {
+		b.userTokens[user] = append(b.userTokens[user], token)
+	}
+	b.sessions[token] = user
 }
 
 // dropLifecycle scrubs every lifecycle machine of one alarm, mirroring

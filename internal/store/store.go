@@ -41,6 +41,11 @@ type Counters interface {
 	// AddWALDeferred records waiter-less records (AppendDeferred) landed by
 	// a group commit; they are also counted in that group's records.
 	AddWALDeferred(records int)
+	// AddWALPrealloc records one growth of a WAL file's zero-filled
+	// region: the zero bytes written and the wall time of the write and
+	// its sync (0 when Fsync is off). Neither is an append's bytes or
+	// fsync.
+	AddWALPrealloc(bytes int, nanos int64)
 }
 
 // DefaultGroupMax is the records-per-group cap when Options.GroupMax is
@@ -56,10 +61,11 @@ const deferredMax = 64
 
 // Options tunes a Store.
 type Options struct {
-	// Fsync syncs the WAL file after every append and snapshot write.
-	// Disabling it trades machine-crash durability for throughput;
+	// Fsync syncs the WAL file after every group commit (fdatasync: the
+	// append overwrote zero-filled blocks in place) and every snapshot
+	// write. Disabling it trades machine-crash durability for throughput;
 	// process-crash durability (what RunCrashing simulates) is unaffected
-	// because appends are single write(2) calls.
+	// because a group lands with a single write.
 	Fsync bool
 	// SnapshotEvery checkpoints automatically after this many WAL appends
 	// (0 disables automatic checkpoints; Checkpoint can still be called
@@ -103,16 +109,16 @@ type RecoveryInfo struct {
 // CrashPoint scripts a deterministic store kill for the fault-injection
 // harness: on the AfterAppends-th Append (1-based, counted over the
 // store's lifetime), only the first TearBytes bytes of the frame reach
-// the file (clamped to the frame; a value past the frame length writes
-// it whole — a record-boundary kill), then Garbage is appended, FlipBit
-// flips the addressed bit (offset from the end of the file, when
+// the log end (clamped to the frame; a value past the frame length writes
+// it whole — a record-boundary kill), then Garbage is written after them,
+// FlipBit flips the addressed bit (offset back from the new log end, when
 // FlipBit >= 0), and the store dies: the append and everything after it
 // returns ErrCrashed.
 type CrashPoint struct {
 	AfterAppends int
 	TearBytes    int
 	Garbage      []byte
-	FlipBit      int64 // bit index counting back from EOF; -1 disables
+	FlipBit      int64 // bit index counting back from the log end; -1 disables
 }
 
 // Store is the durable backend: one active WAL generation plus the
@@ -124,7 +130,7 @@ type Store struct {
 
 	mu          sync.Mutex
 	gen         uint64
-	wal         *os.File
+	wal         *walFile
 	crashed     bool
 	appends     int // appends since the last checkpoint
 	appendsEver int // lifetime appends, for CrashPoint matching
@@ -183,6 +189,9 @@ func walPath(dir string, gen uint64) string {
 // description of what recovery found. A torn or corrupt WAL tail is
 // truncated away — never an error: it is the expected artifact of a
 // crash mid-write, and every record it could hold was unacknowledged.
+// Appends continue at the log end, the offset where the scan stopped;
+// the zero-filled region after it is kept, or regrown by the first
+// append once a damaged tail has been cut off.
 func Open(dir string, opts Options) (*Store, *State, RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, RecoveryInfo{}, fmt.Errorf("store: %w", err)
@@ -223,7 +232,9 @@ func Open(dir string, opts Options) (*Store, *State, RecoveryInfo, error) {
 		b.apply(rec)
 		info.Replayed++
 	}
-	info.TruncatedBytes = int64(len(buf) - clean)
+	// The zero-filled tail is not damage: only bytes up to the last
+	// non-zero one count as discarded.
+	info.TruncatedBytes = int64(nonZeroEnd(buf[clean:]))
 	info.TruncateReason = reason
 	if info.TruncatedBytes > 0 {
 		// Repair: cut the damage off so new appends extend the clean
@@ -233,11 +244,10 @@ func Open(dir string, opts Options) (*Store, *State, RecoveryInfo, error) {
 		}
 	}
 
-	wal, err := os.OpenFile(wp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	s := &Store{dir: dir, opts: opts, gen: gen, pos: uint64(info.Replayed)}
+	if s.wal, err = openWALFile(wp, int64(clean), &s.opts); err != nil {
 		return nil, nil, info, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, gen: gen, wal: wal, pos: uint64(info.Replayed)}
 	if opts.Counters != nil {
 		opts.Counters.AddRecovery(info.Replayed, info.TruncatedBytes)
 	}
@@ -353,9 +363,9 @@ func (req *commitReq) addRecord(rec Record) {
 //
 // Concurrent callers group-commit: each enqueues its pre-framed record
 // and the first to take the store lock becomes the flush leader, landing
-// every queued record with one write(2) and (when Fsync is on) one fsync
-// before waking the group. A single-threaded caller forms groups of one
-// and behaves exactly like the historical per-record path.
+// every queued record with one positional write and (when Fsync is on)
+// one fdatasync before waking the group. A single-threaded caller forms
+// groups of one and behaves exactly like the historical per-record path.
 func (s *Store) Append(rec Record) error {
 	req := getCommitReq()
 	req.addRecord(rec)
@@ -432,7 +442,7 @@ func (s *Store) await(req *commitReq) error {
 
 // flushQueueLocked is the group-commit leader: it swaps the commit queue
 // out and lands the drained requests in GroupMax-record chunks, each one
-// write(2) + one fsync. Runs with s.mu held.
+// write + one sync. Runs with s.mu held.
 func (s *Store) flushQueueLocked() {
 	if s.opts.GroupWait > 0 && !s.crashed {
 		// Hold the group open: appenders keep enqueueing under qmu while
@@ -534,7 +544,7 @@ func (s *Store) flushChunkLocked(chunk []*commitReq, nrecs int) {
 		}
 	}
 
-	if _, err := s.wal.Write(gb); err != nil {
+	if err := s.wal.append(gb); err != nil {
 		s.crashed = true
 		completeChunk(chunk, fmt.Errorf("%w: %v", ErrCrashed, err))
 		return
@@ -542,7 +552,7 @@ func (s *Store) flushChunkLocked(chunk []*commitReq, nrecs int) {
 	var syncNs int64
 	if s.opts.Fsync {
 		t0 := time.Now()
-		if err := s.wal.Sync(); err != nil {
+		if err := s.wal.sync(); err != nil {
 			s.crashed = true
 			completeChunk(chunk, fmt.Errorf("%w: %v", ErrCrashed, err))
 			return
@@ -656,27 +666,27 @@ func (s *Store) fenceCheckLocked() error {
 	return nil
 }
 
-// executeCrashLocked applies a scripted kill to a group: every byte of
-// group before frameStart (the earlier records of the group) lands
-// whole, then a torn prefix of the final frame, optional trailing
-// garbage, an optional bit flip, then death.
+// executeCrashLocked applies a scripted kill to a group at the log end:
+// every byte of group before frameStart (the earlier records of the
+// group) lands whole, then a torn prefix of the final frame, optional
+// trailing garbage, an optional bit flip, then death.
 func (s *Store) executeCrashLocked(cp CrashPoint, group []byte, frameStart int) {
 	tear := cp.TearBytes
 	if frame := group[frameStart:]; tear > len(frame) {
 		tear = len(frame)
 	}
 	if frameStart+tear > 0 {
-		s.wal.Write(group[:frameStart+tear])
+		s.wal.append(group[:frameStart+tear])
 	}
 	if len(cp.Garbage) > 0 {
-		s.wal.Write(cp.Garbage)
+		s.wal.append(cp.Garbage)
 	}
-	s.wal.Sync()
+	s.wal.sync()
 	if cp.FlipBit >= 0 {
-		flipBitFromEnd(s.wal.Name(), cp.FlipBit)
+		s.wal.flipBit(cp.FlipBit)
 	}
 	s.crashed = true
-	s.wal.Close()
+	s.wal.close()
 }
 
 // Checkpoint writes a full snapshot of the current state (from the
@@ -736,12 +746,12 @@ func (s *Store) checkpointLocked(state *State) error {
 	}
 	syncDir(s.dir)
 
-	wal, err := os.OpenFile(walPath(s.dir, next), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	wal, err := createWALFile(walPath(s.dir, next), &s.opts)
 	if err != nil {
 		s.crashed = true
 		return fmt.Errorf("%w: %v", ErrCrashed, err)
 	}
-	s.wal.Close()
+	s.wal.close()
 	os.Remove(walPath(s.dir, s.gen))
 	os.Remove(snapPath(s.dir, s.gen))
 	syncDir(s.dir)
@@ -769,7 +779,7 @@ func (s *Store) Kill() {
 		return
 	}
 	s.crashed = true
-	s.wal.Close()
+	s.wal.close()
 }
 
 // Close checkpoints nothing (call Checkpoint first for a clean-shutdown
@@ -784,9 +794,9 @@ func (s *Store) Close() error {
 	}
 	s.crashed = true
 	if s.opts.Fsync {
-		s.wal.Sync()
+		s.wal.sync()
 	}
-	return s.wal.Close()
+	return s.wal.close()
 }
 
 // WALPath returns the active WAL file path (for the crash harness's

@@ -87,8 +87,10 @@ func TestScanFramesTornTail(t *testing.T) {
 		if len(payloads) != len(recs)-1 || clean != lastStart {
 			t.Fatalf("cut=%d: got %d payloads, clean=%d, reason=%q", cut, len(payloads), clean, reason)
 		}
-		if cut > lastStart && reason == "" {
-			t.Fatalf("cut=%d: torn frame scanned without a stop reason", cut)
+		// A cut inside the header's leading zero bytes leaves a partial
+		// zero header: the start of the zero tail, not damage.
+		if torn := nonZeroEnd(buf[lastStart:cut]) > 0; torn != (reason != "") {
+			t.Fatalf("cut=%d: torn=%v but stop reason %q", cut, torn, reason)
 		}
 	}
 
@@ -98,6 +100,19 @@ func TestScanFramesTornTail(t *testing.T) {
 	payloads, clean, _ = ScanFrames(flipped)
 	if len(payloads) != len(recs)-1 || clean != lastStart {
 		t.Fatalf("flipped CRC: got %d payloads, clean=%d", len(payloads), clean)
+	}
+
+	// Zeros after the log are the preallocated tail; anything non-zero
+	// after a zero header is damage, and the log ends at that header.
+	tail := append(append([]byte(nil), buf...), make([]byte, 100)...)
+	payloads, clean, reason = ScanFrames(tail)
+	if len(payloads) != len(recs) || clean != whole || reason != "" {
+		t.Fatalf("log + zeros: got %d payloads, clean=%d, reason=%q", len(payloads), clean, reason)
+	}
+	tail[len(tail)-1] = 7
+	payloads, clean, reason = ScanFrames(tail)
+	if len(payloads) != len(recs) || clean != whole || reason == "" {
+		t.Fatalf("log + zeros + junk: got %d payloads, clean=%d, reason=%q", len(payloads), clean, reason)
 	}
 }
 

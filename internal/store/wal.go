@@ -7,10 +7,13 @@ import (
 )
 
 // WAL frame layout: u32 payload length | u32 CRC-32 (IEEE) of the payload
-// | payload. Appends are a single write(2) of the whole frame, so a crash
-// can only tear the *final* frame: everything before it is byte-complete
-// on disk, and recovery truncates the log at the first frame that fails
-// the length or CRC check.
+// | payload. A WAL file is its frames followed by a zero-filled tail
+// (walFile): a group of frames lands with one positional write at the log
+// end, so a crash can only tear the final frames, everything before them
+// is byte-complete on disk, and recovery truncates the log at the first
+// frame that fails the length or CRC check. A zero header — length 0,
+// CRC 0 — is where the preallocated tail starts; no record encodes empty,
+// so no real frame has one.
 const (
 	frameHeader = 8
 	// maxFramePayload bounds the length prefix a frame may claim,
@@ -36,12 +39,15 @@ func AppendFrame(dst, payload []byte) []byte {
 }
 
 // ScanFrames parses as many whole, checksum-valid frames as buf holds.
-// It returns the payloads, the byte offset of the first invalid frame
-// (== len(buf) when the log is clean), and a human-readable reason when
-// the scan stopped early. Torn tails — a partial header, a payload cut
-// short, trailing garbage, a flipped CRC bit — all stop the scan at the
-// frame boundary before the damage; they never error, because a torn
-// final write is the expected crash artifact.
+// It returns the payloads, the byte offset of the log end (the first
+// invalid frame, or the zero tail), and a human-readable reason when the
+// scan stopped at damage. Reaching the end of buf, or a zero header (or
+// a partial one) with only zeros after it, is a clean stop: that is the
+// preallocated tail. Torn tails — a partial header, a payload cut short,
+// trailing garbage, a flipped CRC bit, non-zero bytes after a zero
+// header — all stop the scan at the frame boundary before the damage;
+// they never error, because a torn final write is the expected crash
+// artifact.
 func ScanFrames(buf []byte) (payloads [][]byte, clean int, reason string) {
 	off := 0
 	for {
@@ -49,10 +55,19 @@ func ScanFrames(buf []byte) (payloads [][]byte, clean int, reason string) {
 			return payloads, off, ""
 		}
 		if len(buf)-off < frameHeader {
+			if nonZeroEnd(buf[off:]) == 0 {
+				return payloads, off, ""
+			}
 			return payloads, off, fmt.Sprintf("partial frame header (%d bytes) at offset %d", len(buf)-off, off)
 		}
 		n := binary.BigEndian.Uint32(buf[off:])
 		sum := binary.BigEndian.Uint32(buf[off+4:])
+		if n == 0 && sum == 0 {
+			if nonZeroEnd(buf[off+frameHeader:]) == 0 {
+				return payloads, off, ""
+			}
+			return payloads, off, fmt.Sprintf("zero frame header at offset %d followed by non-zero bytes", off)
+		}
 		if n > maxFramePayload {
 			return payloads, off, fmt.Sprintf("frame at offset %d claims %d bytes (cap %d)", off, n, maxFramePayload)
 		}
@@ -66,4 +81,16 @@ func ScanFrames(buf []byte) (payloads [][]byte, clean int, reason string) {
 		payloads = append(payloads, payload)
 		off += frameHeader + int(n)
 	}
+}
+
+// nonZeroEnd returns one past the index of b's last non-zero byte (0 when
+// b is all zeros): how much of a WAL tail is damage rather than the
+// zero-filled region.
+func nonZeroEnd(b []byte) int {
+	for i := len(b) - 1; i >= 0; i-- {
+		if b[i] != 0 {
+			return i + 1
+		}
+	}
+	return 0
 }
