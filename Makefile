@@ -5,12 +5,16 @@
 #   make crash   crash-recovery suite under the race detector: WAL/
 #                snapshot store tests, durable-engine recovery tests and
 #                the kill/mangle/recover rows of the simulation table
-#   make cluster sharded-cluster suite under the race detector:
-#                partitioner/router/handoff unit tests (incl. the handoff
-#                crash-window table), the engine's session-transfer and
-#                the store's deferred-append tests, the TCP redirect
-#                end-to-end tests, the shared TCP front end's tests (each
-#                over a single engine and a 2x1 cluster) and the
+#   make cluster sharded-cluster suite under the race detector: the
+#                partitioner tests and the front-end cluster tests, which
+#                drive the shared TCP front end's per-frame Dispatch over
+#                in-memory connections (redirect handoffs, pending
+#                carry-over, down shards, multi-hop duplicates, 16
+#                concurrent connections, batched frames, the handoff
+#                crash-window table); the engine's session-transfer and
+#                the store's deferred-append tests; the TCP redirect
+#                end-to-end tests and the front end's socket tests (each
+#                over a single engine and a 2x1 cluster); and the
 #                multi-shard delivery-equality simulation (4 shards,
 #                forced handoffs, shard crashes)
 #   make rebalance
@@ -35,10 +39,6 @@
 #                that separates a pair's endpoints mid-run)
 #   make bench   engine throughput sweep at 1/2/4/8 procs; writes
 #                BENCH_engine.json via cmd/alarmbench
-#   make bench-cluster
-#                routed update throughput on a sharded cluster with 100k
-#                simulated clients, sweeping shards x goroutines x batch
-#                size; writes BENCH_cluster.json
 #   make bench-wal
 #                durable append throughput with fsync on, sweeping
 #                concurrent appenders x group-commit cap; writes
@@ -79,7 +79,7 @@ sim = echo "$(GO) test -race -v -run '$(1)' ./internal/sim/"; \
 	echo "$$out" | grep -q '^ *--- PASS: [^ ]*/' || \
 		{ echo "make: -run '$(1)' selected no test in ./internal/sim/" >&2; exit 1; }
 
-.PHONY: tier1 race crash cluster rebalance failover lifecycle bench bench-cluster bench-wal bench-wal-smoke bench-smoke figures benchpair logdiff
+.PHONY: tier1 race crash cluster rebalance failover lifecycle bench bench-wal bench-wal-smoke bench-smoke figures benchpair logdiff
 
 tier1:
 	$(GO) build ./...
@@ -117,9 +117,6 @@ lifecycle:
 bench:
 	$(GO) test -run xxx -bench 'Engine(Parallel|Serial)' -cpu 1,2,4,8 -benchtime 2000x .
 	$(GO) run ./cmd/alarmbench -scale small bench-engine
-
-bench-cluster:
-	$(GO) run ./cmd/alarmbench -scale small bench-cluster
 
 bench-wal:
 	$(GO) run ./cmd/alarmbench -scale small bench-wal

@@ -197,3 +197,10 @@ func benchWALOnce(appenders, groupMax int, groupWait time.Duration, total int) (
 		SyncSeconds:  float64(sn.WALSyncNs) / 1e9,
 	}, nil
 }
+
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

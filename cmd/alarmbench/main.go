@@ -22,9 +22,6 @@
 //	ablate-publicbitmap  PBSR with vs without public-alarm precomputation
 //	bench-engine         concurrent HandleUpdate throughput at 1/2/4/8
 //	         goroutines; writes BENCH_engine.json (not part of "all")
-//	bench-cluster        routed update throughput on a sharded cluster
-//	         with 100k simulated clients, sweeping shards × goroutines ×
-//	         batch size; writes BENCH_cluster.json (not part of "all")
 //	bench-wal            durable append throughput with fsync on, sweeping
 //	         concurrent appenders × group-commit cap (group_max=1 is the
 //	         per-record baseline); writes BENCH_wal.json (not part of "all")
@@ -124,7 +121,6 @@ var runners = map[string]func(options) error{
 	"coverage":            runCoverage,
 	"scalability":         runScalability,
 	"bench-engine":        runBenchEngine,
-	"bench-cluster":       runBenchCluster,
 	"bench-wal":           runBenchWAL,
 }
 

@@ -595,8 +595,8 @@ func runClustered(p clusterParams) error {
 	// The balancer observes per-shard load each interval and performs at
 	// most one split and one merge per tick; a split's new shard gets its
 	// own listener (base port + shard ID) before clients can be
-	// redirected to it, and until then the router serves its users
-	// through in-process handoffs from the shard they dialed.
+	// redirected to it, and until then the reports it owns go
+	// unanswered and their clients resend them.
 	stopBalance := make(chan struct{})
 	if p.rebalance > 0 {
 		bal, err := cluster.NewBalancer(cl, p.balancer)
@@ -728,10 +728,9 @@ func runClustered(p clusterParams) error {
 	fmt.Printf("triggers:  %d\n", sum.AlarmsTriggered)
 	fmt.Printf("sessions:  %d opened, %d resumed, %d heartbeats, %d expired\n",
 		sum.SessionsOpened, sum.SessionsResumed, sum.Heartbeats, sum.SessionsExpired)
-	fmt.Printf("routing:   %d updates routed, %d redirects sent, %d out-of-universe positions clamped\n",
-		cm.RoutedUpdates, cm.RedirectsSent, cm.LocateClamped)
-	fmt.Printf("handoffs:  %d completed, %d deferred, %d duplicate firings suppressed\n",
-		cm.Handoffs, cm.HandoffsDeferred, cm.DuplicateFiringsSuppressed)
+	fmt.Printf("routing:   %d redirects sent, %d out-of-universe positions clamped\n",
+		cm.RedirectsSent, cm.LocateClamped)
+	fmt.Printf("handoffs:  %d completed, %d deferred\n", cm.Handoffs, cm.HandoffsDeferred)
 	fmt.Printf("rebalance: %d splits, %d merges, %d sessions drained (final epoch %d, %d shards)\n",
 		cm.Splits, cm.Merges, cm.SessionsDrained, cl.Epoch(), cl.PartitionMap().N())
 	return nil

@@ -37,23 +37,27 @@ func TestNewBalancerValidation(t *testing.T) {
 
 // driveLoad parks users on a shard and sends extra updates, raising its
 // load score (sessions + uplink delta) to roughly users + users*updates.
-func driveLoad(t *testing.T, rt *Router, users []uint64, pos geom.Point, updates int) {
+// It returns the users' clients.
+func driveLoad(t *testing.T, fe *TCPCluster, users []uint64, pos geom.Point, updates int) []*memClient {
 	t.Helper()
+	var cls []*memClient
 	for _, u := range users {
-		hello(t, rt, u)
+		cl := hello(t, fe, u)
 		for s := 1; s <= updates; s++ {
-			update(t, rt, u, uint32(s), pos)
+			cl.mustReport(pos)
 		}
+		cls = append(cls, cl)
 	}
+	return cls
 }
 
 // TestBalancerSplitsHottest: with two shards above the split threshold,
 // one Step splits only the hotter one and leaves the other alone.
 func TestBalancerSplitsHottest(t *testing.T) {
 	c := newTestCluster(t, 2, 1, "")
-	rt := NewRouter(c)
-	driveLoad(t, rt, []uint64{1, 2, 3, 4}, geom.Pt(2000, 5000), 4) // shard 0: score ~20
-	driveLoad(t, rt, []uint64{5}, geom.Pt(8000, 5000), 2)          // shard 1: score ~3
+	fe := newMemFront(t, c)
+	driveLoad(t, fe, []uint64{1, 2, 3, 4}, geom.Pt(2000, 5000), 4) // shard 0: score ~20
+	driveLoad(t, fe, []uint64{5}, geom.Pt(8000, 5000), 2)          // shard 1: score ~3
 
 	b, err := NewBalancer(c, BalancerConfig{SplitAbove: 2})
 	if err != nil {
@@ -84,8 +88,7 @@ func TestBalancerSplitsHottest(t *testing.T) {
 // session count sits below the threshold cools down and stops splitting.
 func TestBalancerUplinkDeltaWindow(t *testing.T) {
 	c := newTestCluster(t, 1, 1, "")
-	rt := NewRouter(c)
-	driveLoad(t, rt, []uint64{1, 2}, geom.Pt(2000, 5000), 10) // score ~22, sessions 2
+	driveLoad(t, newMemFront(t, c), []uint64{1, 2}, geom.Pt(2000, 5000), 10) // score ~22, sessions 2
 
 	b, err := NewBalancer(c, BalancerConfig{SplitAbove: 10})
 	if err != nil {
@@ -106,8 +109,7 @@ func TestBalancerUplinkDeltaWindow(t *testing.T) {
 // TestBalancerRespectsMaxShards: a hot shard at the cap stays unsplit.
 func TestBalancerRespectsMaxShards(t *testing.T) {
 	c := newTestCluster(t, 2, 1, "")
-	rt := NewRouter(c)
-	driveLoad(t, rt, []uint64{1, 2, 3}, geom.Pt(2000, 5000), 5)
+	driveLoad(t, newMemFront(t, c), []uint64{1, 2, 3}, geom.Pt(2000, 5000), 5)
 
 	b, err := NewBalancer(c, BalancerConfig{SplitAbove: 2, MaxShards: 2})
 	if err != nil {
@@ -189,11 +191,10 @@ func TestBalancerSkipsDownShardPair(t *testing.T) {
 
 // TestBalancerMigratesSessionsOnMerge: sessions resident on the retired
 // shard move to the absorbing sibling during the balancer's merge, and
-// the router keeps serving them at the new home.
+// the retired shard's listener redirects their clients to the new home.
 func TestBalancerMigratesSessionsOnMerge(t *testing.T) {
 	c := newTestCluster(t, 2, 1, "")
-	rt := NewRouter(c)
-	driveLoad(t, rt, []uint64{1, 2}, geom.Pt(8000, 5000), 1) // park on shard 1
+	cls := driveLoad(t, newMemFront(t, c), []uint64{1, 2}, geom.Pt(8000, 5000), 1) // park on shard 1
 
 	b, err := NewBalancer(c, BalancerConfig{MergeBelow: 50})
 	if err != nil {
@@ -213,7 +214,15 @@ func TestBalancerMigratesSessionsOnMerge(t *testing.T) {
 	if got := c.Engine(0).ClientCount(); got != 2 {
 		t.Errorf("shard 0 holds %d sessions after drain, want 2", got)
 	}
-	// The drained users keep reporting through the router without rejoin.
-	update(t, rt, 1, 2, geom.Pt(8100, 5000))
-	update(t, rt, 2, 2, geom.Pt(8100, 5000))
+	// The drained users keep reporting: shard 1's listener redirects them
+	// to shard 0, where they re-enroll onto the drained session.
+	for _, cl := range cls {
+		cl.mustReport(geom.Pt(8100, 5000))
+		if cl.listener != 0 {
+			t.Errorf("user %d still on listener %d after the merge", cl.user, cl.listener)
+		}
+	}
+	if got := c.Engine(0).ClientCount(); got != 2 {
+		t.Errorf("shard 0 holds %d sessions after the drained users reported, want 2", got)
+	}
 }

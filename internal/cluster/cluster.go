@@ -88,8 +88,8 @@ const (
 
 // Cluster runs one engine per spatial partition under a versioned
 // partition map. Shards fail and recover independently: a down shard's
-// slot holds nil, and the router degrades to resend/defer behaviour for
-// clients it owns. SplitShard and MergeShards mutate the map at
+// slot holds nil, and the front end drops the connections of the clients
+// it serves until it is back. SplitShard and MergeShards mutate the map at
 // runtime; readers follow it lock-free through an atomic pointer.
 type Cluster struct {
 	cfg      Config
@@ -111,9 +111,9 @@ type Cluster struct {
 	nextAlarmID uint64
 
 	// retired maps a merged-away shard to the live shard that absorbed
-	// it, so the router can re-point routes that still name the retired
-	// shard. In-memory only: routes are in-memory too and rebuild from
-	// the map after a restart.
+	// it, so the front end can redirect clients that still dial the
+	// retired shard. In-memory only: New refills it for the drains it
+	// finishes, and forgets merges that completed before the restart.
 	retiredMu sync.RWMutex
 	retired   map[int]int
 
@@ -371,12 +371,6 @@ func (c *Cluster) locate(pt geom.Point) int {
 	return shard
 }
 
-// firstShard returns the lowest live shard ID — the enrollment home for
-// clients that have not reported a position yet.
-func (c *Cluster) firstShard() int {
-	return c.part.Load().Shards()[0]
-}
-
 // retiredTarget resolves a retired shard to the live shard that
 // absorbed its sessions, following chains of merges.
 func (c *Cluster) retiredTarget(shard int) (int, bool) {
@@ -526,11 +520,12 @@ func (c *Cluster) Crash() {
 // the population is too small to vote): a fresh engine is booted for
 // the newly allocated shard ID, adopts every alarm of the parent whose
 // region intersects the new margin (plus their fired pairs, so nothing
-// refires), and only then does the successor map commit — the ordering makes a crash at any point recoverable to a
-// consistent epoch. Sessions are NOT eagerly migrated: clients resident
-// in the moved half keep talking to the old shard until their next
-// report, which the router hands off through the ordinary durable
-// handoff (moveSession). It returns the new shard's ID.
+// refires), and only then does the successor map commit — the ordering
+// makes a crash at any point recoverable to a consistent epoch. Sessions
+// are NOT eagerly migrated: clients resident in the moved half keep
+// talking to the old shard until their next report, which the front end
+// answers with the ordinary durable handoff and a Redirect
+// (moveSession). It returns the new shard's ID.
 func (c *Cluster) SplitShard(shard int) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -740,11 +735,11 @@ func (c *Cluster) finishDrain(d Drain) error {
 	return nil
 }
 
-// moveSession is the one cross-shard session transfer — the TCP
-// redirect, the router's handoff and the merge drain all run it: peek at
-// the source, import at the destination (the handoff's single
-// synchronous group commit), and only once that is durable drop at the
-// source, whose ExpireRec rides its own log's next commit. It returns the
+// moveSession is the one cross-shard session transfer — the front end's
+// redirect and the merge drain both run it: peek at the source, import at
+// the destination (the handoff's single synchronous group commit), and
+// only once that is durable drop at the source, whose ExpireRec rides its
+// own log's next commit. It returns the
 // record and the token minted at the destination; moved reports that the
 // import is durable. A failure before that leaves the session where it
 // was; an error with moved set means only the cleanup failed (the source

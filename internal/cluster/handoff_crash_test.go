@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
@@ -12,96 +11,12 @@ import (
 	"github.com/sabre-geo/sabre/internal/wire"
 )
 
-// handoffProbe is the client side of the crash-window table: it reports
-// a scripted walk through a Router, retries a report the cluster could
-// not serve, and remembers every event id it was ever sent — the set a
-// deduplicating client delivers. A reliable probe acknowledges nothing
-// until the walk is over, so its firings are pending at every crossing.
-type handoffProbe struct {
-	t         *testing.T
-	rt        *Router
-	reliable  bool
-	seq       uint32
-	token     uint64
-	delivered map[uint64]bool
-}
-
+// probeUser walks the crash-window script. Its client retries a report
+// the cluster could not serve, and remembers every event id it was ever
+// sent — the set a deduplicating client delivers. A reliable probe
+// acknowledges nothing until the walk is over, so its firings are
+// pending at every crossing.
 const probeUser = 1
-
-func (p *handoffProbe) absorb(msgs []wire.Message) {
-	for _, m := range msgs {
-		switch m := m.(type) {
-		case wire.AlarmFired:
-			for _, id := range m.Alarms {
-				p.delivered[id] = true
-			}
-		case wire.Resume:
-			p.token = m.Token
-		}
-	}
-}
-
-func (p *handoffProbe) enroll() {
-	p.t.Helper()
-	if !p.reliable {
-		if !p.rt.HandleRegister(wire.Register{User: probeUser, Strategy: wire.StrategyMWPSR, MaxHeight: 5}) {
-			p.t.Fatal("register refused")
-		}
-		return
-	}
-	out, err := p.rt.HandleHello(wire.Hello{User: probeUser, Strategy: wire.StrategyMWPSR, MaxHeight: 5})
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	p.absorb(out)
-}
-
-// report sends the next report; on failure the same seq is resent by the
-// next call, as a session's resend machinery would.
-func (p *handoffProbe) report(pos geom.Point) error {
-	out, err := p.rt.HandleUpdate(wire.PositionUpdate{User: probeUser, Seq: p.seq + 1, Pos: pos})
-	if err != nil {
-		return err
-	}
-	p.seq++
-	p.absorb(out)
-	return nil
-}
-
-func (p *handoffProbe) mustReport(pos geom.Point) {
-	p.t.Helper()
-	if err := p.report(pos); err != nil {
-		p.t.Fatalf("report %v: %v", pos, err)
-	}
-}
-
-// resumes checks that the last token the cluster handed out resumes the
-// session where the router says it lives.
-func (p *handoffProbe) resumes() {
-	p.t.Helper()
-	if !p.reliable {
-		return
-	}
-	out, err := p.rt.HandleHello(wire.Hello{User: probeUser, Token: p.token, Strategy: wire.StrategyMWPSR, MaxHeight: 5})
-	if err != nil {
-		p.t.Fatalf("resume: %v", err)
-	}
-	for _, m := range out {
-		if r, ok := m.(wire.Resume); ok && !r.Resumed {
-			p.t.Errorf("token %d from the handoff did not resume", p.token)
-		}
-	}
-	p.absorb(out)
-}
-
-func (p *handoffProbe) events() []uint64 {
-	ids := make([]uint64, 0, len(p.delivered))
-	for id := range p.delivered {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
 
 // handoffWindow is one row of the crash-window table: where the kill
 // lands relative to the handoff 0→1 of the walk's second report.
@@ -188,8 +103,8 @@ func TestHandoffCrashWindows(t *testing.T) {
 					t.Fatalf("after reviving shard %d the session is on neither shard", shard)
 				}
 			}
-			p := &handoffProbe{t: t, rt: NewRouter(c), reliable: kind.reliable, delivered: map[uint64]bool{}}
-			p.enroll()
+			fe := newMemFront(t, c)
+			p := enroll(t, fe, probeUser, kind.reliable, wire.StrategyMWPSR)
 			p.mustReport(walk[0])
 
 			dst := c.Engine(1).Store()
@@ -198,9 +113,8 @@ func TestHandoffCrashWindows(t *testing.T) {
 				// The destination was opened fresh, so its lifetime append
 				// count is its position.
 				dst.SetCrashPoints([]store.CrashPoint{{AfterAppends: int(posBefore) + w.tornAt, TearBytes: w.tear, FlipBit: -1}})
-				err := p.report(walk[1])
-				if sd, ok := IsShardDown(err); !ok || sd.Shard != 1 {
-					t.Fatalf("handoff over a dying destination: err=%v, want ShardDownError{Shard: 1}", err)
+				if _, err := p.report(walk[1]); err != errUnanswered {
+					t.Fatalf("handoff over a dying destination: %v, want the report unanswered", err)
 				}
 				if !c.Engine(0).HasSession(probeUser) {
 					t.Fatal("the source dropped the session although the import failed")
@@ -226,9 +140,7 @@ func TestHandoffCrashWindows(t *testing.T) {
 				}
 			case w.dropLanded:
 				// Any commit on the source carries the ExpireRec with it.
-				if !p.rt.HandleRegister(wire.Register{User: 99, Strategy: wire.StrategyMWPSR}) {
-					t.Fatal("register on the source refused")
-				}
+				register(t, fe, 99)
 				revive(0)
 				if c.Engine(0).HasSession(probeUser) {
 					t.Error("the source's ExpireRec landed, yet recovery kept a copy")
@@ -243,8 +155,8 @@ func TestHandoffCrashWindows(t *testing.T) {
 					c.Engine(0).HasSession(probeUser), c.Engine(1).HasSession(probeUser))
 			}
 			if kind.reliable {
-				p.rt.HandleAck(probeUser, p.events())
-				if left := firedIDs(p.rt.HandleHeartbeat(probeUser, wire.Heartbeat{})); len(left) != 0 {
+				p.ack(p.events())
+				if left := firedIDs(p.heartbeat()); len(left) != 0 {
 					t.Errorf("still redelivering %#x after everything was acknowledged", left)
 				}
 			}

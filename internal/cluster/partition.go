@@ -7,9 +7,9 @@
 // cold ones at runtime), its serialization and durable map file
 // (partmap.go), the cluster lifecycle (cluster.go: per-shard engines
 // and durable stores, crash/recover, split/merge transitions), the load
-// balancer driving those transitions (balance.go), the message router
-// with cross-shard session handoff and firing dedup (router.go), and a
-// per-shard TCP front end that redirects clients between shards
+// balancer driving those transitions (balance.go), and the topology
+// that puts the shared TCP front end in front of every shard and
+// redirects clients between shards with a cross-shard session handoff
 // (tcp.go). See DESIGN.md "Clustering" and "Dynamic repartitioning" for
 // the soundness arguments and PROTOCOL.md "Redirect and handoff" for
 // the wire rules.
@@ -213,7 +213,7 @@ func (p *PartitionMap) Draining() []Drain {
 // Locate returns the shard owning pt and whether pt lay outside the
 // universe and was clamped to its nearest edge partition. Boundary-exact
 // points (including the universe's max edges) are inside, not clamped —
-// the engine accepts them, so the router must not count them as strays.
+// the engine accepts them, so the front end must not count them as strays.
 func (p *PartitionMap) Locate(pt geom.Point) (shard int, clamped bool) {
 	clamped = pt.X < p.universe.MinX || pt.X > p.universe.MaxX ||
 		pt.Y < p.universe.MinY || pt.Y > p.universe.MaxY

@@ -683,7 +683,7 @@ func (c *Cluster) ResumeDrains() error {
 }
 
 // PartitionShard isolates shard i: its engine detaches from the slot —
-// the cluster, router and failure detector all see it down — but its
+// the cluster, front end and failure detector all see it down — but its
 // store stays alive and un-killed, modeling a primary cut off by a
 // network partition rather than a crash. The returned engine is the
 // deposed zombie; tests drive it directly to prove the fencing term

@@ -53,10 +53,9 @@ func TestReplicationStatusTracksPrimary(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			c := newReplCluster(t, 2, 1, 2, ack, t.TempDir())
-			rt := NewRouter(c)
-			hello(t, rt, 1)
-			update(t, rt, 1, 1, geom.Pt(2000, 5000))
-			update(t, rt, 1, 2, geom.Pt(2100, 5000))
+			cl := hello(t, newMemFront(t, c), 1)
+			cl.mustReport(geom.Pt(2000, 5000))
+			cl.mustReport(geom.Pt(2100, 5000))
 			c.TickReplication(1)
 
 			rep := c.replicator(0)
@@ -84,22 +83,21 @@ func TestReplicationStatusTracksPrimary(t *testing.T) {
 
 // TestFailoverPromotesFollower: a killed primary's shard comes back on
 // its follower within PromoteAfter ticks — sessions intact, the
-// partition-map epoch bumped, and the router serving again with no
+// partition-map epoch bumped, and the front end serving again with no
 // recovery call.
 func TestFailoverPromotesFollower(t *testing.T) {
 	c := newReplCluster(t, 2, 1, 1, false, t.TempDir())
-	rt := NewRouter(c)
-	hello(t, rt, 1)
-	update(t, rt, 1, 1, geom.Pt(2000, 5000)) // shard 0
-	hello(t, rt, 2)
-	update(t, rt, 2, 1, geom.Pt(8000, 5000)) // shard 1
+	fe := newMemFront(t, c)
+	cl := hello(t, fe, 1)
+	cl.mustReport(geom.Pt(2000, 5000))              // shard 0
+	hello(t, fe, 2).mustReport(geom.Pt(8000, 5000)) // shard 1
 	c.TickReplication(1)
 	epochBefore := c.Epoch()
 
 	if err := c.KillShard(0, store.TearNone, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.HandleUpdate(wire.PositionUpdate{User: 1, Seq: 2, Pos: geom.Pt(2000, 5000)}); err == nil {
+	if _, err := cl.report(geom.Pt(2000, 5000)); err == nil {
 		t.Fatal("update served while shard 0 down")
 	}
 	c.TickReplication(2)
@@ -117,7 +115,7 @@ func TestFailoverPromotesFollower(t *testing.T) {
 	if !c.Engine(0).HasSession(1) {
 		t.Fatal("promoted shard lost user 1's session")
 	}
-	if _, err := rt.HandleUpdate(wire.PositionUpdate{User: 1, Seq: 2, Pos: geom.Pt(2000, 5000)}); err != nil {
+	if _, err := cl.report(geom.Pt(2000, 5000)); err != nil {
 		t.Fatalf("update after promotion: %v", err)
 	}
 	// The replica count was restored with a replacement follower.
@@ -133,9 +131,7 @@ func TestFailoverPromotesFollower(t *testing.T) {
 // promotion is present on the new primary.
 func TestFencingRejectsDeposedPrimary(t *testing.T) {
 	c := newReplCluster(t, 2, 1, 1, false, t.TempDir())
-	rt := NewRouter(c)
-	hello(t, rt, 1)
-	update(t, rt, 1, 1, geom.Pt(2000, 5000))
+	hello(t, newMemFront(t, c), 1).mustReport(geom.Pt(2000, 5000))
 	c.TickReplication(1)
 
 	zombie, err := c.PartitionShard(0)
@@ -194,9 +190,7 @@ func TestPromotionSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRouter(c)
-	hello(t, rt, 1)
-	update(t, rt, 1, 1, geom.Pt(2000, 5000))
+	hello(t, newMemFront(t, c), 1).mustReport(geom.Pt(2000, 5000))
 	c.TickReplication(1)
 	if err := c.KillShard(0, store.TearNone, nil); err != nil {
 		t.Fatal(err)
@@ -249,9 +243,7 @@ func TestPromotionSurvivesSecondRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRouter(c)
-	hello(t, rt, 1)
-	update(t, rt, 1, 1, geom.Pt(2000, 5000))
+	hello(t, newMemFront(t, c), 1).mustReport(geom.Pt(2000, 5000))
 	c.TickReplication(1)
 	if err := c.KillShard(0, store.TearNone, nil); err != nil {
 		t.Fatal(err)
@@ -322,9 +314,7 @@ func TestPromotionSurvivesSecondRestart(t *testing.T) {
 // skipped forever.
 func TestCrashedAttachedPrimaryFailsOver(t *testing.T) {
 	c := newReplCluster(t, 2, 1, 1, false, t.TempDir())
-	rt := NewRouter(c)
-	hello(t, rt, 1)
-	update(t, rt, 1, 1, geom.Pt(2000, 5000))
+	hello(t, newMemFront(t, c), 1).mustReport(geom.Pt(2000, 5000))
 	c.TickReplication(1)
 
 	// Arm a spontaneous failure on the next append: the store dies but
@@ -364,9 +354,7 @@ func TestCrashedAttachedPrimaryFailsOver(t *testing.T) {
 func TestPromotionRetriesAfterFailedAttempt(t *testing.T) {
 	dir := t.TempDir()
 	c := newReplCluster(t, 2, 1, 1, false, dir)
-	rt := NewRouter(c)
-	hello(t, rt, 1)
-	update(t, rt, 1, 1, geom.Pt(2000, 5000))
+	hello(t, newMemFront(t, c), 1).mustReport(geom.Pt(2000, 5000))
 	c.TickReplication(1)
 	if err := c.KillShard(0, store.TearNone, nil); err != nil {
 		t.Fatal(err)
@@ -407,15 +395,13 @@ func TestPromotionRetriesAfterFailedAttempt(t *testing.T) {
 // carry comparable load.
 func TestSplitShardCutsAtMedian(t *testing.T) {
 	c := newTestCluster(t, 1, 1, "")
-	rt := NewRouter(c)
+	fe := newMemFront(t, c)
 	// Nine sessions: seven bunched on the far left, two on the right.
 	// The geometric midpoint (x=5000) would split them 7/2; the median
 	// (x=1500) splits them 4/5.
 	xs := []float64{1100, 1200, 1300, 1400, 1500, 1600, 1700, 8000, 9000}
 	for i, x := range xs {
-		u := uint64(i + 1)
-		hello(t, rt, u)
-		update(t, rt, u, 1, geom.Pt(x, 5000))
+		hello(t, fe, uint64(i+1)).mustReport(geom.Pt(x, 5000))
 	}
 
 	newShard, err := c.SplitShard(0)
@@ -460,14 +446,12 @@ func TestSplitShardFallsBackToMidpoint(t *testing.T) {
 // source — the new shard adopted its copies before the commit.
 func TestSplitShardGCsOutOfFootprintAlarms(t *testing.T) {
 	c := newTestCluster(t, 1, 1, "")
-	rt := NewRouter(c)
+	fe := newMemFront(t, c)
 	// Sessions bunched on the left pull the median cut left, so the
 	// right-hand alarm lands far outside the source's new margin.
 	xs := []float64{1000, 1200, 1400, 1600, 9000}
 	for i, x := range xs {
-		u := uint64(i + 1)
-		hello(t, rt, u)
-		update(t, rt, u, 1, geom.Pt(x, 5000))
+		hello(t, fe, uint64(i+1)).mustReport(geom.Pt(x, 5000))
 	}
 	ids, err := c.InstallAlarms([]alarm.Alarm{
 		{Scope: alarm.Private, Owner: 1, Region: geom.RectAround(geom.Pt(900, 5000), 100)},

@@ -46,8 +46,8 @@ func NewTCP(cl *Cluster, addrs []string, logger *log.Logger, idleTimeout time.Du
 
 // ServeShard adds a listener for a shard created after NewTCP (a
 // runtime split) and starts accepting on it immediately. Until a shard
-// has a listener, the router cannot redirect clients to it and keeps
-// serving them through in-process handoffs from the shard they dialed.
+// has a listener, reports it owns go unanswered and their clients
+// resend them.
 func (c *TCPCluster) ServeShard(shard int, addr string) (string, error) {
 	if shard < 0 || shard >= c.cl.N() {
 		return "", fmt.Errorf("cluster: no shard %d", shard)

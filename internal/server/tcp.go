@@ -22,8 +22,8 @@ import (
 const DefaultIdleTimeout = 2 * time.Minute
 
 // Topology is what a TCP front end needs to know about the deployment
-// behind its listeners. Everything else — accepting, the per-connection
-// message loop, typed installs and the user→connection binding pushes
+// behind its listeners. Everything else — accepting, the per-frame
+// Dispatch, typed installs and the user→connection binding pushes
 // follow — is the same however many engines serve the space. A single
 // engine is one listener that owns every position (NewTCPServerIdle); a
 // sharded cluster puts one listener in front of each shard.
@@ -49,7 +49,8 @@ type Topology interface {
 
 // TCPServer fronts a Topology with TCP listeners speaking length-prefixed
 // wire frames: one connection per client, one serving goroutine per
-// connection. cmd/alarmserver and the benchmark wrap it.
+// connection. cmd/alarmserver and the benchmark wrap it; the simulator
+// serves its in-memory links through the same Dispatch.
 type TCPServer struct {
 	topo        Topology
 	log         *log.Logger
@@ -70,15 +71,16 @@ type TCPServer struct {
 }
 
 // NewTCPServerIdle fronts one engine with a listener on addr (e.g.
-// ":7700"); a zero idle timeout disables dead-peer reaping. Serving
-// starts with Serve.
+// ":7700"; "" binds none); a zero idle timeout disables dead-peer
+// reaping. Serving starts with Serve.
 func NewTCPServerIdle(eng *Engine, addr string, logger *log.Logger, idleTimeout time.Duration) (*TCPServer, error) {
 	return NewTCPFrontEnd(single{eng}, []string{addr}, logger, idleTimeout)
 }
 
 // NewTCPFrontEnd listens on addrs[i] for listener i (":0" picks a port;
 // Addrs reports the bound ones) and installs the front end's pusher on
-// the topology. Serving starts with Serve.
+// the topology. An empty addrs[i] leaves listener i unbound, for Listen
+// or Name to fill in later. Serving starts with Serve.
 func NewTCPFrontEnd(topo Topology, addrs []string, logger *log.Logger, idleTimeout time.Duration) (*TCPServer, error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -91,10 +93,17 @@ func NewTCPFrontEnd(topo Topology, addrs []string, logger *log.Logger, idleTimeo
 		userConns:   make(map[uint64]transport.Conn),
 	}
 	for _, addr := range addrs {
+		if addr == "" {
+			s.listeners = append(s.listeners, nil)
+			s.addrs = append(s.addrs, "")
+			continue
+		}
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
 			for _, l := range s.listeners {
-				l.Close()
+				if l != nil {
+					l.Close()
+				}
 			}
 			return nil, fmt.Errorf("server: listen %s: %w", addr, err)
 		}
@@ -114,7 +123,7 @@ func (s *TCPServer) Addr() net.Addr {
 	return s.listeners[0].Addr()
 }
 
-// Addrs returns every listener's bound address ("" where none is bound).
+// Addrs returns every listener's address ("" where it has none).
 func (s *TCPServer) Addrs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -130,10 +139,7 @@ func (s *TCPServer) Listen(i int, addr string) (string, error) {
 	if s.closed {
 		return "", errors.New("server: closed")
 	}
-	for len(s.addrs) <= i {
-		s.addrs = append(s.addrs, "")
-		s.listeners = append(s.listeners, nil)
-	}
+	s.growLocked(i)
 	if s.addrs[i] != "" {
 		return s.addrs[i], nil
 	}
@@ -148,9 +154,28 @@ func (s *TCPServer) Listen(i int, addr string) (string, error) {
 	return s.addrs[i], nil
 }
 
+// Name gives listener i the address addr without binding a socket:
+// Addrs reports it and redirects point clients at it, while whoever owns
+// addr carries the frames that arrive there to Dispatch.
+func (s *TCPServer) Name(i int, addr string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.growLocked(i)
+	s.addrs[i] = addr
+}
+
+// growLocked extends the listener table to hold listener i. The caller
+// holds s.mu.
+func (s *TCPServer) growLocked(i int) {
+	for len(s.addrs) <= i {
+		s.addrs = append(s.addrs, "")
+		s.listeners = append(s.listeners, nil)
+	}
+}
+
 // Serve accepts on every listener until Close, and on each listener
-// Listen adds meanwhile. It returns listener 0's error, always non-nil;
-// after Close it wraps net.ErrClosed.
+// Listen adds meanwhile; listener 0 must be bound. It returns listener
+// 0's error, always non-nil; after Close it wraps net.ErrClosed.
 func (s *TCPServer) Serve() error {
 	s.mu.Lock()
 	s.serving = true
@@ -247,12 +272,12 @@ func (s *TCPServer) push(user alarm.UserID, msgs []wire.Message) {
 	}
 }
 
-// send writes msgs in order, reporting false (after logging) on the
+// send writes msgs to c in order, reporting false (after logging) on the
 // first failure.
-func (s *TCPServer) send(conn transport.Conn, peer string, msgs ...wire.Message) bool {
+func (s *TCPServer) send(c *ConnState, msgs ...wire.Message) bool {
 	for _, m := range msgs {
-		if err := conn.Send(m); err != nil {
-			s.log.Printf("%s: send: %v", peer, err)
+		if err := c.Send(m); err != nil {
+			s.log.Printf("%s: send: %v", c.peer, err)
 			return false
 		}
 	}
@@ -263,140 +288,164 @@ func (s *TCPServer) serveConn(i int, nc net.Conn) {
 	// The read deadline doubles as dead-peer detection: a client that
 	// neither reports nor heartbeats within the idle window is reaped. Its
 	// session state stays in the engine for a later Hello+token resume.
-	conn := transport.NewTCPDeadline(nc, s.idleTimeout, 30*time.Second)
-	peer := fmt.Sprintf("listener %d conn %s", i, nc.RemoteAddr())
-	// user is the connection's latest enrolled user; bound is every user
-	// it enrolled (a batching client enrolls many), unbound on exit.
-	var user uint64
-	var bound []uint64
+	c := &ConnState{
+		Conn: transport.NewTCPDeadline(nc, s.idleTimeout, 30*time.Second),
+		peer: fmt.Sprintf("listener %d conn %s", i, nc.RemoteAddr()),
+	}
 	defer func() {
 		nc.Close()
 		s.mu.Lock()
 		delete(s.conns, nc)
-		for _, u := range bound {
-			if s.userConns[u] == conn {
+		for _, u := range c.bound {
+			if s.userConns[u] == c.Conn {
 				delete(s.userConns, u)
 			}
 		}
 		s.mu.Unlock()
 	}()
-	bind := func(u uint64) {
-		user = u
-		bound = append(bound, u)
-		s.mu.Lock()
-		s.userConns[u] = conn
-		s.mu.Unlock()
-	}
-	// A lone report is served as a run of one.
-	one := make([]wire.PositionUpdate, 1)
 	for {
-		msg, err := conn.Recv()
+		msg, err := c.Recv()
 		if err != nil {
 			switch {
 			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
 			case errors.Is(err, os.ErrDeadlineExceeded):
-				s.log.Printf("%s: idle timeout, reaping", peer)
+				s.log.Printf("%s: idle timeout, reaping", c.peer)
 			default:
-				s.log.Printf("%s: recv: %v", peer, err)
+				s.log.Printf("%s: recv: %v", c.peer, err)
 			}
 			return
 		}
-		eng := s.topo.Engine(i)
-		if eng == nil {
-			// A retired listener sends its clients where the topology says
-			// (a merged-away shard: to the shard that absorbed it). A
-			// merely-down engine drops the connection and the client's
-			// resend machinery retries.
-			if rd, ok := s.topo.Retired(i); ok {
-				s.send(conn, peer, rd)
-			}
-			s.log.Printf("%s: engine down, dropping %v", peer, msg.Kind())
-			return
-		}
-		switch m := msg.(type) {
-		case wire.Register:
-			if err := eng.Register(m); err != nil {
-				s.log.Printf("%s: register: %v", peer, err)
-				return
-			}
-			bind(m.User)
-		case wire.Hello:
-			responses, resumed, err := eng.HandleHello(m)
-			if err != nil {
-				s.log.Printf("%s: hello: %v", peer, err)
-				return
-			}
-			bind(m.User)
-			if !s.send(conn, peer, responses...) {
-				return
-			}
-			if resumed {
-				s.log.Printf("%s: user %d resumed session", peer, m.User)
-			}
-		case wire.Heartbeat:
-			if !s.send(conn, peer, eng.HandleHeartbeat(alarm.UserID(user), m)...) {
-				return
-			}
-		case wire.FiredAck:
-			if user != 0 {
-				if err := eng.AckFired(alarm.UserID(user), m.Alarms); err != nil {
-					s.log.Printf("%s: fired-ack: %v", peer, err)
-					return
-				}
-			}
-		case wire.InstallContinuous:
-			if !s.send(conn, peer, s.installReply(alarm.Alarm{
-				Scope:       scopeFor(m.Subscribers),
-				Owner:       alarm.UserID(m.Owner),
-				Subscribers: toUserIDs(m.Subscribers),
-				Region:      m.Region,
-				Kind:        alarm.KindContinuous,
-				Cooldown:    m.Cooldown,
-			})) {
-				return
-			}
-		case wire.InstallPair:
-			if !s.send(conn, peer, s.installReply(alarm.Alarm{
-				Scope:       alarm.Shared,
-				Owner:       alarm.UserID(m.Owner),
-				Subscribers: []alarm.UserID{alarm.UserID(m.Owner)},
-				Kind:        alarm.KindPair,
-				Anchor:      alarm.UserID(m.Anchor),
-				Radius:      m.Radius,
-				Cooldown:    m.Cooldown,
-			})) {
-				return
-			}
-		case wire.InstallComposite:
-			factors := make([]alarm.Factor, len(m.Factors))
-			for i, f := range m.Factors {
-				factors[i] = alarm.Factor{Center: f.Center, Radius: f.Radius, Region: f.Region, Weight: f.Weight}
-			}
-			if !s.send(conn, peer, s.installReply(alarm.Alarm{
-				Scope:       scopeFor(m.Subscribers),
-				Owner:       alarm.UserID(m.Owner),
-				Subscribers: toUserIDs(m.Subscribers),
-				Kind:        alarm.KindComposite,
-				Factors:     factors,
-				Threshold:   m.Threshold,
-				ExpiresAt:   m.ExpiresAt,
-			})) {
-				return
-			}
-		case wire.PositionUpdate:
-			one[0] = m
-			if !s.serveUpdates(i, conn, peer, eng, one, false) {
-				return
-			}
-		case wire.UpdateBatch:
-			if !s.serveUpdates(i, conn, peer, eng, m.Updates, true) {
-				return
-			}
-		default:
-			s.log.Printf("%s: unexpected %v", peer, msg.Kind())
+		if !s.Dispatch(i, c, msg) {
 			return
 		}
 	}
+}
+
+// ConnState is one client connection as the front end sees it: the
+// transport it answers on and the users it enrolled, whose pushes it
+// carries. A fresh connection is a ConnState holding just its Conn.
+type ConnState struct {
+	transport.Conn
+	peer string // names the connection in log lines
+	// eng is the engine that served the connection's last frame.
+	eng *Engine
+	// user is the latest enrolled user; bound is every user the
+	// connection enrolled (a batching client enrolls many), and shared
+	// marks a connection that enrolled more than one.
+	user   uint64
+	bound  []uint64
+	shared bool
+	// one carries a lone report, served as a run of one.
+	one [1]wire.PositionUpdate
+}
+
+// Dispatch serves one frame that arrived on listener i over c and
+// reports whether the connection stays open; the caller closes it on
+// false. Each connection's read loop calls it frame by frame, and so
+// does a caller that carries frames itself (the simulator, one tick at
+// a time). Replies and pushes go out on c's Conn before it returns.
+func (s *TCPServer) Dispatch(i int, c *ConnState, msg wire.Message) bool {
+	eng := s.topo.Engine(i)
+	if eng == nil {
+		// A retired listener sends its clients where the topology says (a
+		// merged-away shard: to the shard that absorbed it). A merely-down
+		// engine drops the connection and the client's resend machinery
+		// retries.
+		if rd, ok := s.topo.Retired(i); ok {
+			s.send(c, rd)
+		}
+		s.log.Printf("%s: engine down, dropping %v", c.peer, msg.Kind())
+		return false
+	}
+	if c.eng != nil && c.eng != eng {
+		// The engine restarted (recovery or promotion) since the last
+		// frame. The connection goes with the incarnation it talked to, as
+		// a socket dies with its process: the client's Hello then
+		// re-establishes its session against what the new one recovered.
+		s.log.Printf("%s: engine restarted, dropping %v", c.peer, msg.Kind())
+		return false
+	}
+	c.eng = eng
+	switch m := msg.(type) {
+	case wire.Register:
+		if err := eng.Register(m); err != nil {
+			s.log.Printf("%s: register: %v", c.peer, err)
+			return false
+		}
+		s.bind(c, m.User)
+	case wire.Hello:
+		responses, resumed, err := eng.HandleHello(m)
+		if err != nil {
+			s.log.Printf("%s: hello: %v", c.peer, err)
+			return false
+		}
+		s.bind(c, m.User)
+		if resumed {
+			s.log.Printf("%s: user %d resumed session", c.peer, m.User)
+		}
+		return s.send(c, responses...)
+	case wire.Heartbeat:
+		return s.send(c, eng.HandleHeartbeat(alarm.UserID(c.user), m)...)
+	case wire.FiredAck:
+		if c.user != 0 {
+			if err := eng.AckFired(alarm.UserID(c.user), m.Alarms); err != nil {
+				s.log.Printf("%s: fired-ack: %v", c.peer, err)
+				return false
+			}
+		}
+	case wire.InstallContinuous:
+		return s.send(c, s.installReply(alarm.Alarm{
+			Scope:       scopeFor(m.Subscribers),
+			Owner:       alarm.UserID(m.Owner),
+			Subscribers: toUserIDs(m.Subscribers),
+			Region:      m.Region,
+			Kind:        alarm.KindContinuous,
+			Cooldown:    m.Cooldown,
+		}))
+	case wire.InstallPair:
+		return s.send(c, s.installReply(alarm.Alarm{
+			Scope:       alarm.Shared,
+			Owner:       alarm.UserID(m.Owner),
+			Subscribers: []alarm.UserID{alarm.UserID(m.Owner)},
+			Kind:        alarm.KindPair,
+			Anchor:      alarm.UserID(m.Anchor),
+			Radius:      m.Radius,
+			Cooldown:    m.Cooldown,
+		}))
+	case wire.InstallComposite:
+		factors := make([]alarm.Factor, len(m.Factors))
+		for i, f := range m.Factors {
+			factors[i] = alarm.Factor{Center: f.Center, Radius: f.Radius, Region: f.Region, Weight: f.Weight}
+		}
+		return s.send(c, s.installReply(alarm.Alarm{
+			Scope:       scopeFor(m.Subscribers),
+			Owner:       alarm.UserID(m.Owner),
+			Subscribers: toUserIDs(m.Subscribers),
+			Kind:        alarm.KindComposite,
+			Factors:     factors,
+			Threshold:   m.Threshold,
+			ExpiresAt:   m.ExpiresAt,
+		}))
+	case wire.PositionUpdate:
+		c.one[0] = m
+		return s.serveUpdates(i, c, eng, c.one[:], false)
+	case wire.UpdateBatch:
+		return s.serveUpdates(i, c, eng, m.Updates, true)
+	default:
+		s.log.Printf("%s: unexpected %v", c.peer, msg.Kind())
+		return false
+	}
+	return true
+}
+
+// bind records that c enrolled user u: u's pushes follow c from now on.
+func (s *TCPServer) bind(c *ConnState, u uint64) {
+	c.shared = c.shared || (c.user != 0 && c.user != u)
+	c.user = u
+	c.bound = append(c.bound, u)
+	s.mu.Lock()
+	s.userConns[u] = c.Conn
+	s.mu.Unlock()
 }
 
 // serveUpdates serves the maximal prefix of ups listener i owns, then
@@ -406,7 +455,7 @@ func (s *TCPServer) serveConn(i int, nc net.Conn) {
 // PositionUpdate (batched false) is answered with the engine's messages,
 // or a bare Ack when there are none; a batch with one BatchReply. It
 // reports false when the connection must close.
-func (s *TCPServer) serveUpdates(i int, conn transport.Conn, peer string, eng *Engine, ups []wire.PositionUpdate, batched bool) bool {
+func (s *TCPServer) serveUpdates(i int, c *ConnState, eng *Engine, ups []wire.PositionUpdate, batched bool) bool {
 	n := s.topo.Owned(i, ups)
 	if n > 0 {
 		var out []wire.Message
@@ -422,11 +471,11 @@ func (s *TCPServer) serveUpdates(i int, conn transport.Conn, peer string, eng *E
 			}
 		}
 		if err != nil {
-			s.log.Printf("%s: update: %v", peer, err)
+			s.log.Printf("%s: update: %v", c.peer, err)
 			return false
 		}
 		s.topo.Served(i, ups[:n])
-		if !s.send(conn, peer, out...) {
+		if !s.send(c, out...) {
 			return false
 		}
 	}
@@ -438,7 +487,11 @@ func (s *TCPServer) serveUpdates(i int, conn transport.Conn, peer string, eng *E
 		return true // dropped: the client resends
 	}
 	eng.Metrics().AddDownlink(wire.EncodedSize(rd))
-	return s.send(conn, peer, rd)
+	// The session moved with the Redirect, so a connection that is only
+	// that client's goes too: anything else it sent here would be served
+	// without the session — a firing answered on a link the client is
+	// leaving would be spent and lost. A shared connection stays.
+	return s.send(c, rd) && (c.shared || c.user != ups[n].User)
 }
 
 // installReply durably installs one lifecycle alarm and builds the typed

@@ -7,9 +7,10 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
-	"github.com/sabre-geo/sabre/internal/alarm"
 	"github.com/sabre-geo/sabre/internal/client"
 	"github.com/sabre-geo/sabre/internal/cluster"
 	"github.com/sabre-geo/sabre/internal/metrics"
@@ -25,58 +26,20 @@ type Traffic interface {
 	replay() (*replay, error)
 }
 
-// backend is the server side of every link: one engine or a cluster
-// router. A *cluster.ShardDownError from any handler means "nothing was
-// processed, send nothing" — the session's resend machinery retries.
-type backend interface {
-	HandleHello(wire.Hello) ([]wire.Message, error)
-	HandleHeartbeat(user uint64, hb wire.Heartbeat) []wire.Message
-	HandleAck(user uint64, ids []uint64) error
-	HandleUpdate(wire.PositionUpdate) ([]wire.Message, error)
-	HandleUpdateBatch(wire.UpdateBatch) (wire.BatchReply, error)
-}
-
-// engineBackend serves links straight from one engine.
-type engineBackend struct{ eng *server.Engine }
-
-func (b engineBackend) HandleHello(m wire.Hello) ([]wire.Message, error) {
-	out, _, err := b.eng.HandleHello(m)
-	return out, err
-}
-
-func (b engineBackend) HandleHeartbeat(user uint64, hb wire.Heartbeat) []wire.Message {
-	return b.eng.HandleHeartbeat(alarm.UserID(user), hb)
-}
-
-func (b engineBackend) HandleAck(user uint64, ids []uint64) error {
-	return b.eng.AckFired(alarm.UserID(user), ids)
-}
-
-func (b engineBackend) HandleUpdate(u wire.PositionUpdate) ([]wire.Message, error) {
-	return b.eng.HandleUpdate(u)
-}
-
-func (b engineBackend) HandleUpdateBatch(ub wire.UpdateBatch) (wire.BatchReply, error) {
-	return b.eng.HandleUpdateBatch(ub)
-}
-
-// routerBackend serves links through a cluster router, which already
-// absorbs ack failures (a dying shard redelivers and the session re-acks).
-type routerBackend struct{ *cluster.Router }
-
-func (b routerBackend) HandleAck(user uint64, ids []uint64) error {
-	b.Router.HandleAck(user, ids)
-	return nil
-}
-
-// link is one client's live connection: a fault-injecting wrapper on each
-// end of one pipe (uplink faults on cli, downlink faults on srv), so one
-// reset kills the pair. With a zero LinkFaults both wrappers pass
-// everything straight through.
+// link is one client's live connection to one listener of the front end:
+// a fault-injecting wrapper on each end of one pipe (uplink faults on cli,
+// downlink faults on srv), so one reset kills the pair. With a zero
+// LinkFaults both wrappers pass everything straight through. conn is the
+// front end's state for the srv end.
 type link struct {
-	user uint64
-	cli  *transport.FaultyConn
-	srv  *transport.FaultyConn
+	listener int
+	cli      *transport.FaultyConn
+	srv      *transport.FaultyConn
+	conn     server.ConnState
+	// closing marks a link the front end dropped: it is closed at the next
+	// serving phase, after the session read what was sent before the drop,
+	// as a client reads a socket's last frames before its EOF.
+	closing bool
 }
 
 // driver is the state of one Drive run.
@@ -88,10 +51,11 @@ type driver struct {
 	rng     *rand.Rand // WAL tail mangling
 
 	// The server side: eng for the single-engine topology, cl for a
-	// cluster; be serves the links and is nil while the process is down.
+	// cluster; fe is the TCP front end over either, with no socket bound,
+	// and is nil while the process is down.
 	eng *server.Engine
 	cl  *cluster.Cluster
-	be  backend
+	fe  *server.TCPServer
 
 	sessions    []*client.Session
 	links       []*link
@@ -108,22 +72,26 @@ type driver struct {
 
 // Drive replays the traffic with every client behind its own link and
 // the full session layer active (Hello/Resume, heartbeats, reconnect with
-// backoff, report queues, FiredAck) against the topology the plan
-// selects, injecting the plan's faults. It is single-threaded and fully
-// deterministic: the same traffic, strategy and plan yield the same
-// trigger sequence, delivery ticks included.
+// backoff, report queues, FiredAck, Redirect) against the topology the
+// plan selects, injecting the plan's faults. The server side is the TCP
+// front end that alarmserver and the benchmark run, over one engine or
+// over the cluster's shards, with in-memory links in place of sockets:
+// each link's frames go to the front end's per-frame Dispatch. Sessions
+// dial listener 0 and follow Redirects to the shard that owns them. It
+// is single-threaded and fully deterministic: the same traffic, strategy
+// and plan yield the same trigger sequence, delivery ticks included.
 //
 // Every tick runs the same phases in the same order, each a no-op when
 // the plan has nothing for it: advance the traffic; fire scripted
 // process and shard events; advance the servers' logical clock; advance
 // every link's fault clock; step the sessions in index order; serve
 // every link in index order; beat the replication clock. Triggers are
-// recorded at client delivery (deduplicated by the session, and across
-// shards by the router), so for the safe-region strategies the delivered
-// (user, alarm) set must equal a direct Run's whatever the plan — the
-// property TestDeliveryEquality asserts row by row. The SP baseline is
-// excluded from that equality on clusters: its safe periods are clamped
-// at partition margins, which changes which positions the server sees.
+// recorded at client delivery, deduplicated by the session, so for the
+// safe-region strategies the delivered (user, alarm) set must equal a
+// direct Run's whatever the plan — the property TestDeliveryEquality
+// asserts row by row. The SP baseline is excluded from that equality on
+// clusters: its safe periods are clamped at partition margins, which
+// changes which positions the server sees.
 //
 // A plan that needs disk (crashes, crash points, replicas) uses dataDir,
 // which must start empty; left blank, a temporary directory is created
@@ -175,20 +143,15 @@ func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Repo
 		scfg := plan.Session
 		scfg.MaxHeight = uint8(sc.PyramidHeight)
 		scfg.JitterSeed = plan.Seed ^ int64(user)<<17
-		dial := func() (transport.Conn, error) {
-			if d.be == nil {
-				return nil, errors.New("sim: server down")
+		d.sessions[i] = client.NewSession(client.New(user, sc.Strategy, &perClient[i]),
+			func() (transport.Conn, error) { return d.dial(i, 0) }, scfg, &perClient[i])
+		d.sessions[i].DialTo = func(addr string) (transport.Conn, error) {
+			listener, err := strconv.Atoi(strings.TrimPrefix(addr, listenerPrefix))
+			if err != nil {
+				return nil, fmt.Errorf("sim: no listener %q", addr)
 			}
-			d.incarnation[i]++
-			cEnd, sEnd := transport.Pipe(4096)
-			d.links[i] = &link{
-				user: user,
-				cli:  transport.Faulty(cEnd, plan.linkSchedule(user, 0, d.incarnation[i]), d.tick),
-				srv:  transport.Faulty(sEnd, plan.linkSchedule(user, 1, d.incarnation[i]), d.tick),
-			}
-			return d.links[i].cli, nil
+			return d.dial(i, listener)
 		}
-		d.sessions[i] = client.NewSession(client.New(user, sc.Strategy, &perClient[i]), dial, scfg, &perClient[i])
 		d.sessions[i].OnFired = func(ids []uint64) {
 			for _, id := range ids {
 				d.triggers = append(d.triggers, Trigger{User: user, Alarm: id, Tick: d.tick})
@@ -225,9 +188,15 @@ func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Repo
 	return rep, nil
 }
 
+// listenerPrefix names the front end's listeners: listener i is
+// listenerPrefix+i, the address its Redirects carry.
+const listenerPrefix = "shard"
+
 // boot brings the server side up: first start, process recovery, or a
 // cluster reopen after a crash point. A durable boot rebuilds whatever
 // survived in dataDir; cumulative counters restart with each incarnation.
+// The front end binds no socket: the sim names each listener instead,
+// and carries its links' frames to Dispatch itself.
 func (d *driver) boot() error {
 	opts := store.Options{Fsync: d.plan.Fsync, SnapshotEvery: d.plan.SnapshotEvery}
 	if d.plan.Shards != 0 {
@@ -243,8 +212,14 @@ func (d *driver) boot() error {
 		if err != nil {
 			return err
 		}
-		// A fresh router rebuilds its routes from traffic.
-		d.cl, d.be = cl, routerBackend{cluster.NewRouter(cl)}
+		fe, err := cluster.NewTCP(cl, make([]string, cl.N()), nil, 0)
+		if err != nil {
+			return err
+		}
+		d.cl, d.fe = cl, fe.TCPServer
+		for s := 0; s < cl.N(); s++ {
+			d.nameListener(s)
+		}
 		return nil
 	}
 	var eng *server.Engine
@@ -261,21 +236,51 @@ func (d *driver) boot() error {
 	if err != nil {
 		return err
 	}
-	// Server-initiated messages (moving-target invalidations, partner
-	// wake-ups) travel the faulty downlink like every reply.
-	eng.SetPusher(func(user alarm.UserID, msgs []wire.Message) {
-		idx := int(user) - 1
-		if idx < 0 || idx >= len(d.links) || d.links[idx] == nil {
-			return
-		}
-		for _, m := range msgs {
-			if d.links[idx].srv.Send(m) != nil {
-				return
-			}
-		}
-	})
-	d.eng, d.be = eng, engineBackend{eng}
+	fe, err := server.NewTCPServerIdle(eng, "", nil, 0)
+	if err != nil {
+		return err
+	}
+	d.eng, d.fe = eng, fe
 	return nil
+}
+
+// nameListener names listener i (shard i's, on a cluster), as ServeShard
+// gives a shard its listener.
+func (d *driver) nameListener(i int) {
+	d.fe.Name(i, listenerPrefix+strconv.Itoa(i))
+}
+
+// dial opens session i's link to a listener of the front end. Like a
+// socket, it connects whenever the process is up, whether or not the
+// listener's engine is serving.
+func (d *driver) dial(i, listener int) (transport.Conn, error) {
+	if d.fe == nil {
+		return nil, errors.New("sim: server down")
+	}
+	if listener < 0 || listener >= len(d.fe.Addrs()) {
+		return nil, fmt.Errorf("sim: no listener %d", listener)
+	}
+	d.incarnation[i]++
+	user := uint64(i + 1)
+	cEnd, sEnd := transport.Pipe(4096)
+	ln := &link{
+		listener: listener,
+		cli:      transport.Faulty(cEnd, d.plan.linkSchedule(user, 0, d.incarnation[i]), d.tick),
+		srv:      transport.Faulty(sEnd, d.plan.linkSchedule(user, 1, d.incarnation[i]), d.tick),
+	}
+	ln.conn.Conn = ln.srv
+	d.links[i] = ln
+	return ln.cli, nil
+}
+
+// closeLinks severs every connection, as a process death does.
+func (d *driver) closeLinks() {
+	for i, ln := range d.links {
+		if ln != nil {
+			ln.cli.Close()
+			d.links[i] = nil
+		}
+	}
 }
 
 func (d *driver) close() {
@@ -337,18 +342,11 @@ func (d *driver) runTick() error {
 		}
 	}
 
-	// The server drains each link in index order and replies down the
+	// The front end drains each link in index order and replies down the
 	// same link; responses reach the session next tick.
 	for i, ln := range d.links {
-		if ln == nil {
-			continue
-		}
-		if err := d.serve(ln); err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				d.links[i] = nil
-				continue
-			}
-			return fmt.Errorf("tick %d user %d: %w", tick, ln.user, err)
+		if ln != nil && !d.serve(ln) {
+			d.links[i] = nil
 		}
 	}
 
@@ -379,16 +377,11 @@ func (d *driver) processEvents() error {
 		if err := store.MangleTail(walPath, ev.Tear, d.rng); err != nil {
 			return fmt.Errorf("sim: crash %d mangle: %w", d.crashes, err)
 		}
-		for i, ln := range d.links {
-			if ln != nil {
-				ln.cli.Close()
-				d.links[i] = nil
-			}
-		}
-		d.eng, d.be = nil, nil
+		d.closeLinks()
+		d.eng, d.fe = nil, nil
 		d.downUntil = d.tick + ev.Down
 	}
-	if d.be == nil && d.tick >= d.downUntil {
+	if d.fe == nil && d.tick >= d.downUntil {
 		if err := d.boot(); err != nil {
 			return fmt.Errorf("sim: recovery at tick %d: %w", d.tick, err)
 		}
@@ -396,9 +389,10 @@ func (d *driver) processEvents() error {
 	return nil
 }
 
-// shardEvents fires the cluster sections of the plan. Client links stay
-// up through all of them: the router front end is always reachable, and
-// a dead shard shows up as unanswered reports, not failed dials.
+// shardEvents fires the cluster sections of the plan. A shard's listener
+// outlives its engine: while the shard is down, and once after it came
+// back, it drops each link on the link's next frame, and the session
+// reconnects with backoff. Only a whole-process crash closes every link.
 func (d *driver) shardEvents() error {
 	p, tick := d.plan, d.tick
 	// A scripted crash kills one shard's store and mangles its WAL tail;
@@ -454,7 +448,10 @@ func (d *driver) shardEvents() error {
 		var err error
 		switch ev.Op {
 		case "split":
-			_, err = d.cl.SplitShard(ev.Shard)
+			var shard int
+			if shard, err = d.cl.SplitShard(ev.Shard); err == nil {
+				d.nameListener(shard)
+			}
 		case "merge":
 			err = d.cl.MergeShards(ev.Into, ev.Shard)
 		default:
@@ -467,6 +464,7 @@ func (d *driver) shardEvents() error {
 			return fmt.Errorf("sim: repartition %d (%s shard %d) at tick %d: %w", d.repartitions+1, ev.Op, ev.Shard, tick, err)
 		}
 		d.cl.Crash()
+		d.closeLinks()
 		if err := d.boot(); err != nil {
 			return fmt.Errorf("sim: reopen after crash point %q: %w", ev.CrashPoint, err)
 		}
@@ -477,54 +475,32 @@ func (d *driver) shardEvents() error {
 	return nil
 }
 
-// serve drains one link's pending uplink messages and replies. It
-// returns transport.ErrClosed when the link died underneath it; the
-// session replays on reconnect.
-func (d *driver) serve(ln *link) error {
+// serve hands each pending uplink frame of one link to the front end,
+// and reports false once the link is dead; the session replays on
+// reconnect. A link the front end dropped is closed a phase later, so
+// the session still reads the frames sent before the drop.
+func (d *driver) serve(ln *link) bool {
+	if ln.closing {
+		ln.srv.Close()
+		return false
+	}
 	for {
 		m, ok, err := ln.srv.TryRecv()
 		if err != nil {
-			return transport.ErrClosed
+			return false
 		}
 		if !ok {
-			return nil
+			return true
 		}
-		var out []wire.Message
-		switch v := m.(type) {
-		case wire.Hello:
-			out, err = d.be.HandleHello(v)
-		case wire.Heartbeat:
-			out = d.be.HandleHeartbeat(ln.user, v)
-		case wire.FiredAck:
-			err = d.be.HandleAck(ln.user, v.Alarms)
-		case wire.PositionUpdate:
-			start := time.Now()
-			out, err = d.be.HandleUpdate(v)
+		start := time.Now()
+		open := d.fe.Dispatch(ln.listener, &ln.conn, m)
+		switch m.(type) {
+		case wire.PositionUpdate, wire.UpdateBatch:
 			d.serverWall += time.Since(start)
-			if len(out) == 0 {
-				out = []wire.Message{wire.Ack{Seq: v.Seq}}
-			}
-		case wire.UpdateBatch:
-			start := time.Now()
-			var br wire.BatchReply
-			br, err = d.be.HandleUpdateBatch(v)
-			d.serverWall += time.Since(start)
-			out = []wire.Message{br}
-		default:
-			return fmt.Errorf("sim: unexpected uplink message %v", m.Kind())
 		}
-		if err != nil {
-			// Owning shard down (or a handoff blocked on it): no reply, and
-			// the session's resend machinery retries after recovery.
-			if _, down := cluster.IsShardDown(err); down {
-				continue
-			}
-			return err
-		}
-		for _, r := range out {
-			if ln.srv.Send(r) != nil {
-				return transport.ErrClosed
-			}
+		if !open {
+			ln.closing = true
+			return true
 		}
 	}
 }
@@ -551,7 +527,7 @@ func (d *driver) checkSettled() error {
 			return fmt.Errorf("sim: only %d of %d %s fired — trace too short for the plan", c.fired, c.want, c.what)
 		}
 	}
-	if d.be == nil {
+	if d.fe == nil {
 		return fmt.Errorf("sim: server still down at trace end — its Down outlives the run")
 	}
 	if d.cl != nil {

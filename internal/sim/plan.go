@@ -35,7 +35,8 @@ type Plan struct {
 
 	// Shards selects the topology. 0 is one server.Engine — in memory, or
 	// recovered from a durable store exactly when Crashes is non-empty;
-	// n ≥ 1 is an n-shard cluster.Cluster behind a cluster.Router.
+	// n ≥ 1 is an n-shard cluster.Cluster. Either way the clients reach it
+	// through the TCP front end, one listener per shard on a cluster.
 	Shards int
 	// Replicas is the follower count per shard (clusters only; 0 disables
 	// replication and the per-tick replication clock).
@@ -103,9 +104,10 @@ type CrashEvent struct {
 }
 
 // ClusterCrashEvent scripts one shard's fail-stop mid-run. Unlike a
-// whole-process crash, client connections survive: only the shard's
-// engine and store die, and the router degrades to resend/defer
-// behaviour for the clients that shard owns.
+// whole-process crash, only the shard's engine and store die: its
+// listener stays up and drops the connections of the clients it serves
+// as they next speak, and reports it owns go unanswered elsewhere, until
+// the shard recovers.
 type ClusterCrashEvent struct {
 	// Tick is when the shard dies (before that tick's reports are served).
 	Tick int
@@ -135,7 +137,8 @@ type RepartitionEvent struct {
 	Into int
 	// CrashPoint, when non-empty, arms cluster.SetCrashPoint with this
 	// name before the transition and treats the resulting ErrCrashPoint
-	// as a full-process crash: reopen from disk, new router, resume.
+	// as a full-process crash: every connection closes, the cluster
+	// reopens from disk behind a new front end, and sessions reconnect.
 	CrashPoint string
 }
 

@@ -299,9 +299,9 @@ type Report struct {
 	AlarmProcessingMinutes float64
 	SafeRegionMinutes      float64
 	TotalServerMinutes     float64
-	// MeasuredServerSeconds is actual wall-clock spent inside
-	// Engine.HandleUpdate — machine-dependent, complementing the
-	// deterministic cost-model minutes above.
+	// MeasuredServerSeconds is actual wall-clock spent serving position
+	// reports — machine-dependent, complementing the deterministic
+	// cost-model minutes above.
 	MeasuredServerSeconds  float64
 	SafeRegionComputations uint64
 	AlarmEvaluations       uint64
@@ -309,9 +309,11 @@ type Report struct {
 
 	Triggers []Trigger
 
-	// Cluster holds the cluster-level counters (handoffs, suppressed
-	// duplicates, shard crashes) when Drive ran a cluster topology; nil
-	// for single-server runs.
+	// Redirects counts the shard Redirects the client sessions followed.
+	Redirects uint64
+	// Cluster holds the cluster-level counters (handoffs, redirects sent,
+	// shard crashes) when Drive ran a cluster topology; nil for
+	// single-server runs.
 	Cluster *metrics.ClusterSnapshot
 	// PartitionEpoch is the cluster's final partition-map version
 	// (cluster runs only; 0 for single-server runs). Scripted splits,
@@ -453,6 +455,7 @@ func (tr *replay) report(strategy wire.Strategy, met metrics.Snapshot, perClient
 		AlarmEvaluations:       met.AlarmEvaluations,
 		RectClips:              met.RectClips,
 		MeasuredServerSeconds:  serverWall.Seconds(),
+		Redirects:              clientMet.Redirects,
 		Triggers:               triggers,
 	}
 }
