@@ -37,8 +37,14 @@
 #                recovery tests, and the per-strategy delivery-equality
 #                simulations (faults, crash recovery, and a cluster split
 #                that separates a pair's endpoints mid-run)
-#   make bench   engine throughput sweep at 1/2/4/8 procs; writes
-#                BENCH_engine.json via cmd/alarmbench
+#   make smoke-server
+#                the alarmserver binary end to end over real sockets:
+#                one replayed client against a plain server, a durable
+#                one killed with -9 and restarted, two shards and a
+#                replicated shard; each must deliver the same two alarms
+#                once (scripts/smoke-alarmserver.sh)
+#   make bench   engine throughput sweep at 1/2/4/8 procs (the
+#                EngineParallel/EngineSerial Go benchmarks)
 #   make bench-wal
 #                durable append throughput with fsync on, sweeping
 #                concurrent appenders x group-commit cap; writes
@@ -79,7 +85,7 @@ sim = echo "$(GO) test -race -v -run '$(1)' ./internal/sim/"; \
 	echo "$$out" | grep -q '^ *--- PASS: [^ ]*/' || \
 		{ echo "make: -run '$(1)' selected no test in ./internal/sim/" >&2; exit 1; }
 
-.PHONY: tier1 race crash cluster rebalance failover lifecycle bench bench-wal bench-wal-smoke bench-smoke figures benchpair logdiff
+.PHONY: tier1 race crash cluster rebalance failover lifecycle smoke-server bench bench-wal bench-wal-smoke bench-smoke figures benchpair logdiff
 
 tier1:
 	$(GO) build ./...
@@ -114,9 +120,11 @@ lifecycle:
 	$(GO) test -race -run 'Lifecycle|Composite' ./internal/server/
 	@$(call sim,DeliveryEquality/Lifecycle)
 
+smoke-server:
+	bash scripts/smoke-alarmserver.sh
+
 bench:
 	$(GO) test -run xxx -bench 'Engine(Parallel|Serial)' -cpu 1,2,4,8 -benchtime 2000x .
-	$(GO) run ./cmd/alarmbench -scale small bench-engine
 
 bench-wal:
 	$(GO) run ./cmd/alarmbench -scale small bench-wal

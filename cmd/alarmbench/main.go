@@ -20,8 +20,6 @@
 //	ablate-weighting     greedy vs exhaustive MWPSR assembly
 //	ablate-clipping      MWPSR soundness clip counts
 //	ablate-publicbitmap  PBSR with vs without public-alarm precomputation
-//	bench-engine         concurrent HandleUpdate throughput at 1/2/4/8
-//	         goroutines; writes BENCH_engine.json (not part of "all")
 //	bench-wal            durable append throughput with fsync on, sweeping
 //	         concurrent appenders × group-commit cap (group_max=1 is the
 //	         per-record baseline); writes BENCH_wal.json (not part of "all")
@@ -120,7 +118,6 @@ var runners = map[string]func(options) error{
 	"mixed":               runMixed,
 	"coverage":            runCoverage,
 	"scalability":         runScalability,
-	"bench-engine":        runBenchEngine,
 	"bench-wal":           runBenchWAL,
 }
 

@@ -171,6 +171,8 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		if found {
 			pm = loaded
+		} else if err := refuseBareStore(cfg.DataDir); err != nil {
+			return nil, err
 		}
 	}
 	if pm == nil {
@@ -261,6 +263,21 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// refuseBareStore fails when dir holds a store's files at its top level
+// but no partition map: a single engine's data dir, written before every
+// server was a cluster. Booting on it would start empty and ignore its
+// alarms, sessions and firings; moved into shard0 it recovers as shard 0
+// of a one-shard cluster.
+func refuseBareStore(dir string) error {
+	for _, pattern := range []string{"wal-*.log", "snap-*.json"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) > 0 {
+			return fmt.Errorf("cluster: %s holds a single-engine store (%s) but no %s; move its wal-*.log and snap-*.json files into %s to boot it as a one-shard cluster",
+				dir, filepath.Base(m[0]), PartitionMapFileName, filepath.Join(dir, "shard0"))
+		}
+	}
+	return nil
 }
 
 // bootShard builds shard id's engine on the given partition rectangle,

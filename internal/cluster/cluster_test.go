@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
@@ -20,25 +23,25 @@ var clusterUniverse = geom.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}
 // dataDir "" runs the shards in memory.
 func newTestCluster(t testing.TB, cols, rows int, dataDir string) *Cluster {
 	t.Helper()
-	c, err := New(Config{
-		Cols: cols,
-		Rows: rows,
-		Engine: server.Config{
-			Universe:      clusterUniverse,
-			CellAreaM2:    2.5e6,
-			Model:         motion.MustNew(1, 32),
-			PyramidParams: pyramid.DefaultParams(5),
-			MaxSpeed:      30,
-			TickSeconds:   1,
-			Costs:         metrics.DefaultCosts(),
-		},
-		DataDir: dataDir,
-	})
+	c, err := New(Config{Cols: cols, Rows: rows, Engine: testEngineConfig(), DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// testEngineConfig is the engine configuration every test shard shares.
+func testEngineConfig() server.Config {
+	return server.Config{
+		Universe:      clusterUniverse,
+		CellAreaM2:    2.5e6,
+		Model:         motion.MustNew(1, 32),
+		PyramidParams: pyramid.DefaultParams(5),
+		MaxSpeed:      30,
+		TickSeconds:   1,
+		Costs:         metrics.DefaultCosts(),
+	}
 }
 
 // TestInstallAlarmsMarginPlacement: an alarm deep inside one partition
@@ -192,5 +195,81 @@ func TestGlobalAlarmIDsSurviveRestart(t *testing.T) {
 			t.Fatalf("alarm ID %d reused across restart", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestBareStoreDataDirRefused: a data dir holding one engine's store at
+// its top level and no partition map is refused, not booted empty, and
+// the error names the fix. After the files move into shard0, a one-shard
+// cluster recovers the store's alarms and session tokens.
+func TestBareStoreDataDirRefused(t *testing.T) {
+	dir := t.TempDir()
+	st, state, info, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := server.NewDurable(testEngineConfig(), st, state, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.InstallAlarms([]alarm.Alarm{
+		{Scope: alarm.Private, Owner: 1, Region: geom.RectAround(geom.Pt(2000, 5000), 200)},
+		{Scope: alarm.Public, Owner: 2, Region: geom.RectAround(geom.Pt(8000, 5000), 200)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := eng.HandleHello(wire.Hello{User: 1, Strategy: wire.StrategyMWPSR, MaxHeight: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tok uint64
+	for _, m := range out {
+		if r, ok := m.(wire.Resume); ok {
+			tok = r.Token
+		}
+	}
+	if tok == 0 {
+		t.Fatal("no session token issued")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	shard0 := filepath.Join(dir, "shard0")
+	_, err = New(Config{Shards: 1, Engine: testEngineConfig(), DataDir: dir})
+	if err == nil || !strings.Contains(err.Error(), shard0) {
+		t.Fatalf("New on a bare store dir: err = %v, want a refusal naming %s", err, shard0)
+	}
+	if _, found, _ := LoadPartitionMapFile(dir); found {
+		t.Fatal("refused boot committed a partition map")
+	}
+
+	if err := os.Mkdir(shard0, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{"wal-*.log", "snap-*.json"} {
+		files, _ := filepath.Glob(filepath.Join(dir, pattern))
+		for _, f := range files {
+			if err := os.Rename(f, filepath.Join(shard0, filepath.Base(f))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c := newTestCluster(t, 1, 1, dir)
+	if got := c.Engine(0).Registry().Len(); got != 2 {
+		t.Errorf("recovered %d alarms, want 2", got)
+	}
+	out, _, err = c.Engine(0).HandleHello(wire.Hello{User: 1, Token: tok, Strategy: wire.StrategyMWPSR, MaxHeight: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := false
+	for _, m := range out {
+		if r, ok := m.(wire.Resume); ok {
+			resumed = r.Resumed
+		}
+	}
+	if !resumed {
+		t.Error("session token not resumed after the move into shard0")
 	}
 }

@@ -361,15 +361,6 @@ func (s *Server) AddUplinkBatch(bytes, n int) {
 	s.batchedUpdates.Add(uint64(n))
 }
 
-// AvgBatchSize returns the average number of updates per batch frame (0
-// when no batches were received).
-func (sn Snapshot) AvgBatchSize() float64 {
-	if sn.UpdateBatches == 0 {
-		return 0
-	}
-	return float64(sn.BatchedUpdates) / float64(sn.UpdateBatches)
-}
-
 // AddDownlink records a server→client message of the given encoded size.
 func (s *Server) AddDownlink(bytes int) {
 	s.downlinkMessages.Add(1)

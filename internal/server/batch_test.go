@@ -134,9 +134,6 @@ func TestHandleUpdateBatchAccounting(t *testing.T) {
 	if sn.UpdateBatches != 1 || sn.BatchedUpdates != 3 {
 		t.Errorf("batch counters = %d/%d, want 1/3", sn.UpdateBatches, sn.BatchedUpdates)
 	}
-	if got := sn.AvgBatchSize(); got != 3 {
-		t.Errorf("avg batch size = %v, want 3", got)
-	}
 	var downlink uint64
 	var msgs int
 	for _, ent := range reply.Entries {

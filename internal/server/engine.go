@@ -787,8 +787,10 @@ func (e *Engine) safePeriodFor(reg *alarm.Registry, u wire.PositionUpdate, sc *U
 	// the true nearest alarm may live on a neighbour shard. Any alarm
 	// missing locally lies wholly outside the margin rectangle, so its
 	// distance from u.Pos is at least the interior distance to that
-	// boundary — clamp to it and the safe period stays globally sound.
-	if p := *e.part.Load(); !p.Empty() {
+	// boundary — clamp to it and the safe period stays globally sound. A
+	// partition covering the whole universe holds every alarm, so there
+	// the local distance is already exact.
+	if p := *e.part.Load(); !p.Empty() && !p.ContainsRect(e.cfg.Universe) {
 		m := p.Expand(e.grid.CellSide())
 		interior := math.Min(
 			math.Min(u.Pos.X-m.MinX, m.MaxX-u.Pos.X),

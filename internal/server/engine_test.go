@@ -193,6 +193,26 @@ func TestSafePeriodResponse(t *testing.T) {
 	}
 }
 
+// TestSafePeriodWholeUniversePartition: a shard whose partition covers the
+// universe holds every alarm, so its safe period must not be clamped to
+// the partition margin; it must equal the unpartitioned engine's. A real
+// sub-partition still clamps.
+func TestSafePeriodWholeUniversePartition(t *testing.T) {
+	pos := geom.Pt(100, 500)
+	period := func(part geom.Rect) uint32 {
+		e := newEngine(t, func(c *Config) { c.Partition = part })
+		register(t, e, 1, wire.StrategySafePeriod)
+		return handle(t, e, 1, 1, pos)[0].(wire.SafePeriod).Ticks
+	}
+	want := period(geom.Rect{})
+	if got := period(universe); got != want {
+		t.Errorf("whole-universe partition: Ticks = %d, want the unpartitioned %d", got, want)
+	}
+	if got := period(geom.Rect{MinX: 0, MinY: 0, MaxX: 5000, MaxY: 10000}); got >= want {
+		t.Errorf("half-universe partition: Ticks = %d, want it clamped below %d", got, want)
+	}
+}
+
 func TestPBSRCellCachingProtocol(t *testing.T) {
 	e := newEngine(t, nil)
 	register(t, e, 1, wire.StrategyPBSR)

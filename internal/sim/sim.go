@@ -23,10 +23,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
@@ -67,9 +64,9 @@ type WorkloadConfig struct {
 	Lifecycle LifecycleMix
 }
 
-// LifecycleMix is the per-kind alarm fraction of a mixed workload. The
-// benchmark mix is 70% one-shot / 15% continuous / 10% pair / 5%
-// composite: {Continuous: 0.15, Pair: 0.10, Composite: 0.05}.
+// LifecycleMix is the per-kind alarm fraction of a mixed workload; 70%
+// one-shot / 15% continuous / 10% pair / 5% composite is
+// {Continuous: 0.15, Pair: 0.10, Composite: 0.05}.
 type LifecycleMix struct {
 	Continuous float64
 	Pair       float64
@@ -247,16 +244,6 @@ type StrategyConfig struct {
 	// 1 = the paper's pessimistic guarantee; <1 trades accuracy for fewer
 	// messages — the ablate-safeperiod experiment).
 	SafePeriodSpeedFactor float64
-	// Parallel fans each tick's position updates across a worker pool
-	// instead of the single-threaded loop, exercising the engine's
-	// concurrent hot path. Triggers are reassembled in client order after
-	// every tick, so for workloads without moving-target alarms the report
-	// (messages, triggers, metric totals) is identical to a serial run.
-	// Serial runs (Parallel=false) stay bit-for-bit reproducible across
-	// releases.
-	Parallel bool
-	// Workers is the parallel driver's pool size; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // Trigger is one delivered alarm: alarm ID, subscriber, and the tick of
@@ -512,20 +499,13 @@ func runDirect(w *Workload, sc StrategyConfig, fleet func(i int) (wire.Strategy,
 	}
 
 	// Moving-target invalidations reach silent clients through the push
-	// callback (Seq-0 messages). The per-client mutexes make push delivery
-	// safe when the parallel driver is active: a push for client B arriving
-	// from a worker processing client A cannot race B's own tick. curTick
-	// is written only between ticks, while no worker runs (the WaitGroup
-	// barrier orders the write against every reader).
+	// callback (Seq-0 messages).
 	curTick := 0
-	clientMu := make([]sync.Mutex, len(clients))
 	eng.SetPusher(func(user alarm.UserID, msgs []wire.Message) {
 		idx := int(user) - 1
 		if idx < 0 || idx >= len(clients) {
 			return
 		}
-		clientMu[idx].Lock()
-		defer clientMu[idx].Unlock()
 		for _, m := range msgs {
 			// Push decode errors cannot happen with in-process messages.
 			_ = clients[idx].Handle(curTick, m)
@@ -534,39 +514,32 @@ func runDirect(w *Workload, sc StrategyConfig, fleet func(i int) (wire.Strategy,
 
 	var triggers []Trigger
 	var serverWall time.Duration
-	if sc.Parallel {
-		triggers, serverWall, err = runParallelTicks(tr, sc, eng, clients, clientMu, &curTick)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for tick := 0; tick < tr.ticks; tick++ {
-			curTick = tick
-			tr.advance(tick)
-			for i, cl := range clients {
-				upd := cl.Tick(tick, tr.position(i))
-				if upd == nil {
-					continue
-				}
-				start := time.Now()
-				responses, err := eng.HandleUpdate(*upd)
-				serverWall += time.Since(start)
-				if err != nil {
-					return nil, fmt.Errorf("tick %d user %d: %w", tick, upd.User, err)
-				}
-				for _, resp := range responses {
-					if fired, ok := resp.(wire.AlarmFired); ok {
-						for _, id := range fired.Alarms {
-							triggers = append(triggers, Trigger{User: upd.User, Alarm: id, Tick: tick})
-						}
-					}
-					if err := cl.Handle(tick, resp); err != nil {
-						return nil, err
+	for tick := 0; tick < tr.ticks; tick++ {
+		curTick = tick
+		tr.advance(tick)
+		for i, cl := range clients {
+			upd := cl.Tick(tick, tr.position(i))
+			if upd == nil {
+				continue
+			}
+			start := time.Now()
+			responses, err := eng.HandleUpdate(*upd)
+			serverWall += time.Since(start)
+			if err != nil {
+				return nil, fmt.Errorf("tick %d user %d: %w", tick, upd.User, err)
+			}
+			for _, resp := range responses {
+				if fired, ok := resp.(wire.AlarmFired); ok {
+					for _, id := range fired.Alarms {
+						triggers = append(triggers, Trigger{User: upd.User, Alarm: id, Tick: tick})
 					}
 				}
-				if len(responses) == 0 {
-					cl.Acknowledge()
+				if err := cl.Handle(tick, resp); err != nil {
+					return nil, err
 				}
+			}
+			if len(responses) == 0 {
+				cl.Acknowledge()
 			}
 		}
 	}
@@ -577,102 +550,4 @@ func runDirect(w *Workload, sc StrategyConfig, fleet func(i int) (wire.Strategy,
 		triggers:   triggers,
 		serverWall: serverWall,
 	}, nil
-}
-
-// runParallelTicks drives the simulation with a worker pool: every tick,
-// the client updates are distributed across sc.Workers goroutines (0 means
-// GOMAXPROCS) via a shared atomic cursor, with a barrier between ticks.
-// Per-tick triggers are buffered per client index and flattened in index
-// order after the barrier, reproducing exactly the order the serial loop
-// would have appended them in. The returned wall duration sums the time
-// every worker spent inside Engine.HandleUpdate (aggregate CPU, not
-// elapsed time).
-func runParallelTicks(tr *replay, sc StrategyConfig, eng *server.Engine, clients []*client.Client, clientMu []sync.Mutex, curTick *int) ([]Trigger, time.Duration, error) {
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(clients) {
-		workers = len(clients)
-	}
-	var triggers []Trigger
-	var serverWall time.Duration
-	var wallMu sync.Mutex
-	for tick := 0; tick < tr.ticks; tick++ {
-		*curTick = tick
-		tr.advance(tick)
-		// Per-client trigger buffers: workers append only to their current
-		// client's slot, so no locking is needed and the post-barrier
-		// flatten restores the serial (client-index) order.
-		tickTriggers := make([][]Trigger, len(clients))
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		var errMu sync.Mutex
-		var tickErr error
-		errIdx := len(clients)
-		record := func(i int, err error) {
-			errMu.Lock()
-			if err != nil && i < errIdx {
-				tickErr, errIdx = err, i
-			}
-			errMu.Unlock()
-		}
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var wall time.Duration
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(clients) {
-						break
-					}
-					cl := clients[i]
-					clientMu[i].Lock()
-					upd := cl.Tick(tick, tr.position(i))
-					clientMu[i].Unlock()
-					if upd == nil {
-						continue
-					}
-					// The engine call runs without the client lock: the
-					// engine synchronizes itself, and holding clientMu here
-					// would serialize pushes against their own trigger.
-					start := time.Now()
-					responses, err := eng.HandleUpdate(*upd)
-					wall += time.Since(start)
-					if err != nil {
-						record(i, fmt.Errorf("tick %d user %d: %w", tick, upd.User, err))
-						continue
-					}
-					clientMu[i].Lock()
-					for _, resp := range responses {
-						if fired, ok := resp.(wire.AlarmFired); ok {
-							for _, id := range fired.Alarms {
-								tickTriggers[i] = append(tickTriggers[i], Trigger{User: upd.User, Alarm: id, Tick: tick})
-							}
-						}
-						if err := cl.Handle(tick, resp); err != nil {
-							record(i, err)
-							break
-						}
-					}
-					if len(responses) == 0 {
-						cl.Acknowledge()
-					}
-					clientMu[i].Unlock()
-				}
-				wallMu.Lock()
-				serverWall += wall
-				wallMu.Unlock()
-			}()
-		}
-		wg.Wait()
-		if tickErr != nil {
-			return nil, 0, tickErr
-		}
-		for i := range tickTriggers {
-			triggers = append(triggers, tickTriggers[i]...)
-		}
-	}
-	return triggers, serverWall, nil
 }
