@@ -43,21 +43,17 @@
 #                one killed with -9 and restarted, two shards and a
 #                replicated shard; each must deliver the same two alarms
 #                once (scripts/smoke-alarmserver.sh)
-#   make bench   engine throughput sweep at 1/2/4/8 procs (the
-#                EngineParallel/EngineSerial Go benchmarks)
-#   make bench-wal
-#                durable append throughput with fsync on, sweeping
-#                concurrent appenders x group-commit cap; writes
-#                BENCH_wal.json
-#   make bench-wal-smoke
-#                tiny bench-wal run (64 appends/point) plus the
-#                BENCH_wal.json parse test — the CI gate that the report
-#                regenerates and records GOMAXPROCS + fsync mode
+#   make bench   the engine hot-path Go benchmarks (EngineSteadyState,
+#                EngineBatch, EngineSerial): HandleUpdate and
+#                HandleUpdateBatch called in-process, no socket
 #   make bench-smoke
 #                compile and run every benchmark once (-benchtime=1x) so
 #                CI catches bit-rotted benchmark code without paying for
 #                real measurement runs
-#   make figures the paper-figure benchmark series
+#   make figures every experiment of cmd/alarmbench (the paper's Fig. 4-6
+#                tables and the ablations) at small scale with -verify:
+#                each configuration's triggers must equal the periodic
+#                ground truth's
 #   make benchpair BASE=<rev> WORKLOAD=<w> PAIRS=<n> [SEED=<s>]
 #                the repo's benchmark (bench/run.sh --trace 0) on BASE
 #                and on this checkout, PAIRS runs each in alternating
@@ -85,7 +81,7 @@ sim = echo "$(GO) test -race -v -run '$(1)' ./internal/sim/"; \
 	echo "$$out" | grep -q '^ *--- PASS: [^ ]*/' || \
 		{ echo "make: -run '$(1)' selected no test in ./internal/sim/" >&2; exit 1; }
 
-.PHONY: tier1 race crash cluster rebalance failover lifecycle smoke-server bench bench-wal bench-wal-smoke bench-smoke figures benchpair logdiff
+.PHONY: tier1 race crash cluster rebalance failover lifecycle smoke-server bench bench-smoke figures benchpair logdiff
 
 tier1:
 	$(GO) build ./...
@@ -124,20 +120,13 @@ smoke-server:
 	bash scripts/smoke-alarmserver.sh
 
 bench:
-	$(GO) test -run xxx -bench 'Engine(Parallel|Serial)' -cpu 1,2,4,8 -benchtime 2000x .
-
-bench-wal:
-	$(GO) run ./cmd/alarmbench -scale small bench-wal
-
-bench-wal-smoke:
-	$(GO) run ./cmd/alarmbench -scale small -wal-appends 64 bench-wal
-	$(GO) test -run 'BenchWAL' ./cmd/alarmbench/
+	$(GO) test -run xxx -bench 'Engine' -benchtime 2000x .
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 figures:
-	$(GO) test -run xxx -bench 'Fig|Ablation' .
+	$(GO) run ./cmd/alarmbench -scale small -verify all
 
 BASE ?= HEAD
 WORKLOAD ?= batch_mix_durable

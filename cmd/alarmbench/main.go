@@ -1,31 +1,14 @@
 // Command alarmbench regenerates every table and figure of the paper's
-// evaluation (§5) plus three ablations of SABRE-specific design choices.
+// evaluation (§5) plus ablations of SABRE-specific design choices and a
+// few extra sweeps (mixed fleets, bitmap coverage, fleet scalability).
 //
 // Usage:
 //
 //	alarmbench [flags] <experiment> [<experiment>...]
+//	alarmbench [flags] all
 //
-// Experiments:
-//
-//	fig1b    motion pdf p(φ) series (paper Figure 1(b))
-//	fig4a    client→server messages vs grid cell size, non-weighted vs
-//	         weighted MWPSR (Figure 4(a))
-//	fig4b    server processing time vs grid cell size (Figure 4(b))
-//	fig5a    messages vs pyramid height per public-alarm density (Figure 5(a))
-//	fig5b    client energy vs pyramid height per density (Figure 5(b))
-//	fig6a    messages per approach per density (Figure 6(a))
-//	fig6b    downstream bandwidth per approach (Figure 6(b))
-//	fig6c    client energy per approach (Figure 6(c))
-//	fig6d    server time decomposition per approach (Figure 6(d))
-//	ablate-weighting     greedy vs exhaustive MWPSR assembly
-//	ablate-clipping      MWPSR soundness clip counts
-//	ablate-publicbitmap  PBSR with vs without public-alarm precomputation
-//	bench-wal            durable append throughput with fsync on, sweeping
-//	         concurrent appenders × group-commit cap (group_max=1 is the
-//	         per-record baseline); writes BENCH_wal.json (not part of "all")
-//	all      every figure above in order
-//
-// Flags select the workload scale: -scale small (default, seconds),
+// `alarmbench -h` lists the experiments; "all" runs every one in that
+// order. Flags select the workload scale: -scale small (default, seconds),
 // medium (a minute or two) or full (the paper's 10,000 vehicles × 1 h —
 // tens of minutes). -verify additionally re-runs the periodic ground truth
 // for every configuration and asserts 100% trigger accuracy.
@@ -36,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,10 +41,36 @@ func main() {
 }
 
 type options struct {
-	scale      string
-	seed       int64
-	verify     bool
-	walAppends int
+	scale  string
+	seed   int64
+	verify bool
+}
+
+// experiment is one table or figure alarmbench can print.
+type experiment struct {
+	name, about string
+	run         func(options) error
+}
+
+// experiments is the one list of experiments: run dispatches on it, "all"
+// runs it in order and the usage text prints it.
+var experiments = []experiment{
+	{"fig1b", "motion pdf p(φ) series (paper Figure 1(b))", runFig1b},
+	{"fig4a", "client→server messages vs grid cell size, non-weighted vs weighted MWPSR (Figure 4(a))", runFig4a},
+	{"fig4b", "server processing time vs grid cell size (Figure 4(b))", runFig4b},
+	{"fig5a", "messages vs pyramid height per public-alarm density (Figure 5(a))", runFig5a},
+	{"fig5b", "client energy vs pyramid height per density (Figure 5(b))", runFig5b},
+	{"fig6a", "messages per approach per density (Figure 6(a))", runFig6a},
+	{"fig6b", "downstream bandwidth per approach (Figure 6(b))", runFig6b},
+	{"fig6c", "client energy per approach (Figure 6(c))", runFig6c},
+	{"fig6d", "server time decomposition per approach (Figure 6(d))", runFig6d},
+	{"ablate-weighting", "greedy vs exhaustive MWPSR assembly", runAblateWeighting},
+	{"ablate-clipping", "MWPSR soundness clip counts", runAblateClipping},
+	{"ablate-publicbitmap", "PBSR with vs without public-alarm precomputation", runAblatePublicBitmap},
+	{"ablate-safeperiod", "safe-period messages and trigger recall as the v_max bound is relaxed", runAblateSafePeriod},
+	{"mixed", "one engine serving three device classes, per-class costs", runMixed},
+	{"coverage", "bitmap coverage and size vs pyramid height", runCoverage},
+	{"scalability", "server load vs fleet size, PRD vs MWPSR", runScalability},
 }
 
 func run(args []string) error {
@@ -69,7 +79,16 @@ func run(args []string) error {
 	fs.StringVar(&opts.scale, "scale", "small", "workload scale: small, medium or full (paper scale)")
 	fs.Int64Var(&opts.seed, "seed", 1, "workload seed")
 	fs.BoolVar(&opts.verify, "verify", false, "re-run the periodic ground truth per configuration and assert 100% accuracy")
-	fs.IntVar(&opts.walAppends, "wal-appends", 0, "bench-wal: records per sweep point (0 = scale default)")
+	fs.Usage = func() {
+		w := fs.Output()
+		fmt.Fprintln(w, "usage: alarmbench [flags] <experiment> [<experiment>...]")
+		fmt.Fprintln(w, "\nexperiments:")
+		for _, e := range experiments {
+			fmt.Fprintf(w, "  %-20s %s\n", e.name, e.about)
+		}
+		fmt.Fprintf(w, "  %-20s %s\n\nflags:\n", "all", "every experiment above, in order")
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -77,48 +96,35 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("no experiment given (try: alarmbench fig6a)")
 	}
-	experiments := fs.Args()
-	if len(experiments) == 1 && experiments[0] == "all" {
-		experiments = []string{
-			"fig1b", "fig4a", "fig4b", "fig5a", "fig5b",
-			"fig6a", "fig6b", "fig6c", "fig6d",
-			"ablate-weighting", "ablate-clipping", "ablate-publicbitmap",
-			"ablate-safeperiod", "mixed", "coverage",
-			"scalability",
-		}
+	selected, err := selectExperiments(fs.Args())
+	if err != nil {
+		return err
 	}
-	for _, name := range experiments {
-		runner, ok := runners[name]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q", name)
-		}
+	for _, e := range selected {
 		start := time.Now()
-		if err := runner(opts); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		if err := e.run(opts); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Printf("  [%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("  [%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
 
-var runners = map[string]func(options) error{
-	"fig1b":               runFig1b,
-	"fig4a":               runFig4a,
-	"fig4b":               runFig4b,
-	"fig5a":               runFig5a,
-	"fig5b":               runFig5b,
-	"fig6a":               runFig6a,
-	"fig6b":               runFig6b,
-	"fig6c":               runFig6c,
-	"fig6d":               runFig6d,
-	"ablate-weighting":    runAblateWeighting,
-	"ablate-clipping":     runAblateClipping,
-	"ablate-publicbitmap": runAblatePublicBitmap,
-	"ablate-safeperiod":   runAblateSafePeriod,
-	"mixed":               runMixed,
-	"coverage":            runCoverage,
-	"scalability":         runScalability,
-	"bench-wal":           runBenchWAL,
+// selectExperiments resolves experiment names; a lone "all" selects every
+// experiment.
+func selectExperiments(names []string) ([]experiment, error) {
+	if len(names) == 1 && names[0] == "all" {
+		return experiments, nil
+	}
+	var out []experiment
+	for _, name := range names {
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q", name)
+		}
+		out = append(out, experiments[i])
+	}
+	return out, nil
 }
 
 // workload returns the scale-appropriate configuration with the given

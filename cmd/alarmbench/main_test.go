@@ -60,6 +60,29 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+func TestAllSelectsEveryExperiment(t *testing.T) {
+	all, err := selectExperiments([]string{"all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(experiments) {
+		t.Fatalf("all selects %d experiments, want %d", len(all), len(experiments))
+	}
+	seen := map[string]bool{}
+	for i, e := range experiments {
+		if all[i].name != e.name {
+			t.Errorf("all[%d] = %s, want %s", i, all[i].name, e.name)
+		}
+		if seen[e.name] {
+			t.Errorf("experiment %s listed twice", e.name)
+		}
+		seen[e.name] = true
+		if one, err := selectExperiments([]string{e.name}); err != nil || len(one) != 1 || one[0].name != e.name {
+			t.Errorf("selecting %s: %v, %v", e.name, one, err)
+		}
+	}
+}
+
 func TestRunFig1b(t *testing.T) {
 	// fig1b is pure computation; it must succeed instantly at any scale.
 	if err := run([]string{"-scale", "small", "fig1b"}); err != nil {

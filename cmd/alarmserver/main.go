@@ -101,8 +101,6 @@ func run() error {
 		dataDir   = flag.String("data-dir", "", "durable state directory (partition map + per-shard WAL and snapshots); empty runs memory-only")
 		snapEvery = flag.Int("snapshot-every", 1024, "checkpoint each shard's durable state every N log appends (0 disables automatic checkpoints)")
 		fsync     = flag.Bool("fsync", true, "fsync the WAL on every append (power-failure durability; off still survives process crashes)")
-		groupMax  = flag.Int("wal-group-max", 0, "max records one WAL group commit lands with a single write+fsync (0 = store default; 1 = per-record commit)")
-		groupWait = flag.Duration("wal-group-wait", 0, "hold a WAL commit group open this long before flushing, trading latency for larger groups (0 flushes immediately)")
 		sessTTL   = flag.Duration("session-ttl", 0, "expire reliable sessions idle for this long (0 disables expiry)")
 
 		shards      = flag.Int("shards", 1, "spatial partitions (shards) to boot; shard i listens on -addr's port + i")
@@ -154,7 +152,7 @@ func run() error {
 			Costs:                   metrics.DefaultCosts(),
 		},
 		DataDir:      *dataDir,
-		Store:        store.Options{Fsync: *fsync, SnapshotEvery: *snapEvery, GroupMax: *groupMax, GroupWait: *groupWait},
+		Store:        store.Options{Fsync: *fsync, SnapshotEvery: *snapEvery},
 		Replicas:     *replicas,
 		PromoteAfter: promoteTicks,
 		ReplAck:      *replAck,

@@ -1,19 +1,13 @@
-// Engine hot-path throughput benchmarks. Unlike the figure benchmarks in
-// bench_test.go, which run whole simulations, these call
-// Engine.HandleUpdate directly from concurrent goroutines to measure how
-// update throughput scales with cores:
-//
-//	go test -bench=EngineParallel -cpu 1,2,4,8
-//
-// Each goroutine impersonates a distinct fleet of clients replaying
-// pre-generated mobility traces, so per-client serialization never
-// bottlenecks the measurement — contention, if any, comes from the shared
-// structures (registry reads, metric counters, bitmap cache).
+// Engine hot-path benchmarks: they call Engine.HandleUpdate and
+// HandleUpdateBatch directly on pre-generated mobility traces, so the
+// per-update cost shows without the simulator, the wire or a socket. The
+// paper's figures come from cmd/alarmbench; server throughput over TCP
+// comes from bench/.
 package sabre_test
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"github.com/sabre-geo/sabre/internal/geom"
@@ -25,6 +19,27 @@ import (
 	"github.com/sabre-geo/sabre/internal/sim"
 	"github.com/sabre-geo/sabre/internal/wire"
 )
+
+// benchWorkload caches the small workload across benchmarks: building the
+// road network is not what they measure.
+var (
+	benchWorkloadMu sync.Mutex
+	benchWorkload   *sim.Workload
+)
+
+func smallWorkload(b *testing.B) *sim.Workload {
+	b.Helper()
+	benchWorkloadMu.Lock()
+	defer benchWorkloadMu.Unlock()
+	if benchWorkload == nil {
+		w, err := sim.BuildWorkload(sim.SmallWorkload(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchWorkload = w
+	}
+	return benchWorkload
+}
 
 // benchEngine builds an engine loaded with the small workload's alarms,
 // registers vehicles under the given strategy, and returns per-vehicle
@@ -71,46 +86,6 @@ func benchEngine(tb testing.TB, w *sim.Workload, strategy wire.Strategy, traceTi
 	return eng, traces
 }
 
-// BenchmarkEngineParallel measures HandleUpdate throughput under
-// b.RunParallel. Run with -cpu 1,2,4,8 to see the scaling series; the
-// sharded engine should deliver ≥2× ops/sec at 4 procs vs 1.
-func BenchmarkEngineParallel(b *testing.B) {
-	for _, s := range []struct {
-		name     string
-		strategy wire.Strategy
-	}{
-		{"MWPSR", wire.StrategyMWPSR},
-		{"PBSR", wire.StrategyPBSR},
-	} {
-		b.Run(s.name, func(b *testing.B) {
-			const traceTicks = 256
-			w := workloadFor(b, -1)
-			eng, traces := benchEngine(b, w, s.strategy, traceTicks)
-			var nextUser atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Each goroutine owns one vehicle's identity and trace, so
-				// updates from different goroutines never serialize on a
-				// client mutex.
-				idx := int(nextUser.Add(1)-1) % len(traces)
-				trace := traces[idx]
-				seq := uint32(0)
-				for pb.Next() {
-					seq++
-					upd := wire.PositionUpdate{
-						User: uint64(idx + 1),
-						Seq:  seq,
-						Pos:  trace[int(seq)%traceTicks],
-					}
-					if _, err := eng.HandleUpdate(upd); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkEngineSteadyState is one MWPSR client replaying its trace
 // through HandleUpdate. The warm-up pass exhausts the one-shot alarm
 // firings and grows the pooled scratch buffers, so the measured loop is
@@ -119,7 +94,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 // bound).
 func BenchmarkEngineSteadyState(b *testing.B) {
 	const traceTicks = 256
-	w := workloadFor(b, -1)
+	w := smallWorkload(b)
 	eng, traces := benchEngine(b, w, wire.StrategyMWPSR, traceTicks)
 	trace := traces[0]
 	seq := uint32(0)
@@ -148,7 +123,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 	for _, size := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			const traceTicks = 256
-			w := workloadFor(b, -1)
+			w := smallWorkload(b)
 			eng, traces := benchEngine(b, w, wire.StrategyMWPSR, traceTicks)
 			trace := traces[0]
 			batch := wire.UpdateBatch{Updates: make([]wire.PositionUpdate, size)}
@@ -170,12 +145,12 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSerial is the single-goroutine baseline for the same
-// update stream, useful to spot per-op regressions from the concurrency
-// machinery itself.
+// BenchmarkEngineSerial round-robins HandleUpdate over every vehicle of
+// the fleet from one goroutine, so each op touches a different client's
+// state.
 func BenchmarkEngineSerial(b *testing.B) {
 	const traceTicks = 256
-	w := workloadFor(b, -1)
+	w := smallWorkload(b)
 	eng, traces := benchEngine(b, w, wire.StrategyMWPSR, traceTicks)
 	seq := uint32(0)
 	b.ResetTimer()

@@ -816,10 +816,6 @@ func (r *Registry) NearestRelevantDist(p geom.Point, u UserID) (float64, uint64)
 func (r *Registry) All() []Alarm {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.allLocked()
-}
-
-func (r *Registry) allLocked() []Alarm {
 	out := make([]Alarm, 0, len(r.byID))
 	for i := range r.slab {
 		if r.slab[i].ID != 0 {

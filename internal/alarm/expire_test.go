@@ -1,7 +1,6 @@
 package alarm
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -78,22 +77,6 @@ func TestExpireDueEveryInstallPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			return r, withID.ID
-		}},
-		{"LoadRegistry", func(t *testing.T) (*Registry, ID) {
-			src := NewRegistry()
-			id, err := src.Install(ttlComposite(3, ttl))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := src.Snapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			r, err := LoadRegistry(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r, id
 		}},
 	}
 	for _, p := range paths {

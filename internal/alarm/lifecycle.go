@@ -640,10 +640,6 @@ func (r *Registry) portableLocked(u UserID, m machine) LifecycleState {
 func (r *Registry) LifecycleStates() []LifecycleState {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.lifecycleStatesLocked()
-}
-
-func (r *Registry) lifecycleStatesLocked() []LifecycleState {
 	out := []LifecycleState{}
 	for u, rec := range r.users {
 		for _, m := range rec.lc {

@@ -1,7 +1,6 @@
 package alarm
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -327,26 +326,12 @@ func (d *diff) step(s *opStream) {
 		r.ApplyLifecycleStates(states)
 		m.apply(states)
 	case 15: // recovery: topic subscriptions are soft state and do not survive
-		var err error
-		if s.next()%2 == 0 {
-			var buf bytes.Buffer
-			if err = r.Snapshot(&buf); err == nil {
-				d.r, err = LoadRegistry(&buf)
-			}
-			for k := range m.fired { // a snapshot keeps the pairs of its own alarms only
-				if _, ok := m.alarms[k.id]; !ok {
-					delete(m.fired, k)
-				}
-			}
-		} else {
-			states := r.LifecycleStates()
-			if d.r, err = Restore(r.All(), r.FiredPairs(), r.NextID()); err == nil {
-				d.r.ApplyLifecycleStates(states)
-			}
-		}
+		restored, err := Restore(r.All(), r.FiredPairs(), r.NextID())
 		if err != nil {
 			t.Fatalf("recovery: %v", err)
 		}
+		restored.ApplyLifecycleStates(r.LifecycleStates())
+		d.r = restored
 		m.topics = map[UserID]map[string]bool{}
 	}
 }

@@ -22,10 +22,6 @@ type FiredPair struct {
 func (r *Registry) FiredPairs() []FiredPair {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.firedPairsLocked()
-}
-
-func (r *Registry) firedPairsLocked() []FiredPair {
 	out := []FiredPair{}
 	for u, rec := range r.users {
 		for _, id := range rec.fired {

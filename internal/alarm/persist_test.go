@@ -1,9 +1,7 @@
 package alarm
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/sabre-geo/sabre/internal/geom"
@@ -33,11 +31,7 @@ func buildPopulated(t *testing.T) (*Registry, []ID) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	r, ids := buildPopulated(t)
-	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadRegistry(bytes.NewReader(buf.Bytes()))
+	restored, err := Restore(r.All(), r.FiredPairs(), r.NextID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,33 +77,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotDeterministic(t *testing.T) {
-	r, _ := buildPopulated(t)
-	var a, b bytes.Buffer
-	if err := r.Snapshot(&a); err != nil {
-		t.Fatal(err)
+// TestRestoreRejectsInvalidTable: a recovered table is validated as an
+// install is, so a corrupt alarm or a repeated ID fails the restore.
+func TestRestoreRejectsInvalidTable(t *testing.T) {
+	cases := map[string][]Alarm{
+		"empty region": {{ID: 1, Scope: Private, Owner: 1, Region: geom.R(5, 5, 5, 5)}},
+		"bad scope":    {{ID: 1, Scope: 9, Owner: 1, Region: geom.R(0, 0, 5, 5)}},
+		"duplicate id": {
+			{ID: 1, Scope: Private, Owner: 1, Region: geom.R(0, 0, 5, 5)},
+			{ID: 1, Scope: Private, Owner: 2, Region: geom.R(10, 10, 15, 15)},
+		},
 	}
-	if err := r.Snapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("snapshots of identical state differ")
-	}
-}
-
-func TestLoadRegistryRejectsCorruptInput(t *testing.T) {
-	cases := map[string]string{
-		"garbage":        "not json",
-		"wrong version":  `{"version": 99, "nextId": 1}`,
-		"empty region":   `{"version": 1, "nextId": 2, "alarms": [{"id": 1, "scope": 1, "owner": 1, "region": [5,5,5,5]}]}`,
-		"bad scope":      `{"version": 1, "nextId": 2, "alarms": [{"id": 1, "scope": 9, "owner": 1, "region": [0,0,5,5]}]}`,
-		"duplicate id":   `{"version": 1, "nextId": 3, "alarms": [{"id": 1, "scope": 1, "owner": 1, "region": [0,0,5,5]}, {"id": 1, "scope": 1, "owner": 2, "region": [10,10,15,15]}]}`,
-		"dangling fired": `{"version": 1, "nextId": 2, "alarms": [], "fired": [{"alarm": 5, "user": 1}]}`,
-	}
-	for name, input := range cases {
+	for name, alarms := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := LoadRegistry(strings.NewReader(input)); err == nil {
-				t.Error("corrupt snapshot accepted")
+			if _, err := Restore(alarms, nil, 3); err == nil {
+				t.Error("invalid table restored")
 			}
 		})
 	}
@@ -133,11 +115,7 @@ func TestSnapshotLargeRegistry(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		r.MarkFired(ids[rng.Intn(len(ids))], UserID(rng.Intn(100)+1))
 	}
-	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadRegistry(&buf)
+	restored, err := Restore(r.All(), r.FiredPairs(), r.NextID())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,16 +287,6 @@ func (s *Server) AddWALPrealloc(bytes int, nanos int64) {
 	s.walPreallocNs.Add(nanos)
 }
 
-// WALGroupSizeAvg returns the average number of records landed per group
-// commit (0 before the first commit) — the WAL's syscall amortization
-// factor.
-func (sn Snapshot) WALGroupSizeAvg() float64 {
-	if sn.WALGroupCommits == 0 {
-		return 0
-	}
-	return float64(sn.WALGroupRecords) / float64(sn.WALGroupCommits)
-}
-
 // AddSnapshot records one full-state snapshot written (WAL rotation).
 func (s *Server) AddSnapshot() { s.snapshots.Add(1) }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -360,11 +359,8 @@ func TestSnapshotRestart(t *testing.T) {
 		t.Fatalf("expected fire, got %v", out)
 	}
 
-	var buf bytes.Buffer
-	if err := e1.Registry().Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := alarm.LoadRegistry(&buf)
+	reg := e1.Registry()
+	restored, err := alarm.Restore(reg.All(), reg.FiredPairs(), reg.NextID())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sabre
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
 	"github.com/sabre-geo/sabre/internal/client"
@@ -150,43 +149,25 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	return &Service{eng: eng}, nil
 }
 
-// SnapshotAlarms serializes the alarm table and per-subscriber trigger
-// state; LoadAlarms in a fresh Service restores it, so a restarted server
-// resumes with identical one-shot semantics.
-func (s *Service) SnapshotAlarms(w io.Writer) error {
-	return s.eng.Registry().Snapshot(w)
-}
-
 // InstallAlarmBatch installs a whole alarm table at once (bulk-loading the
 // spatial index when the service is empty).
 func (s *Service) InstallAlarmBatch(alarms []Alarm) ([]AlarmID, error) {
-	ids, err := s.eng.Registry().InstallBatch(alarms)
-	if err != nil {
-		return nil, err
-	}
-	s.eng.InvalidatePublicBitmaps()
-	return ids, nil
+	return s.eng.InstallAlarms(alarms)
 }
 
 // InstallAlarm validates and stores an alarm, returning its ID.
 func (s *Service) InstallAlarm(a Alarm) (AlarmID, error) {
-	id, err := s.eng.Registry().Install(a)
+	ids, err := s.eng.InstallAlarms([]Alarm{a})
 	if err != nil {
 		return 0, err
 	}
-	if a.Scope == Public {
-		s.eng.InvalidatePublicBitmaps()
-	}
-	return id, nil
+	return ids[0], nil
 }
 
 // RemoveAlarm uninstalls an alarm; it reports whether the alarm existed.
 func (s *Service) RemoveAlarm(id AlarmID) bool {
-	a, ok := s.eng.Registry().Get(id)
-	removed := s.eng.Registry().Remove(id)
-	if ok && a.Scope == Public {
-		s.eng.InvalidatePublicBitmaps()
-	}
+	// A memory-only engine logs nothing, so removal cannot fail.
+	removed, _ := s.eng.RemoveAlarm(id)
 	return removed
 }
 

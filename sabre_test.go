@@ -2,6 +2,8 @@ package sabre
 
 import (
 	"testing"
+
+	"github.com/sabre-geo/sabre/internal/alarm"
 )
 
 // runUntilFired drives a monitor along a straight path until the service
@@ -178,6 +180,38 @@ func TestRemoveAlarm(t *testing.T) {
 	mon := NewMonitor(1, StrategyMWPSR)
 	if tick := runUntilFired(t, svc, mon, straightPath(Pt(1000, 5000), Pt(9000, 5000), 300), id); tick >= 0 {
 		t.Error("removed alarm fired")
+	}
+}
+
+// TestAlarmKindGauges: alarms installed and removed through the facade
+// keep the engine's per-kind gauges current, as they do on every other
+// install path.
+func TestAlarmKindGauges(t *testing.T) {
+	svc := newTestService(t, nil)
+	kinds := func() [3]uint64 {
+		m := svc.eng.Metrics().Snapshot()
+		return [3]uint64{m.AlarmsContinuous, m.AlarmsPair, m.AlarmsComposite}
+	}
+	cont, err := svc.InstallAlarm(Alarm{Scope: Private, Owner: 1, Kind: alarm.KindContinuous,
+		Region: RectAround(Pt(5000, 5000), 300)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.InstallAlarmBatch([]Alarm{
+		{Scope: Shared, Owner: 1, Anchor: 2, Radius: 200, Kind: alarm.KindPair},
+		{Scope: Private, Owner: 3, Kind: alarm.KindComposite, Threshold: 0.5,
+			Factors: []alarm.Factor{{Center: Pt(2000, 2000), Radius: 100, Weight: 1}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := kinds(); got != [3]uint64{1, 1, 1} {
+		t.Fatalf("continuous/pair/composite gauges = %v after install, want [1 1 1]", got)
+	}
+	if !svc.RemoveAlarm(cont) {
+		t.Fatal("RemoveAlarm returned false")
+	}
+	if got := kinds(); got != [3]uint64{0, 1, 1} {
+		t.Errorf("continuous/pair/composite gauges = %v after remove, want [0 1 1]", got)
 	}
 }
 

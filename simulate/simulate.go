@@ -3,8 +3,7 @@
 // under a processing strategy, and get back the paper's evaluation metrics
 // plus the exact delivered trigger set.
 //
-// It is the public face of the machinery behind cmd/alarmbench and the
-// bench_test.go series:
+// It is the public face of the machinery behind cmd/alarmbench:
 //
 //	w, _ := simulate.BuildWorkload(simulate.SmallWorkload(1))
 //	truth, _ := simulate.Run(w, simulate.StrategyConfig{Strategy: sabre.StrategyPeriodic})
