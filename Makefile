@@ -5,6 +5,8 @@
 #   make crash   crash-recovery suite under the race detector: WAL/
 #                snapshot store tests, durable-engine recovery tests and
 #                the kill/mangle/recover rows of the simulation table
+#                (process crashes of one shard, of four shards and of a
+#                replicated cluster mid-failover)
 #   make cluster sharded-cluster suite under the race detector: the
 #                partitioner tests and the front-end cluster tests, which
 #                drive the shared TCP front end's per-frame Dispatch over

@@ -334,40 +334,15 @@ func run() error {
 	}
 
 	// Clean shutdown: checkpoint every durable shard so the next boot
-	// recovers without replay, then fold the counters for the printout.
-	var sum metrics.Snapshot
-	var alarmSecs, regionSecs float64
+	// recovers without replay, then total the counters for the printout.
 	for i := 0; i < cl.N(); i++ {
-		eng := cl.Engine(i)
-		if eng == nil {
-			continue
-		}
-		if st := eng.Store(); st != nil {
-			if err := st.Checkpoint(); err != nil {
+		if eng := cl.Engine(i); eng != nil && eng.Store() != nil {
+			if err := eng.Store().Checkpoint(); err != nil {
 				return fmt.Errorf("shard %d shutdown checkpoint: %w", i, err)
 			}
 		}
-		m := eng.Metrics().Snapshot()
-		sum.UplinkMessages += m.UplinkMessages
-		sum.UplinkBytes += m.UplinkBytes
-		sum.DownlinkMessages += m.DownlinkMessages
-		sum.DownlinkBytes += m.DownlinkBytes
-		sum.AlarmsTriggered += m.AlarmsTriggered
-		sum.SessionsOpened += m.SessionsOpened
-		sum.SessionsResumed += m.SessionsResumed
-		sum.Heartbeats += m.Heartbeats
-		sum.SessionsExpired += m.SessionsExpired
-		sum.RedeliveredUpdates += m.RedeliveredUpdates
-		sum.FiredRedeliveries += m.FiredRedeliveries
-		sum.FiredEvictions += m.FiredEvictions
-		sum.WALAppends += m.WALAppends
-		sum.WALBytes += m.WALBytes
-		sum.WALFsyncs += m.WALFsyncs
-		sum.Snapshots += m.Snapshots
-		sum.RecoveredRecords += m.RecoveredRecords
-		alarmSecs += m.AlarmProcessingSeconds()
-		regionSecs += m.SafeRegionSeconds()
 	}
+	sum := cl.ShardTotals()
 	if err := cl.Close(); err != nil {
 		return err
 	}
@@ -393,7 +368,7 @@ func run() error {
 	fmt.Printf("handoffs:  %d completed, %d deferred\n", cm.Handoffs, cm.HandoffsDeferred)
 	fmt.Printf("rebalance: %d splits, %d merges, %d sessions drained (final epoch %d, %d shards)\n",
 		cm.Splits, cm.Merges, cm.SessionsDrained, cl.Epoch(), cl.PartitionMap().N())
-	fmt.Printf("cpu model: alarm processing %.3fs, safe region %.3fs\n", alarmSecs, regionSecs)
+	fmt.Printf("cpu model: alarm processing %.3fs, safe region %.3fs\n", sum.AlarmProcessingSeconds(), sum.SafeRegionSeconds())
 	return nil
 }
 

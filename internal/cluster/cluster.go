@@ -932,6 +932,19 @@ func (c *Cluster) ShardSnapshots() []ShardStatus {
 	return out
 }
 
+// ShardTotals sums the counters of every engine that is up. A shard's
+// counters restart with each incarnation, so a recovered shard counts
+// from its recovery, and a down or retired one not at all.
+func (c *Cluster) ShardTotals() metrics.Snapshot {
+	var sum metrics.Snapshot
+	for i := 0; i < c.N(); i++ {
+		if eng := c.Engine(i); eng != nil {
+			sum.Add(eng.Metrics().Snapshot())
+		}
+	}
+	return sum
+}
+
 // ShardStatus is one shard's liveness, partition and counters.
 type ShardStatus struct {
 	Shard     int              `json:"shard"`

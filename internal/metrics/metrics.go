@@ -14,7 +14,10 @@
 // minimized) is meaningful, as explained in DESIGN.md §2.
 package metrics
 
-import "sync/atomic"
+import (
+	"reflect"
+	"sync/atomic"
+)
 
 // CostParams converts operation counts into seconds of simulated server
 // CPU time.
@@ -445,6 +448,22 @@ func (sn Snapshot) SafeRegionSeconds() float64 {
 // TotalSeconds is alarm processing plus safe region computation.
 func (sn Snapshot) TotalSeconds() float64 {
 	return sn.AlarmProcessingSeconds() + sn.SafeRegionSeconds()
+}
+
+// Add folds o's counters into sn, as a cluster totals its shards: every
+// integer field is a count or a duration and sums; the cost parameters
+// are shared by every engine and are taken from o.
+func (sn *Snapshot) Add(o Snapshot) {
+	sn.Costs = o.Costs
+	dst, src := reflect.ValueOf(sn).Elem(), reflect.ValueOf(o)
+	for i := 0; i < dst.NumField(); i++ {
+		switch f := dst.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + src.Field(i).Uint())
+		case reflect.Int64:
+			f.SetInt(f.Int() + src.Field(i).Int())
+		}
+	}
 }
 
 // DownlinkMbps converts downstream bytes over a trace duration to the

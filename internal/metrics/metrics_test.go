@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -166,5 +168,41 @@ func TestDefaultsPositive(t *testing.T) {
 	e := DefaultEnergy()
 	if e.ProbeMilliWattHours <= 0 || e.RadioMilliWattHours <= 0 {
 		t.Error("energy params not positive")
+	}
+}
+
+// TestSnapshotAddSumsEveryField sets every numeric Snapshot field to a
+// distinct value and checks Add sums each one, so a counter of a kind
+// Add does not handle fails here instead of vanishing from cluster totals.
+func TestSnapshotAddSumsEveryField(t *testing.T) {
+	var a, b Snapshot
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		switch f := av.Field(i); f.Kind() {
+		case reflect.Struct:
+			continue
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+			bv.Field(i).SetUint(uint64(100 * (i + 1)))
+		case reflect.Int64:
+			f.SetInt(int64(i + 1))
+			bv.Field(i).SetInt(int64(100 * (i + 1)))
+		default:
+			t.Fatalf("Snapshot.%s has kind %s, which Add does not sum", av.Type().Field(i).Name, f.Kind())
+		}
+	}
+	b.Costs = DefaultCosts()
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		f := av.Field(i)
+		if f.Kind() == reflect.Struct {
+			continue
+		}
+		if want := fmt.Sprint(101 * (i + 1)); fmt.Sprint(f.Interface()) != want {
+			t.Errorf("Snapshot.%s = %v after Add, want %s", av.Type().Field(i).Name, f.Interface(), want)
+		}
+	}
+	if a.Costs != DefaultCosts() {
+		t.Errorf("Costs = %+v after Add, want the added snapshot's", a.Costs)
 	}
 }

@@ -24,9 +24,10 @@ const DefaultIdleTimeout = 2 * time.Minute
 // Topology is what a TCP front end needs to know about the deployment
 // behind its listeners. Everything else — accepting, the per-frame
 // Dispatch, typed installs and the user→connection binding pushes
-// follow — is the same however many engines serve the space. A single
-// engine is one listener that owns every position (NewTCPServerIdle); a
-// sharded cluster puts one listener in front of each shard.
+// follow — is the same however many engines serve the space. A bare
+// engine is one listener that owns every position (NewTCPServerIdle, for
+// the benchmark child and tests); a cluster, one shard or many, puts one
+// listener in front of each shard.
 type Topology interface {
 	// Engine returns the engine behind listener i, nil while it is down.
 	Engine(i int) *Engine
@@ -49,8 +50,10 @@ type Topology interface {
 
 // TCPServer fronts a Topology with TCP listeners speaking length-prefixed
 // wire frames: one connection per client, one serving goroutine per
-// connection. cmd/alarmserver and the benchmark wrap it; the simulator
-// serves its in-memory links through the same Dispatch.
+// connection. cmd/alarmserver wraps it over a cluster and the benchmark
+// child over a cluster or a bare engine; the simulator boots the cluster
+// alarmserver does and serves its in-memory links through the same
+// Dispatch.
 type TCPServer struct {
 	topo        Topology
 	log         *log.Logger

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,12 +49,10 @@ type driver struct {
 	dataDir string
 	rng     *rand.Rand // WAL tail mangling
 
-	// The server side: eng for the single-engine topology, cl for a
-	// cluster; fe is the TCP front end over either, with no socket bound,
-	// and is nil while the process is down.
-	eng *server.Engine
-	cl  *cluster.Cluster
-	fe  *server.TCPServer
+	// The server side: the cluster and the TCP front end over it, with no
+	// socket bound; both are nil while the process is down.
+	cl *cluster.Cluster
+	fe *server.TCPServer
 
 	sessions    []*client.Session
 	links       []*link
@@ -73,9 +70,9 @@ type driver struct {
 // Drive replays the traffic with every client behind its own link and
 // the full session layer active (Hello/Resume, heartbeats, reconnect with
 // backoff, report queues, FiredAck, Redirect) against the topology the
-// plan selects, injecting the plan's faults. The server side is the TCP
-// front end that alarmserver and the benchmark run, over one engine or
-// over the cluster's shards, with in-memory links in place of sockets:
+// plan selects, injecting the plan's faults. The server side is what
+// alarmserver boots — a cluster of Plan.Shards shards (one by default)
+// behind the TCP front end — with in-memory links in place of sockets:
 // each link's frames go to the front end's per-frame Dispatch. Sessions
 // dial listener 0 and follow Redirects to the shard that owns them. It
 // is single-threaded and fully deterministic: the same traffic, strategy
@@ -95,12 +92,13 @@ type driver struct {
 //
 // A plan that needs disk (crashes, crash points, replicas) uses dataDir,
 // which must start empty; left blank, a temporary directory is created
-// and removed before returning.
+// and removed before returning. Any other plan runs in memory and
+// ignores dataDir.
 func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Report, error) {
-	if err := plan.validate(); err != nil {
-		return nil, err
-	}
-	if dataDir == "" && plan.durable() {
+	switch {
+	case !plan.durable():
+		dataDir = ""
+	case dataDir == "":
 		tmp, err := os.MkdirTemp("", "sabre-sim-")
 		if err != nil {
 			return nil, err
@@ -126,13 +124,12 @@ func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Repo
 	if err := d.boot(); err != nil {
 		return nil, err
 	}
-	defer d.close()
-	if d.cl != nil {
-		_, err = d.cl.InstallAlarms(tr.alarms)
-	} else {
-		_, err = d.eng.InstallAlarms(tr.alarms)
-	}
-	if err != nil {
+	defer func() {
+		if d.cl != nil {
+			d.cl.Close()
+		}
+	}()
+	if _, err := d.cl.InstallAlarms(tr.alarms); err != nil {
 		return nil, err
 	}
 
@@ -168,19 +165,10 @@ func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Repo
 		return nil, err
 	}
 
-	if d.cl == nil {
-		return tr.report(sc.Strategy, d.eng.Metrics().Snapshot(), perClient, d.triggers, d.serverWall), nil
-	}
-	// Sum the per-shard counters. A crashed shard's cumulative counters
-	// reset with its recovery — the totals reflect each shard's final
-	// incarnation, and a retired shard's is gone with its engine.
-	var met metrics.Snapshot
-	for s := 0; s < d.cl.N(); s++ {
-		if eng := d.cl.Engine(s); eng != nil {
-			addSnapshot(&met, eng.Metrics().Snapshot())
-		}
-	}
-	rep := tr.report(sc.Strategy, met, perClient, d.triggers, d.serverWall)
+	// Server counters restart with every incarnation — a shard's with its
+	// recovery, everything with a process crash — so the totals are the
+	// final incarnation's.
+	rep := tr.report(sc.Strategy, d.cl.ShardTotals(), perClient, d.triggers, d.serverWall)
 	clusterMet := d.cl.Metrics().Snapshot()
 	rep.Cluster = &clusterMet
 	rep.PartitionMap = d.cl.PartitionMap()
@@ -192,55 +180,32 @@ func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Repo
 // listenerPrefix+i, the address its Redirects carry.
 const listenerPrefix = "shard"
 
-// boot brings the server side up: first start, process recovery, or a
-// cluster reopen after a crash point. A durable boot rebuilds whatever
-// survived in dataDir; cumulative counters restart with each incarnation.
-// The front end binds no socket: the sim names each listener instead,
-// and carries its links' frames to Dispatch itself.
+// boot brings the server side up: first start, or a reopen after a
+// process crash. A durable boot rebuilds whatever survived in dataDir;
+// cumulative counters restart with each incarnation. The front end binds
+// no socket: the sim names each listener instead, and carries its links'
+// frames to Dispatch itself.
 func (d *driver) boot() error {
-	opts := store.Options{Fsync: d.plan.Fsync, SnapshotEvery: d.plan.SnapshotEvery}
-	if d.plan.Shards != 0 {
-		cl, err := cluster.New(cluster.Config{
-			Shards:       d.plan.Shards,
-			Engine:       d.engCfg,
-			DataDir:      d.dataDir,
-			Store:        opts,
-			Replicas:     d.plan.Replicas,
-			PromoteAfter: d.plan.PromoteAfter,
-			ReplAck:      d.plan.ReplAck,
-		})
-		if err != nil {
-			return err
-		}
-		fe, err := cluster.NewTCP(cl, make([]string, cl.N()), nil, 0)
-		if err != nil {
-			return err
-		}
-		d.cl, d.fe = cl, fe.TCPServer
-		for s := 0; s < cl.N(); s++ {
-			d.nameListener(s)
-		}
-		return nil
-	}
-	var eng *server.Engine
-	var err error
-	if len(d.plan.Crashes) > 0 {
-		st, state, info, oerr := store.Open(d.dataDir, opts)
-		if oerr != nil {
-			return oerr
-		}
-		eng, err = server.NewDurable(d.engCfg, st, state, info)
-	} else {
-		eng, err = server.New(d.engCfg)
-	}
+	cl, err := cluster.New(cluster.Config{
+		Shards:       max(d.plan.Shards, 1),
+		Engine:       d.engCfg,
+		DataDir:      d.dataDir,
+		Store:        store.Options{Fsync: d.plan.Fsync, SnapshotEvery: d.plan.SnapshotEvery},
+		Replicas:     d.plan.Replicas,
+		PromoteAfter: d.plan.PromoteAfter,
+		ReplAck:      d.plan.ReplAck,
+	})
 	if err != nil {
 		return err
 	}
-	fe, err := server.NewTCPServerIdle(eng, "", nil, 0)
+	fe, err := cluster.NewTCP(cl, make([]string, cl.N()), nil, 0)
 	if err != nil {
 		return err
 	}
-	d.eng, d.fe = eng, fe
+	d.cl, d.fe = cl, fe.TCPServer
+	for s := 0; s < cl.N(); s++ {
+		d.nameListener(s)
+	}
 	return nil
 }
 
@@ -283,15 +248,6 @@ func (d *driver) closeLinks() {
 	}
 }
 
-func (d *driver) close() {
-	switch {
-	case d.cl != nil:
-		d.cl.Close()
-	case d.eng != nil && d.eng.Store() != nil:
-		d.eng.Store().Close()
-	}
-}
-
 // runTick runs one tick's phases. The order is fixed — it is what makes
 // a plan replay identically — and every scripted event lands before the
 // tick's reports are served.
@@ -310,15 +266,10 @@ func (d *driver) runTick() error {
 	// The logical clock drives lifecycle TTLs and staleness slack; it is
 	// a no-op for tables without lifecycle alarms. Down servers catch up
 	// on their first tick after recovery.
-	var err error
-	switch {
-	case d.cl != nil:
-		err = d.cl.SetTick(uint64(tick))
-	case d.eng != nil:
-		err = d.eng.SetTick(uint64(tick))
-	}
-	if err != nil {
-		return fmt.Errorf("sim: set tick %d: %w", tick, err)
+	if d.cl != nil {
+		if err := d.cl.SetTick(uint64(tick)); err != nil {
+			return fmt.Errorf("sim: set tick %d: %w", tick, err)
+		}
 	}
 
 	// Fault clocks release delayed traffic and fire scheduled resets; a
@@ -354,7 +305,7 @@ func (d *driver) runTick() error {
 	// their follower streams, silent ones are deposed and failed over —
 	// and any drain interrupted by a kill resumes as soon as a promotion
 	// has both of its shards serving again.
-	if d.plan.Replicas > 0 {
+	if d.plan.Replicas > 0 && d.cl != nil {
 		d.cl.TickReplication(tick)
 		if err := d.cl.ResumeDrains(); err != nil {
 			return fmt.Errorf("sim: resume drains at tick %d: %w", tick, err)
@@ -363,27 +314,49 @@ func (d *driver) runTick() error {
 	return nil
 }
 
-// processEvents kills and recovers the single durable engine. A scripted
-// crash kills the store, mangles the WAL tail and severs every
-// connection; after the downtime the engine is rebuilt from whatever
-// survived on disk, resume tokens included, so reconnecting sessions
-// resume rather than re-enroll.
+// processEvents fires the plan's process crashes and reboots a crashed
+// process once its downtime has passed. The reboot recovers every shard
+// from whatever survived on disk, resume tokens included, so
+// reconnecting sessions resume rather than re-enroll.
 func (d *driver) processEvents() error {
-	if d.eng != nil && d.crashes < len(d.plan.Crashes) && d.tick >= d.plan.Crashes[d.crashes].Tick {
+	if d.cl != nil && d.crashes < len(d.plan.Crashes) && d.tick >= d.plan.Crashes[d.crashes].Tick {
 		ev := d.plan.Crashes[d.crashes]
 		d.crashes++
-		walPath := d.eng.Store().WALPath()
-		d.eng.Store().Kill()
-		if err := store.MangleTail(walPath, ev.Tear, d.rng); err != nil {
-			return fmt.Errorf("sim: crash %d mangle: %w", d.crashes, err)
-		}
-		d.closeLinks()
-		d.eng, d.fe = nil, nil
-		d.downUntil = d.tick + ev.Down
+		return d.crash(ev.Tear, ev.Down)
 	}
+	return d.rebootDue()
+}
+
+// crash kills the whole process, as a scripted crash or a crash point
+// does: every live shard's store dies without a checkpoint, each WAL
+// tail is mangled per tear in shard order, and every connection closes.
+// Pending shard recoveries are moot: the reboot, down ticks later (at
+// once for 0), brings every shard back.
+func (d *driver) crash(tear store.TearMode, down int) error {
+	var wals []string
+	for s := 0; s < d.cl.N(); s++ {
+		if eng := d.cl.Engine(s); eng != nil {
+			wals = append(wals, eng.Store().WALPath())
+		}
+	}
+	d.cl.Crash()
+	for _, wal := range wals {
+		if err := store.MangleTail(wal, tear, d.rng); err != nil {
+			return fmt.Errorf("sim: crash at tick %d: mangle %s: %w", d.tick, wal, err)
+		}
+	}
+	d.closeLinks()
+	d.cl, d.fe = nil, nil
+	d.shardDownUntil = make(map[int]int)
+	d.downUntil = d.tick + down
+	return d.rebootDue()
+}
+
+// rebootDue reboots a crashed process whose downtime has passed.
+func (d *driver) rebootDue() error {
 	if d.fe == nil && d.tick >= d.downUntil {
 		if err := d.boot(); err != nil {
-			return fmt.Errorf("sim: recovery at tick %d: %w", d.tick, err)
+			return fmt.Errorf("sim: reboot at tick %d: %w", d.tick, err)
 		}
 	}
 	return nil
@@ -393,7 +366,11 @@ func (d *driver) processEvents() error {
 // outlives its engine: while the shard is down, and once after it came
 // back, it drops each link on the link's next frame, and the session
 // reconnects with backoff. Only a whole-process crash closes every link.
+// While the process is down, due events wait for its reboot.
 func (d *driver) shardEvents() error {
+	if d.cl == nil {
+		return nil
+	}
 	p, tick := d.plan, d.tick
 	// A scripted crash kills one shard's store and mangles its WAL tail;
 	// the other shards keep serving.
@@ -438,8 +415,8 @@ func (d *driver) shardEvents() error {
 
 	// A split or merge runs between ticks with clients mid-flight. A
 	// CrashPoint event turns into a whole-process crash at the scripted
-	// point, after which the cluster reopens from its data dir (resuming
-	// any committed drain).
+	// point, after which the cluster reopens from its data dir at once
+	// (resuming any committed drain).
 	for ; d.repartitions < len(p.Repartitions) && tick >= p.Repartitions[d.repartitions].Tick; d.repartitions++ {
 		ev := p.Repartitions[d.repartitions]
 		if ev.CrashPoint != "" {
@@ -463,14 +440,9 @@ func (d *driver) shardEvents() error {
 		if ev.CrashPoint == "" || !errors.Is(err, cluster.ErrCrashPoint) {
 			return fmt.Errorf("sim: repartition %d (%s shard %d) at tick %d: %w", d.repartitions+1, ev.Op, ev.Shard, tick, err)
 		}
-		d.cl.Crash()
-		d.closeLinks()
-		if err := d.boot(); err != nil {
-			return fmt.Errorf("sim: reopen after crash point %q: %w", ev.CrashPoint, err)
+		if err := d.crash(store.TearNone, 0); err != nil {
+			return fmt.Errorf("sim: crash point %q: %w", ev.CrashPoint, err)
 		}
-		// The reopen rebooted every shard, including any the crash
-		// schedule still had down; their pending recoveries are moot.
-		d.shardDownUntil = make(map[int]int)
 	}
 	return nil
 }
@@ -530,26 +502,12 @@ func (d *driver) checkSettled() error {
 	if d.fe == nil {
 		return fmt.Errorf("sim: server still down at trace end — its Down outlives the run")
 	}
-	if d.cl != nil {
-		// Every shard live under the final map must be serving; retired IDs
-		// (merged away mid-run) legitimately have no engine.
-		for _, s := range d.cl.PartitionMap().Shards() {
-			if !d.cl.Up(s) {
-				return fmt.Errorf("sim: shard %d still down at trace end — its Down outlives the run, or no follower was promotable", s)
-			}
+	// Every shard live under the final map must be serving; retired IDs
+	// (merged away mid-run) legitimately have no engine.
+	for _, s := range d.cl.PartitionMap().Shards() {
+		if !d.cl.Up(s) {
+			return fmt.Errorf("sim: shard %d still down at trace end — its Down outlives the run, or no follower was promotable", s)
 		}
 	}
 	return nil
-}
-
-// addSnapshot folds one shard's counters into dst: every uint64 field is
-// a counter and sums; the cost parameters are shared by all shards.
-func addSnapshot(dst *metrics.Snapshot, sn metrics.Snapshot) {
-	dst.Costs = sn.Costs
-	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(sn)
-	for i := 0; i < d.NumField(); i++ {
-		if f := d.Field(i); f.Kind() == reflect.Uint64 {
-			f.SetUint(f.Uint() + s.Field(i).Uint())
-		}
-	}
 }

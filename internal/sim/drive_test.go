@@ -216,6 +216,16 @@ func checkCrashPoint(cp string) rowCheck {
 	}
 }
 
+// checkCrashedCluster reports a cluster row that also crashes the whole
+// process. Cluster counters restart with each incarnation, so only the
+// final one's handoffs and redirects are asserted, not the plan's
+// shard-crash or promotion totals.
+func checkCrashedCluster(t *testing.T, label string, want []Trigger, got *Report, plan Plan) {
+	cm := clusterCounters(t, got)
+	t.Logf("%s: %d single-server triggers, %d deliveries, %d process crashes, %d handoffs and %d redirects in the final incarnation, equal sets",
+		label, len(want), len(got.Triggers), len(plan.Crashes), cm.Handoffs, cm.RedirectsSent)
+}
+
 // checkFailover asserts every scripted kill was answered by a promotion
 // rather than a recovery.
 func checkFailover(t *testing.T, label string, want []Trigger, got *Report, plan Plan) {
@@ -267,6 +277,9 @@ func checkPairSplit(t *testing.T, _ string, _ []Trigger, got *Report, _ Plan) {
 //     boundary, torn final write, flipped WAL bit) and recovered from
 //     disk; CrashRecoveryBatched with UpdateBatch framing; TortureRestart
 //     loops six kills over one data dir with a small snapshot cadence;
+//     CrashRecoveryCluster kills the four-shard Cluster row's process the
+//     same three times, and CrashRecoveryFailover the Failover row's
+//     once;
 //   - FaultsAndCrashes: the two default campaigns composed in one run;
 //   - Cluster: four shards, boundary handoffs, two shards crashed and
 //     recovered mid-trace; ClusterBatched with each tick's reports
@@ -336,6 +349,11 @@ func TestDeliveryEquality(t *testing.T) {
 	syncRepl := DefaultFailoverPlan(99, ticks)
 	syncRepl.ReplAck = true
 
+	crashedCluster := DefaultClusterPlan(99, ticks)
+	crashedCluster.Crashes = DefaultCrashPlan(99, ticks).Crashes
+	crashedFailover := DefaultFailoverPlan(99, ticks)
+	crashedFailover.Crashes = []CrashEvent{{Tick: ticks / 3, Tear: store.TearTruncate, Down: 3}}
+
 	lifecycle := lifecycleSource()
 	mwpsr, pbsr := safeRegionStrategies[:1], safeRegionStrategies[2:]
 
@@ -345,6 +363,8 @@ func TestDeliveryEquality(t *testing.T) {
 		{name: "CrashRecoveryBatched", src: small, plan: batched(DefaultCrashPlan(99, ticks)), check: checkCrashes},
 		{name: "FaultsAndCrashes", src: small, plan: faultsAndCrashes, check: checkCrashes},
 		{name: "TortureRestart", src: workloadSource(t, tortureCfg), strategies: pbsr, plan: torture, check: checkTorture},
+		{name: "CrashRecoveryCluster", src: small, plan: crashedCluster, check: checkCrashedCluster},
+		{name: "CrashRecoveryFailover", src: small, plan: crashedFailover, check: checkCrashedCluster},
 		{name: "Cluster", src: small, plan: DefaultClusterPlan(99, ticks), check: checkCluster},
 		{name: "ClusterBatched", src: small, plan: batched(DefaultClusterPlan(99, ticks)), check: checkClusterBatched},
 		{name: "Repartition", suffix: "/unbatched", src: small, plan: repartition, check: checkRepartition},
@@ -436,7 +456,9 @@ func TestDeliveryEquality(t *testing.T) {
 
 // TestDriveDeterministic asserts Drive replays byte-identically: same
 // traffic + plan (fresh data dirs) → the exact same trigger sequence,
-// delivery ticks included, and the same traffic totals.
+// delivery ticks included, and the same traffic totals. CrashOneShard
+// replays the Crash plan with Shards spelled out as 1, which must change
+// nothing: 0 means one shard.
 func TestDriveDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -448,21 +470,27 @@ func TestDriveDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := StrategyConfig{Strategy: wire.StrategyMWPSR}
+	faults := DefaultFaultPlan(123, cfg.DurationTicks)
+	crash := DefaultCrashPlan(123, cfg.DurationTicks)
+	oneShard := crash
+	oneShard.Shards = 1
+	clustered := DefaultClusterPlan(123, cfg.DurationTicks)
 	for _, tc := range []struct {
 		name string
-		plan Plan
+		a, b Plan
 	}{
-		{"Faults", DefaultFaultPlan(123, cfg.DurationTicks)},
-		{"Crash", DefaultCrashPlan(123, cfg.DurationTicks)},
-		{"Cluster", DefaultClusterPlan(123, cfg.DurationTicks)},
+		{"Faults", faults, faults},
+		{"Crash", crash, crash},
+		{"CrashOneShard", crash, oneShard},
+		{"Cluster", clustered, clustered},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := Drive(w, sc, tc.plan, t.TempDir())
+			a, err := Drive(w, sc, tc.a, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Drive(w, sc, tc.plan, t.TempDir())
+			b, err := Drive(w, sc, tc.b, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"github.com/sabre-geo/sabre/internal/client"
 	"github.com/sabre-geo/sabre/internal/store"
 	"github.com/sabre-geo/sabre/internal/transport"
@@ -33,13 +31,13 @@ type Plan struct {
 	// the suite fast; the discipline is identical either way.
 	Fsync bool
 
-	// Shards selects the topology. 0 is one server.Engine — in memory, or
-	// recovered from a durable store exactly when Crashes is non-empty;
-	// n ≥ 1 is an n-shard cluster.Cluster. Either way the clients reach it
-	// through the TCP front end, one listener per shard on a cluster.
+	// Shards is the cluster's startup shard count; 0 means one shard, the
+	// single server alarmserver boots by default. The clients reach it
+	// through the TCP front end, one listener per shard. Its stores are
+	// durable exactly when the plan needs disk (see durable).
 	Shards int
-	// Replicas is the follower count per shard (clusters only; 0 disables
-	// replication and the per-tick replication clock).
+	// Replicas is the follower count per shard (0 disables replication
+	// and the per-tick replication clock).
 	Replicas int
 	// PromoteAfter is how many silent replication ticks depose a primary.
 	PromoteAfter int
@@ -49,15 +47,17 @@ type Plan struct {
 
 	// Links faults every client link; the zero value is a healthy network.
 	Links LinkFaults
-	// Crashes kill the whole server process, in tick order (Shards == 0).
+	// Crashes kill the whole server process, every shard at once, in tick
+	// order. Shard events due while the process is down wait for its
+	// reboot.
 	Crashes []CrashEvent
-	// ShardCrashes fail-stop single shards, in tick order (Shards ≥ 1).
+	// ShardCrashes fail-stop single shards, in tick order.
 	ShardCrashes []ClusterCrashEvent
-	// Repartitions split and merge shards, in tick order (Shards ≥ 1). A
-	// transition must not target a shard scripted to be down at its tick.
+	// Repartitions split and merge shards, in tick order. A transition
+	// must not target a shard scripted to be down at its tick.
 	Repartitions []RepartitionEvent
 	// Kills fail primaries with no scripted recovery, in tick order
-	// (Shards ≥ 1 with Replicas ≥ 1: only a promotion revives them).
+	// (Replicas ≥ 1: only a promotion revives them).
 	Kills []FailoverKill
 }
 
@@ -88,15 +88,16 @@ type LinkFaults struct {
 	ResetTick  int
 }
 
-// CrashEvent scripts one server process death mid-run.
+// CrashEvent scripts one server process death mid-run: every shard dies
+// at once.
 type CrashEvent struct {
 	// Tick is when the process dies (before that tick's reports are
 	// served).
 	Tick int
-	// Tear is how the death mangles the WAL tail: a record-boundary kill
-	// (TearNone), a torn final write, trailing garbage, or a flipped bit —
-	// all confined to the final frame, which is the only frame a
-	// single-write(2)-per-record log can lose.
+	// Tear is how the death mangles each live shard's WAL tail: a
+	// record-boundary kill (TearNone), a torn final write, trailing
+	// garbage, or a flipped bit — all confined to the final frame, which
+	// is the only frame a single-write(2)-per-record log can lose.
 	Tear store.TearMode
 	// Down is how many ticks the server stays dead before recovery; client
 	// dials fail throughout.
@@ -165,7 +166,7 @@ type FailoverKill struct {
 }
 
 // DefaultFaultPlan returns an aggressive but convergent link-fault plan
-// for a trace of the given length against the single in-memory engine:
+// for a trace of the given length against one in-memory shard:
 // heavy probabilistic faults over the first 3/4 of the trace, a mid-run
 // partition for every 3rd client, a hard reset for every 4th, and a
 // drain window long enough to replay everything.
@@ -188,9 +189,11 @@ func DefaultFaultPlan(seed int64, durationTicks int) Plan {
 	}
 }
 
-// DefaultCrashPlan kills the single durable engine three times across
-// the trace — a clean record-boundary kill, a torn final write, and a
-// flipped bit — with a few ticks of downtime each.
+// DefaultCrashPlan kills the server process three times across the
+// trace — a clean record-boundary kill, a torn final write, and a
+// flipped bit — with a few ticks of downtime each. Alone it runs one
+// durable shard; set Shards, or add its Crashes to another plan, to
+// crash a larger cluster.
 func DefaultCrashPlan(seed int64, durationTicks int) Plan {
 	return Plan{
 		Seed: seed,
@@ -239,17 +242,6 @@ func DefaultFailoverPlan(seed int64, durationTicks int) Plan {
 		SnapshotEvery: 256,
 		DrainTicks:    200,
 	}
-}
-
-// validate rejects events the plan's topology cannot express.
-func (p Plan) validate() error {
-	if p.Shards == 0 && (p.Replicas > 0 || len(p.ShardCrashes)+len(p.Repartitions)+len(p.Kills) > 0) {
-		return fmt.Errorf("sim: replicas, shard crashes, repartitions and kills need a cluster (Shards >= 1)")
-	}
-	if p.Shards != 0 && len(p.Crashes) > 0 {
-		return fmt.Errorf("sim: process crashes need the single engine (Shards == 0)")
-	}
-	return nil
 }
 
 // durable reports whether the run needs a data directory: something

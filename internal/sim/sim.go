@@ -299,14 +299,13 @@ type Report struct {
 	// Redirects counts the shard Redirects the client sessions followed.
 	Redirects uint64
 	// Cluster holds the cluster-level counters (handoffs, redirects sent,
-	// shard crashes) when Drive ran a cluster topology; nil for
-	// single-server runs.
+	// shard crashes) of a Drive run's final process incarnation; nil for
+	// Run, which drives engines directly.
 	Cluster *metrics.ClusterSnapshot
-	// PartitionEpoch is the cluster's final partition-map version
-	// (cluster runs only; 0 for single-server runs). Scripted splits,
-	// merges and crash recoveries all advance it, so tests can assert
-	// the run ended in a consistent epoch. PartitionMap is that final
-	// map itself.
+	// PartitionEpoch is a Drive run's final partition-map version (0 for
+	// Run). Scripted splits, merges and crash recoveries all advance it,
+	// so tests can assert the run ended in a consistent epoch.
+	// PartitionMap is that final map itself.
 	PartitionEpoch uint64
 	PartitionMap   *cluster.PartitionMap
 }

@@ -64,8 +64,8 @@ type Options struct {
 	// Fsync syncs the WAL file after every group commit (fdatasync: the
 	// append overwrote zero-filled blocks in place) and every snapshot
 	// write. Disabling it trades machine-crash durability for throughput;
-	// process-crash durability (what RunCrashing simulates) is unaffected
-	// because a group lands with a single write.
+	// process-crash durability (what sim.Drive's Plan.Crashes simulates)
+	// is unaffected because a group lands with a single write.
 	Fsync bool
 	// SnapshotEvery checkpoints automatically after this many WAL appends
 	// (0 disables automatic checkpoints; Checkpoint can still be called
