@@ -46,8 +46,12 @@ type Client struct {
 	// PBSR state: the decoded bitmap plus the rectangular patches the
 	// server sent for alarms that fired inside the current cell (the §4.2
 	// quick update); a point is safe if the pyramid or any patch proves it.
-	region  *pyramid.Region
-	patches []geom.Rect
+	// Every bitmap is decoded into the same region, and the patches live
+	// in one array of capacity maxPatches, so steady-state monitoring
+	// allocates nothing.
+	region    pyramid.Region
+	hasRegion bool
+	patches   []geom.Rect
 	// SP state.
 	safeUntil int
 	hasPeriod bool
@@ -120,7 +124,7 @@ func (c *Client) SafeNow(tick int, pos geom.Point) bool {
 		}
 		return c.hasRect && c.rect.ContainsStrict(pos)
 	case wire.StrategyPBSR:
-		if c.region == nil || c.expired(tick) {
+		if !c.hasRegion || c.expired(tick) {
 			return false
 		}
 		inside, probes := c.region.ContainsProbes(pos)
@@ -233,11 +237,15 @@ func (c *Client) Handle(tick int, m wire.Message) error {
 		c.applyCap(tick, v.Cap)
 		if c.strategy == wire.StrategyPBSR {
 			// Quick-update patch: extend the bitmap region with a
-			// rectangle proven safe by the server.
-			c.patches = append(c.patches, v.Rect)
-			if len(c.patches) > maxPatches {
-				c.patches = c.patches[len(c.patches)-maxPatches:]
+			// rectangle proven safe by the server. A full list drops
+			// its oldest patch.
+			if c.patches == nil {
+				c.patches = make([]geom.Rect, 0, maxPatches)
 			}
+			if len(c.patches) == maxPatches {
+				c.patches = c.patches[:copy(c.patches, c.patches[1:])]
+			}
+			c.patches = append(c.patches, v.Rect)
 			return nil
 		}
 		c.rect, c.hasRect = v.Rect, true
@@ -246,13 +254,21 @@ func (c *Client) Handle(tick int, m wire.Message) error {
 		if !c.acceptSeq(v.Seq) {
 			return nil
 		}
-		reg, err := pyramid.Decode(v.Bitmap())
+		// Patches belong to the previous bitmap. A bitmap that fails to
+		// decode leaves no region: the next Tick reports.
+		c.patches = c.patches[:0]
+		c.hasRegion = false
+		err := c.region.Decode(&pyramid.Bitmap{
+			Params: pyramid.Params{U: int(v.U), V: int(v.V), Height: int(v.Height)},
+			Cell:   v.Cell,
+			Data:   v.Data,
+			NBits:  int(v.NBits),
+		})
 		if err != nil {
 			return fmt.Errorf("client %d: decode bitmap: %w", c.user, err)
 		}
 		c.applyCap(tick, v.Cap)
-		c.region = reg
-		c.patches = c.patches[:0] // patches belong to the previous bitmap
+		c.hasRegion = true
 		return nil
 	case wire.SafePeriod:
 		if !c.acceptSeq(v.Seq) {

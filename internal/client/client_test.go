@@ -94,12 +94,121 @@ func TestPBSRMonitoring(t *testing.T) {
 	}
 }
 
+// TestPBSRBadBitmapError pins what a bitmap that fails to decode does: the
+// error reaches the caller, the client holds no region — not even the good
+// one before it — so its next Tick reports, and the next good bitmap
+// restores silent monitoring.
 func TestPBSRBadBitmapError(t *testing.T) {
 	c := New(1, wire.StrategyPBSR, &metrics.Client{})
 	upd := c.Tick(0, geom.Pt(1, 1))
 	bad := wire.BitmapRegion{Seq: upd.Seq, Cell: geom.R(0, 0, 10, 10), U: 3, V: 3, Height: 2, NBits: 3, Data: []byte{0x00}}
 	if err := c.Handle(0, bad); err == nil {
 		t.Error("corrupt bitmap accepted")
+	}
+
+	cell, safe := geom.R(0, 0, 900, 900), geom.Pt(100, 100)
+	good := bitmapFor(t, cell, geom.R(500, 500, 700, 700))
+	upd = c.Tick(1, safe)
+	good.Seq = upd.Seq
+	if err := c.Handle(1, good); err != nil {
+		t.Fatal(err)
+	}
+	if !c.SafeNow(2, safe) {
+		t.Fatalf("good region does not prove %v safe", safe)
+	}
+	upd = c.Tick(3, geom.Pt(600, 600))
+	if upd == nil {
+		t.Fatal("silent inside the alarm")
+	}
+	bad.Seq, bad.Cell = upd.Seq, cell
+	if err := c.Handle(3, bad); err == nil {
+		t.Fatal("corrupt bitmap accepted after a good one")
+	}
+	if c.SafeNow(4, safe) {
+		t.Errorf("after a corrupt bitmap, %v is still proved safe", safe)
+	}
+	upd = c.Tick(4, safe)
+	if upd == nil {
+		t.Fatal("no report on the tick after a corrupt bitmap")
+	}
+	good.Seq = upd.Seq
+	if err := c.Handle(4, good); err != nil {
+		t.Fatal(err)
+	}
+	if c.Tick(5, safe) != nil {
+		t.Error("a good bitmap after a corrupt one did not restore silent monitoring")
+	}
+}
+
+// TestPBSRSteadyStateAllocs: once the region's node storage and the patch
+// array are warm, a PBSR client decodes a bitmap in place, takes a
+// quick-update patch and checks containment without allocating. The
+// messages are boxed once, outside the measured calls; Seq 0 (a server
+// push) applies each without a report outstanding.
+func TestPBSRSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector; see raceEnabled")
+	}
+	c := New(1, wire.StrategyPBSR, &metrics.Client{})
+	cell := geom.R(0, 0, 900, 900)
+	var (
+		large  wire.Message = bitmapFor(t, cell, geom.R(500, 500, 700, 700), geom.R(120, 610, 260, 790), geom.R(620, 40, 640, 400))
+		bitmap wire.Message = bitmapFor(t, cell, geom.R(500, 500, 700, 700))
+		patch  wire.Message = wire.RectRegion{Rect: geom.R(520, 520, 560, 560)}
+	)
+	if large.(wire.BitmapRegion).NBits <= bitmap.(wire.BitmapRegion).NBits {
+		t.Fatal("warm-up bitmap is not the larger one")
+	}
+	c.Tick(0, geom.Pt(100, 100))
+	handle := func(m wire.Message) {
+		if err := c.Handle(1, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handle(large)
+	for i := 0; i < 2*maxPatches; i++ {
+		handle(patch)
+	}
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Handle(BitmapRegion)", func() { handle(bitmap) }},
+		{"Handle(RectRegion) patch", func() { handle(patch) }},
+		{"SafeNow", func() {
+			c.SafeNow(2, geom.Pt(100, 100)) // the pyramid proves it
+			c.SafeNow(2, geom.Pt(540, 540)) // only a patch proves it
+		}},
+	} {
+		if got := testing.AllocsPerRun(100, tc.op); got != 0 {
+			t.Errorf("%s allocates %.2f/op, want 0", tc.name, got)
+		}
+	}
+	if len(c.patches) != maxPatches || !c.SafeNow(2, geom.Pt(540, 540)) {
+		t.Errorf("steady state holds %d patches, want %d covering the patch", len(c.patches), maxPatches)
+	}
+}
+
+// TestPBSRPatchListKeepsNewest: a full patch list drops its oldest patch
+// and keeps the rest in arrival order, in the one array it started with.
+func TestPBSRPatchListKeepsNewest(t *testing.T) {
+	c := New(1, wire.StrategyPBSR, &metrics.Client{})
+	var want []geom.Rect
+	for i := 0; i < 3*maxPatches+5; i++ {
+		r := geom.R(float64(i), 0, float64(i)+1, 1)
+		if err := c.Handle(0, wire.RectRegion{Rect: r}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
+	}
+	want = want[len(want)-maxPatches:]
+	if len(c.patches) != maxPatches || cap(c.patches) != maxPatches {
+		t.Fatalf("patch list len %d cap %d, want %d", len(c.patches), cap(c.patches), maxPatches)
+	}
+	for i := range want {
+		if c.patches[i] != want[i] {
+			t.Fatalf("patch %d = %v, want %v", i, c.patches[i], want[i])
+		}
 	}
 }
 

@@ -23,9 +23,11 @@
 //
 // The GBSR (grid bitmap) of §4.1 is the height-1 special case.
 //
-// Decoding builds an explicit tree so a client can test containment with
-// at most Height bit probes — the "predefined worst-case number of
-// computations" the paper advertises for heterogeneous clients.
+// Decoding turns the bits into one flat level-order node array, each node
+// a single word holding its flags and the index of its first child, so a
+// client can test containment with at most Height node reads — the
+// "predefined worst-case number of computations" the paper advertises for
+// heterogeneous clients.
 package pyramid
 
 import (
@@ -137,12 +139,12 @@ func baseAt(base *Region, n int32) (Coverage, int32) {
 	if n < 0 {
 		return Coverage(-1 - n), n
 	}
-	switch f := base.flags[n]; {
-	case f&nodeSafe != 0:
+	switch w := base.nodes[n]; {
+	case w&nodeSafe != 0:
 		return CoverNone, baseNone
-	case f&nodeCovered != 0:
+	case w&nodeCovered != 0:
 		return CoverFull, baseFull
-	case base.kidsBase[n] < 0:
+	case w>>nodeKidsShift == 0:
 		return CoverPartial, basePartial
 	}
 	return CoverPartial, n
@@ -162,10 +164,11 @@ type openCell struct {
 // base, when non-nil, is a decoded region of the same cell and split
 // factors that already accounts for a fixed alarm subset (the §4.2 public
 // precompute). Both pyramids subdivide identically, so the traversal walks
-// base in lockstep — child i of base node n is node kidsBase[n]+i — and
-// hands cover the base's classification of the very cell being emitted at
-// O(1) per cell; without a base that argument is always CoverNone. The
-// base may be taller or shorter than params.Height and is never budgeted.
+// base in lockstep — child i of base node n is node first+i, first being
+// the child index packed into n's word — and hands cover the base's
+// classification of the very cell being emitted at O(1) per cell; without
+// a base that argument is always CoverNone. The base may be taller or
+// shorter than params.Height and is never budgeted.
 func Encode(cell geom.Rect, params Params, base *Region, cover func(cell geom.Rect, base Coverage) Coverage) (*Bitmap, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -238,7 +241,7 @@ func Encode(cell geom.Rect, params Params, base *Region, cover func(cell geom.Re
 			}
 			n := parent.base
 			if n >= 0 {
-				n = base.kidsBase[n]
+				n = int32(base.nodes[n] >> nodeKidsShift)
 			}
 			for row := 0; row < params.V; row++ {
 				for col := 0; col < params.U; col++ {
@@ -275,39 +278,28 @@ func (b *Bitmap) String() string { return bitio.String(b.Data, b.NBits) }
 // monitoring. Decoding is done once per received bitmap; each containment
 // check then costs at most Height bit probes.
 //
-// Nodes are stored flat: children of an expanded node are contiguous (a
-// property of the level-order encoding), so each node needs only the index
-// of its first child — 5 bytes per node instead of a slice header, which
-// matters when thousands of clients hold deep bitmaps at once.
+// Nodes are stored flat in level order, one word each: children of an
+// expanded node are contiguous (a property of the level-order encoding),
+// so a node needs only its two flag bits and the index of its first
+// child — 4 bytes per node, and the root and its U·V children fit in one
+// cache line, which matters when thousands of clients hold deep bitmaps
+// at once. The zero Region holds no region and must not be queried; a
+// Region can be decoded into again and again, reusing its node storage.
 type Region struct {
 	params Params
 	cell   geom.Rect
-	// flags[i] describes node i (nodeSafe / nodeCovered bits); nodes[0] is
-	// the root.
-	flags []uint8
-	// kidsBase[i] is the index of node i's first child (children are
-	// contiguous, fanout U·V), or -1 for leaves.
-	kidsBase []int32
+	// nodes[i] describes node i: nodeSafe / nodeCovered in the low bits,
+	// the index of its first child (children are contiguous, fanout U·V)
+	// above nodeKidsShift. A first-child index of 0 marks a leaf: the
+	// root is node 0 and never anyone's child.
+	nodes []uint32
 }
 
 const (
-	nodeSafe    uint8 = 1 << 0
-	nodeCovered uint8 = 1 << 1
+	nodeSafe      uint32 = 1 << 0
+	nodeCovered   uint32 = 1 << 1
+	nodeKidsShift        = 2
 )
-
-func (r *Region) addNode(safe, covered bool) int32 {
-	idx := int32(len(r.flags))
-	var f uint8
-	if safe {
-		f |= nodeSafe
-	}
-	if covered {
-		f |= nodeCovered
-	}
-	r.flags = append(r.flags, f)
-	r.kidsBase = append(r.kidsBase, -1)
-	return idx
-}
 
 // ErrTruncated is returned when a bitmap ends before its structure is
 // complete.
@@ -315,65 +307,93 @@ var ErrTruncated = errors.New("pyramid: truncated bitmap")
 
 // Decode parses a level-order bitmap back into a queryable region.
 func Decode(b *Bitmap) (*Region, error) {
-	if err := b.Params.Validate(); err != nil {
+	reg := new(Region)
+	if err := reg.Decode(b); err != nil {
 		return nil, err
-	}
-	if b.Cell.Empty() {
-		return nil, fmt.Errorf("pyramid: empty cell %v", b.Cell)
-	}
-	if b.NBits > maxBits || b.NBits > len(b.Data)*8 {
-		return nil, fmt.Errorf("pyramid: bit length %d invalid for %d data bytes", b.NBits, len(b.Data))
-	}
-	r := bitio.NewReader(b.Data, b.NBits)
-	reg := &Region{params: b.Params, cell: b.Cell}
-	// readCell parses one cell's bits at the given level, appends its node
-	// and reports whether children follow.
-	readCell := func(level int) (idx int32, expand bool, err error) {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, false, ErrTruncated
-		}
-		covered := false
-		if !bit && level < b.Params.Height {
-			exp, err := r.ReadBit()
-			if err != nil {
-				return 0, false, ErrTruncated
-			}
-			expand = exp
-			covered = !exp
-		}
-		idx = reg.addNode(bit, covered)
-		return idx, expand, nil
-	}
-	_, rootExpand, err := readCell(0)
-	if err != nil {
-		return nil, err
-	}
-	open := []int32{}
-	if rootExpand {
-		open = append(open, 0)
-	}
-	fanout := b.Params.U * b.Params.V
-	for level := 1; level <= b.Params.Height && len(open) > 0; level++ {
-		var next []int32
-		for _, parentIdx := range open {
-			reg.kidsBase[parentIdx] = int32(len(reg.flags))
-			for i := 0; i < fanout; i++ {
-				idx, exp, err := readCell(level)
-				if err != nil {
-					return nil, err
-				}
-				if exp {
-					next = append(next, idx)
-				}
-			}
-		}
-		open = next
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("pyramid: %d trailing bits after complete structure", r.Remaining())
 	}
 	return reg, nil
+}
+
+// Decode parses a level-order bitmap into r, reusing r's node storage: a
+// client decodes every region the server sends into the same Region. On
+// error r holds no region and must not be queried until a later Decode
+// succeeds.
+//
+// The node array is its own breadth-first queue. Nodes are appended in
+// bit order, which is level order, so walking the array from the front
+// meets every parent before its children's bits are read.
+func (r *Region) Decode(b *Bitmap) error {
+	*r = Region{nodes: r.nodes[:0]}
+	if err := b.Params.Validate(); err != nil {
+		return err
+	}
+	if b.Cell.Empty() {
+		return fmt.Errorf("pyramid: empty cell %v", b.Cell)
+	}
+	nbits, data := b.NBits, b.Data
+	if nbits < 0 || nbits > maxBits || nbits > len(data)*8 {
+		return fmt.Errorf("pyramid: bit length %d invalid for %d data bytes", nbits, len(data))
+	}
+	// Every node costs at least one bit, so nbits nodes always suffice
+	// and the appends below never reallocate.
+	nodes := r.nodes
+	if cap(nodes) < nbits {
+		nodes = make([]uint32, 0, nbits)
+	}
+	height, fanout := b.Params.Height, b.Params.U*b.Params.V
+	// The root, at level 0, lies above Height ≥ 1, so it can expand.
+	nodes, pos, err := readCells(nodes, 1, data, 0, nbits, true)
+	// Level by level, nodes[lo:hi] are the cells of level; each one still
+	// reading 0 is a partial cell whose children come next in the stream.
+	for level, lo := 0, 0; level < height && err == nil; level++ {
+		hi := len(nodes)
+		for i := lo; i < hi && err == nil; i++ {
+			if nodes[i] != 0 {
+				continue // a leaf
+			}
+			nodes[i] = uint32(len(nodes)) << nodeKidsShift
+			nodes, pos, err = readCells(nodes, fanout, data, pos, nbits, level+1 < height)
+		}
+		lo = hi
+	}
+	if err != nil {
+		return err
+	}
+	if pos != nbits {
+		return fmt.Errorf("pyramid: %d trailing bits after complete structure", nbits-pos)
+	}
+	r.params, r.cell, r.nodes = b.Params, b.Cell, nodes
+	return nil
+}
+
+// readCells appends n cells read from data[:nbits] at bit pos to nodes
+// and returns the extended array and the next bit position. A cell is a 1
+// (safe leaf) or a 0; a 0 that can expand carries an expand bit: 0 for a
+// covered leaf, 1 for a partial cell whose children follow, which stays
+// word 0 until Decode's walk reaches it. A 0 at Height is a blocked leaf,
+// also 0: the walk stops above that level.
+func readCells(nodes []uint32, n int, data []byte, pos, nbits int, canExpand bool) ([]uint32, int, error) {
+	for ; n > 0; n-- {
+		if pos >= nbits {
+			return nodes, pos, ErrTruncated
+		}
+		w := nodeSafe
+		if data[pos>>3]>>(7-pos&7)&1 == 0 {
+			w = 0
+			if canExpand {
+				pos++
+				if pos >= nbits {
+					return nodes, pos, ErrTruncated
+				}
+				if data[pos>>3]>>(7-pos&7)&1 == 0 {
+					w = nodeCovered
+				}
+			}
+		}
+		pos++
+		nodes = append(nodes, w)
+	}
+	return nodes, pos, nil
 }
 
 // Cell returns the base grid cell this region subdivides.
@@ -396,20 +416,23 @@ func (r *Region) ContainsProbes(p geom.Point) (bool, int) {
 	if !r.cell.Contains(p) {
 		return false, 1
 	}
-	node := int32(0)
-	rect := r.cell
-	probes := 1
-	for {
-		if r.flags[node]&nodeSafe != 0 {
+	nodes, u, v := r.nodes, r.params.U, r.params.V
+	w, rect, idx := nodes[0], r.cell, -1
+	for probes := 1; ; probes++ {
+		if w&nodeSafe != 0 {
 			return true, probes
 		}
-		if r.kidsBase[node] < 0 {
+		first := w >> nodeKidsShift
+		if first == 0 {
 			return false, probes
 		}
-		idx := locateChild(rect, r.params.U, r.params.V, p)
-		rect = childRect(rect, r.params.U, r.params.V, idx)
-		node = r.kidsBase[node] + int32(idx)
-		probes++
+		// Node w is descended into, so its rectangle is needed now; a
+		// leaf's never is.
+		if idx >= 0 {
+			rect = childRect(rect, u, v, idx)
+		}
+		idx = locateChild(rect, u, v, p)
+		w = nodes[first+uint32(idx)]
 	}
 }
 
@@ -417,18 +440,19 @@ func (r *Region) ContainsProbes(p geom.Point) (bool, int) {
 // region — the paper's coverage quality metric η(Ψs).
 func (r *Region) Coverage() float64 {
 	fanout := r.params.U * r.params.V
-	var safeArea func(idx int32, rect geom.Rect) float64
-	safeArea = func(idx int32, rect geom.Rect) float64 {
-		if r.flags[idx]&nodeSafe != 0 {
+	var safeArea func(idx uint32, rect geom.Rect) float64
+	safeArea = func(idx uint32, rect geom.Rect) float64 {
+		w := r.nodes[idx]
+		if w&nodeSafe != 0 {
 			return rect.Area()
 		}
-		base := r.kidsBase[idx]
-		if base < 0 {
+		first := w >> nodeKidsShift
+		if first == 0 {
 			return 0
 		}
 		total := 0.0
 		for i := 0; i < fanout; i++ {
-			total += safeArea(base+int32(i), childRect(rect, r.params.U, r.params.V, i))
+			total += safeArea(first+uint32(i), childRect(rect, r.params.U, r.params.V, i))
 		}
 		return total
 	}
@@ -445,18 +469,19 @@ func (r *Region) Coverage() float64 {
 // the paper's technical report describes.
 func (r *Region) SafeRects(dst []geom.Rect) []geom.Rect {
 	fanout := r.params.U * r.params.V
-	var walk func(idx int32, rect geom.Rect)
-	walk = func(idx int32, rect geom.Rect) {
-		if r.flags[idx]&nodeSafe != 0 {
+	var walk func(idx uint32, rect geom.Rect)
+	walk = func(idx uint32, rect geom.Rect) {
+		w := r.nodes[idx]
+		if w&nodeSafe != 0 {
 			dst = append(dst, rect)
 			return
 		}
-		base := r.kidsBase[idx]
-		if base < 0 {
+		first := w >> nodeKidsShift
+		if first == 0 {
 			return
 		}
 		for i := 0; i < fanout; i++ {
-			walk(base+int32(i), childRect(rect, r.params.U, r.params.V, i))
+			walk(first+uint32(i), childRect(rect, r.params.U, r.params.V, i))
 		}
 	}
 	walk(0, r.cell)

@@ -490,6 +490,66 @@ func BenchmarkContains(b *testing.B) {
 	}
 }
 
+// fleetBitmaps encodes n regions the way a PBSR server ships them to a
+// fleet: h = 5, a 2048-bit budget, each around a few random 100–400 m
+// alarms in the 900 m cell.
+func fleetBitmaps(tb testing.TB, n int) []*Bitmap {
+	rng := rand.New(rand.NewSource(5))
+	params := DefaultParams(5)
+	params.MaxBits = 2048
+	out := make([]*Bitmap, n)
+	for i := range out {
+		var alarms []geom.Rect
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			w, h := rng.Float64()*300+100, rng.Float64()*300+100
+			x, y := rng.Float64()*900-w/2, rng.Float64()*900-h/2
+			alarms = append(alarms, geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h})
+		}
+		out[i] = mustEncode(tb, testCell, params, blockedBy(alarms))
+	}
+	return out
+}
+
+// BenchmarkContainsFleet probes 4 000 decoded regions round-robin, one
+// point each, so every check pays the cache misses a client fleet pays;
+// BenchmarkContains keeps its one region cache-hot. The regions are held
+// by value, as each client holds its own.
+func BenchmarkContainsFleet(b *testing.B) {
+	bms := fleetBitmaps(b, 4000)
+	regs := make([]Region, len(bms))
+	for i, bm := range bms {
+		if err := regs[i].Decode(bm); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pts := make([]geom.Point, 1021)
+	rng := rand.New(rand.NewSource(2))
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64()*900, rng.Float64()*900)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		containsSink = regs[n%len(regs)].Contains(pts[n%len(pts)])
+	}
+}
+
+// containsSink keeps the compiler from dropping a benchmarked check.
+var containsSink bool
+
+// BenchmarkDecodeInto decodes fleet bitmaps into one reused Region, as a
+// PBSR client does with every region the server sends.
+func BenchmarkDecodeInto(b *testing.B) {
+	bms := fleetBitmaps(b, 256)
+	var reg Region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := reg.Decode(bms[n%len(bms)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestMergedSafeRects(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 25; iter++ {
