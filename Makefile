@@ -55,7 +55,8 @@
 #   make figures every experiment of cmd/alarmbench (the paper's Fig. 4-6
 #                tables and the ablations) at small scale with -verify:
 #                each configuration's triggers must equal the periodic
-#                ground truth's
+#                ground truth's; every run is a fault-free one-shard
+#                sim.Drive, so the whole sweep takes ~15 s
 #   make benchpair BASE=<rev> WORKLOAD=<w> PAIRS=<n> [SEED=<s>]
 #                the repo's benchmark (bench/run.sh --trace 0) on BASE
 #                and on this checkout, PAIRS runs each in alternating

@@ -1,21 +1,13 @@
-// Package bitio provides a compact bit-level writer and reader.
+// Package bitio provides a compact bit-level writer.
 //
 // It backs the bitmap-encoded safe region representations (GBSR/PBSR), where
-// safe regions are serialized as raster-scan bit strings (paper §4), and the
-// wire codec, where every downstream byte counts against the bandwidth
-// budget the paper measures.
+// safe regions are serialized as raster-scan bit strings (paper §4) and
+// every downstream byte counts against the bandwidth budget the paper
+// measures. Decoding reads the bits in place (pyramid.Region.Decode).
 //
 // Bits are packed MSB-first within each byte, matching the raster-scan
 // reading order used in the paper's figures.
 package bitio
-
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrOutOfBits is returned by Reader when a read extends past the stream.
-var ErrOutOfBits = errors.New("bitio: read past end of bit stream")
 
 // Writer accumulates bits into a byte slice. The zero value is ready to use.
 type Writer struct {
@@ -62,75 +54,6 @@ func (w *Writer) Bytes() []byte { return w.buf }
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 	w.nBit = 0
-}
-
-// Reader consumes bits from a byte slice produced by Writer.
-type Reader struct {
-	buf  []byte
-	nBit int // total readable bits
-	pos  int // next bit index
-}
-
-// NewReader returns a Reader over the first nBits bits of buf. If nBits is
-// negative, all len(buf)*8 bits are readable.
-func NewReader(buf []byte, nBits int) *Reader {
-	if nBits < 0 || nBits > len(buf)*8 {
-		nBits = len(buf) * 8
-	}
-	return &Reader{buf: buf, nBit: nBits}
-}
-
-// ReadBit consumes and returns the next bit.
-func (r *Reader) ReadBit() (bool, error) {
-	if r.pos >= r.nBit {
-		return false, ErrOutOfBits
-	}
-	b := r.buf[r.pos/8]>>(7-uint(r.pos%8))&1 == 1
-	r.pos++
-	return b, nil
-}
-
-// ReadBits consumes n bits and returns them as the low bits of a uint64,
-// most significant first. n must be in [0, 64].
-func (r *Reader) ReadBits(n int) (uint64, error) {
-	if n < 0 || n > 64 {
-		return 0, fmt.Errorf("bitio: invalid bit count %d", n)
-	}
-	var v uint64
-	for i := 0; i < n; i++ {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if bit {
-			v |= 1
-		}
-	}
-	return v, nil
-}
-
-// BitAt returns the bit at absolute index i without consuming it.
-func (r *Reader) BitAt(i int) (bool, error) {
-	if i < 0 || i >= r.nBit {
-		return false, ErrOutOfBits
-	}
-	return r.buf[i/8]>>(7-uint(i%8))&1 == 1, nil
-}
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return r.nBit - r.pos }
-
-// Pos returns the index of the next bit to be read.
-func (r *Reader) Pos() int { return r.pos }
-
-// Seek positions the reader at absolute bit index i.
-func (r *Reader) Seek(i int) error {
-	if i < 0 || i > r.nBit {
-		return ErrOutOfBits
-	}
-	r.pos = i
-	return nil
 }
 
 // String renders the first n bits of buf as a "0101…" string, handy in

@@ -1,11 +1,24 @@
 package bitio
 
 import (
-	"errors"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// pack is the reference packing: bit i of bits lands in byte i/8 at
+// position 7-i%8 (MSB first), and the final byte is zero-padded.
+func pack(bits []bool) []byte {
+	out := make([]byte, (len(bits)+7)/8)
+	for i, b := range bits {
+		if b {
+			out[i/8] |= 1 << (7 - i%8)
+		}
+	}
+	return out
+}
 
 func TestWriteReadSingleBits(t *testing.T) {
 	w := NewWriter(16)
@@ -16,18 +29,8 @@ func TestWriteReadSingleBits(t *testing.T) {
 	if w.Len() != len(pattern) {
 		t.Fatalf("Len = %d, want %d", w.Len(), len(pattern))
 	}
-	r := NewReader(w.Bytes(), w.Len())
-	for i, want := range pattern {
-		got, err := r.ReadBit()
-		if err != nil {
-			t.Fatalf("ReadBit %d: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("bit %d = %v, want %v", i, got, want)
-		}
-	}
-	if _, err := r.ReadBit(); !errors.Is(err, ErrOutOfBits) {
-		t.Errorf("expected ErrOutOfBits past end, got %v", err)
+	if got := w.Bytes(); !slices.Equal(got, []byte{0b10110010, 0b11000000}) {
+		t.Errorf("Bytes = %08b, want [10110010 11000000]", got)
 	}
 }
 
@@ -36,54 +39,8 @@ func TestWriteBitsMSBFirst(t *testing.T) {
 	w.WriteBits(0b1011, 4)
 	w.WriteBits(0b0110, 4)
 	got := w.Bytes()
-	if len(got) != 1 || got[0] != 0b10110110 {
-		t.Fatalf("Bytes = %08b, want 10110110", got[0])
-	}
-	r := NewReader(got, 8)
-	v, err := r.ReadBits(8)
-	if err != nil || v != 0b10110110 {
-		t.Errorf("ReadBits = %08b err=%v", v, err)
-	}
-}
-
-func TestReadBitsErrors(t *testing.T) {
-	r := NewReader([]byte{0xFF}, 8)
-	if _, err := r.ReadBits(65); err == nil {
-		t.Error("expected error for n > 64")
-	}
-	if _, err := r.ReadBits(9); !errors.Is(err, ErrOutOfBits) {
-		t.Errorf("expected ErrOutOfBits, got %v", err)
-	}
-}
-
-func TestBitAtAndSeek(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(0b1100_1010, 8)
-	r := NewReader(w.Bytes(), 8)
-	wantBits := []bool{true, true, false, false, true, false, true, false}
-	for i, want := range wantBits {
-		got, err := r.BitAt(i)
-		if err != nil {
-			t.Fatalf("BitAt(%d): %v", i, err)
-		}
-		if got != want {
-			t.Errorf("BitAt(%d) = %v, want %v", i, got, want)
-		}
-	}
-	if _, err := r.BitAt(8); !errors.Is(err, ErrOutOfBits) {
-		t.Error("BitAt past end should fail")
-	}
-	if err := r.Seek(6); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := r.ReadBit(); got != true {
-		t.Error("after Seek(6) expected bit 1")
-	}
-	if r.Remaining() != 1 {
-		t.Errorf("Remaining = %d, want 1", r.Remaining())
-	}
-	if err := r.Seek(100); !errors.Is(err, ErrOutOfBits) {
-		t.Error("Seek past end should fail")
+	if len(got) != 1 || got[0] != 0b10110110 || w.Len() != 8 {
+		t.Fatalf("Bytes = %08b Len = %d, want [10110110] and 8", got, w.Len())
 	}
 }
 
@@ -100,13 +57,6 @@ func TestWriterReset(t *testing.T) {
 	}
 }
 
-func TestNewReaderNegativeBits(t *testing.T) {
-	r := NewReader([]byte{0xAA, 0xBB}, -1)
-	if r.Remaining() != 16 {
-		t.Errorf("Remaining = %d, want 16", r.Remaining())
-	}
-}
-
 func TestString(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBits(0b0000011010, 10)
@@ -119,44 +69,36 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: writing any random bit sequence and reading it back is identity.
+// Property: any random bit sequence written one bit at a time packs
+// exactly as the reference packing does.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		count := int(n % 2048)
-		bits := make([]bool, count)
-		w := NewWriter(count)
+		bits := make([]bool, int(n%2048))
+		w := NewWriter(len(bits))
 		for i := range bits {
 			bits[i] = rng.Intn(2) == 1
 			w.WriteBit(bits[i])
 		}
-		r := NewReader(w.Bytes(), w.Len())
-		for i := range bits {
-			got, err := r.ReadBit()
-			if err != nil || got != bits[i] {
-				return false
-			}
-		}
-		return r.Remaining() == 0
+		return w.Len() == len(bits) && slices.Equal(w.Bytes(), pack(bits))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: WriteBits/ReadBits round-trips any value at any width.
+// Property: WriteBits(v, n) writes the low n bits of v MSB-first — the
+// first ceil(n/8) bytes of v<<(64-n) in big-endian order.
 func TestQuickWriteBitsRoundTrip(t *testing.T) {
 	f := func(v uint64, width uint8) bool {
 		n := int(width % 65)
-		masked := v
-		if n < 64 {
-			masked = v & ((1 << uint(n)) - 1)
-		}
 		w := NewWriter(n)
 		w.WriteBits(v, n)
-		r := NewReader(w.Bytes(), w.Len())
-		got, err := r.ReadBits(n)
-		return err == nil && got == masked
+		var want [8]byte
+		if n > 0 {
+			binary.BigEndian.PutUint64(want[:], v<<(64-n))
+		}
+		return w.Len() == n && slices.Equal(w.Bytes(), want[:(n+7)/8])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

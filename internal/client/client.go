@@ -39,6 +39,10 @@ type Client struct {
 	lastSent int // tick of the last report, -1 before the first
 	awaiting bool
 	everSent bool
+	// settled is the newest seq whose reply was applied, or that a server
+	// push fenced off; a BitmapRegion for a seq between it and seq is an
+	// older reply still worth applying (see Handle).
+	settled uint32
 
 	// MWPSR state.
 	rect    geom.Rect
@@ -186,26 +190,33 @@ func (c *Client) report(tick int, pos geom.Point) *wire.PositionUpdate {
 	return &wire.PositionUpdate{User: c.user, Seq: c.seq, Pos: pos}
 }
 
-// acceptSeq decides whether a monitoring-state message applies: Seq equal
-// to the outstanding report is the reply (and resumes monitoring); Seq 0
-// is a server-initiated push (moving-target invalidation), always applied
-// without touching the awaiting state.
-func (c *Client) acceptSeq(seq uint32) bool {
+// accept decides whether a monitoring-state message applies, and returns
+// the tick its proof counts from. Seq equal to the outstanding report is
+// the reply: it resumes monitoring, and its proof counts from the tick
+// that report was made, because the server proved safety from the
+// reported position — not from when the reply happened to arrive. Seq 0
+// is a server-initiated push (moving-target invalidation): it applies
+// without touching the awaiting state, counts from receipt, and fences
+// every older reply still in flight, which may predate the invalidation.
+func (c *Client) accept(tick int, seq uint32) (anchor int, ok bool) {
 	switch seq {
 	case c.seq:
 		c.awaiting = false
-		return true
+		c.settled = seq
+		return c.lastSent, true
 	case 0:
-		return true
+		c.settled = c.seq
+		return tick, true
 	default:
-		return false
+		return 0, false
 	}
 }
 
 // Handle applies a server message received at the given tick. Responses to
 // superseded reports (stale Seq) are ignored except for AlarmFired, which
-// is always honoured, and server-initiated pushes (Seq 0), which update
-// monitoring state without counting as a reply.
+// is always honoured, and BitmapRegion, whose older replies still apply
+// (see below). Server-initiated pushes (Seq 0) update monitoring state
+// without counting as a reply.
 func (c *Client) Handle(tick int, m wire.Message) error {
 	switch v := m.(type) {
 	case wire.AlarmFired:
@@ -231,10 +242,11 @@ func (c *Client) Handle(tick int, m wire.Message) error {
 		}
 		return nil
 	case wire.RectRegion:
-		if !c.acceptSeq(v.Seq) {
+		anchor, ok := c.accept(tick, v.Seq)
+		if !ok {
 			return nil
 		}
-		c.applyCap(tick, v.Cap)
+		c.applyCap(anchor, v.Cap)
 		if c.strategy == wire.StrategyPBSR {
 			// Quick-update patch: extend the bitmap region with a
 			// rectangle proven safe by the server. A full list drops
@@ -251,7 +263,20 @@ func (c *Client) Handle(tick int, m wire.Message) error {
 		c.rect, c.hasRect = v.Rect, true
 		return nil
 	case wire.BitmapRegion:
-		if !c.acceptSeq(v.Seq) {
+		// The server sends a bitmap once per cell and answers every later
+		// in-cell report with a bare Ack (§4.2), assuming the client holds
+		// it. So a bitmap for an older report than the outstanding one
+		// still applies, unless something newer was applied or a push
+		// fenced it; only the newest reply clears awaiting. Its cap cannot
+		// be anchored (that report's tick is gone), so a capped older
+		// bitmap installs its region with the proof expired until the next
+		// reply supplies a cap.
+		anchor, ok := c.accept(tick, v.Seq)
+		older := !ok && v.Seq > c.settled && v.Seq < c.seq
+		switch {
+		case older:
+			c.settled = v.Seq
+		case !ok:
 			return nil
 		}
 		// Patches belong to the previous bitmap. A bitmap that fails to
@@ -267,31 +292,37 @@ func (c *Client) Handle(tick int, m wire.Message) error {
 		if err != nil {
 			return fmt.Errorf("client %d: decode bitmap: %w", c.user, err)
 		}
-		c.applyCap(tick, v.Cap)
+		if older && v.Cap != 0 {
+			c.safeUntil, c.hasPeriod = tick, true
+		} else {
+			c.applyCap(anchor, v.Cap)
+		}
 		c.hasRegion = true
 		return nil
 	case wire.SafePeriod:
-		if !c.acceptSeq(v.Seq) {
+		anchor, ok := c.accept(tick, v.Seq)
+		if !ok {
 			return nil
 		}
-		// Report again at tick + Ticks, not one later: when the distance is
-		// an exact multiple of v_max·dt the client can touch the nearest
+		// Report again at anchor + Ticks, not one later: when the distance
+		// is an exact multiple of v_max·dt the client can touch the nearest
 		// alarm boundary (inclusive containment) exactly Ticks ticks after
 		// the report, so that tick must itself be evaluated.
-		c.safeUntil = tick + int(v.Ticks)
+		c.safeUntil = anchor + int(v.Ticks)
 		c.hasPeriod = true
 		return nil
 	case wire.AlarmPush:
-		if !c.acceptSeq(v.Seq) {
+		anchor, ok := c.accept(tick, v.Seq)
+		if !ok {
 			return nil
 		}
-		c.applyCap(tick, v.Cap)
+		c.applyCap(anchor, v.Cap)
 		c.cell, c.hasCell = v.Cell, true
 		c.alarms = append(c.alarms[:0], v.Alarms...)
 		return nil
 	case wire.Ack:
-		if c.acceptSeq(v.Seq) {
-			c.applyCap(tick, v.Cap)
+		if anchor, ok := c.accept(tick, v.Seq); ok {
+			c.applyCap(anchor, v.Cap)
 		}
 		return nil
 	default:
@@ -302,11 +333,11 @@ func (c *Client) Handle(tick int, m wire.Message) error {
 // applyCap installs the time cap a monitoring-state message carries in its
 // Cap field: 0 clears any previous cap (the server vouches there is no
 // pair alarm limiting this region), v > 0 expires the proof v-1 ticks
-// after receipt. Because the cap rides inside the same wire message as the
-// region it limits, a lossy link can never deliver the region while
-// dropping its cap. SP clients keep their period — it IS their monitoring
+// after anchor (see accept). Because the cap rides inside the same wire
+// message as the region it limits, a lossy link can never deliver the
+// region while dropping its cap. SP clients keep their period — it IS their monitoring
 // state, replaced only by SafePeriod messages.
-func (c *Client) applyCap(tick int, cap uint32) {
+func (c *Client) applyCap(anchor int, cap uint32) {
 	if c.strategy == wire.StrategySafePeriod {
 		return
 	}
@@ -314,7 +345,7 @@ func (c *Client) applyCap(tick int, cap uint32) {
 		c.hasPeriod = false
 		return
 	}
-	c.safeUntil = tick + int(cap) - 1
+	c.safeUntil = anchor + int(cap) - 1
 	c.hasPeriod = true
 }
 

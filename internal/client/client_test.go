@@ -449,3 +449,118 @@ func TestAckClearsAwaiting(t *testing.T) {
 		t.Error("reported from safe area after Ack")
 	}
 }
+
+// TestPBSROlderBitmapApplies: the server ships a bitmap once per cell and
+// answers later in-cell reports with a bare Ack, so a bitmap whose report
+// has since been superseded must still be applied — unless a newer reply
+// or a server push has overtaken it.
+func TestPBSROlderBitmapApplies(t *testing.T) {
+	cell := geom.R(0, 0, 900, 900)
+	safe, blocked := geom.Pt(100, 100), geom.Pt(600, 600)
+	open := bitmapFor(t, cell)                                // everything safe
+	alarmed := bitmapFor(t, cell, geom.R(500, 500, 700, 700)) // blocks `blocked`
+	withSeq := func(bm wire.BitmapRegion, seq uint32) wire.BitmapRegion {
+		bm.Seq = seq
+		return bm
+	}
+	// reports returns a PBSR client with reports 1..n outstanding, as a
+	// session that replays a queued report next to a fresh one has.
+	reports := func(n int) *Client {
+		c := New(1, wire.StrategyPBSR, &metrics.Client{})
+		for i := 0; i < n; i++ {
+			c.Report(i, safe)
+		}
+		return c
+	}
+	handle := func(c *Client, tick int, m wire.Message) {
+		t.Helper()
+		if err := c.Handle(tick, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("bitmap then Ack", func(t *testing.T) {
+		c := reports(2)
+		handle(c, 2, withSeq(alarmed, 1))
+		if !c.awaiting {
+			t.Error("a reply to an older report cleared awaiting")
+		}
+		handle(c, 2, wire.Ack{Seq: 2})
+		if c.awaiting {
+			t.Error("the Ack to the newest report left the client awaiting")
+		}
+		if c.Tick(3, safe) != nil {
+			t.Error("reported from inside the older bitmap's safe area")
+		}
+		if c.Tick(4, blocked) == nil {
+			t.Error("silent inside the older bitmap's blocked area")
+		}
+	})
+	t.Run("push fences", func(t *testing.T) {
+		c := reports(3)
+		handle(c, 3, withSeq(open, 1))
+		if !c.SafeNow(3, safe) {
+			t.Fatal("older bitmap not applied")
+		}
+		handle(c, 3, withSeq(alarmed, 0)) // push: the alarm moved in
+		handle(c, 3, withSeq(open, 2))    // computed before the push
+		handle(c, 3, wire.Ack{Seq: 3})
+		if c.SafeNow(4, blocked) {
+			t.Error("an older bitmap overrode the push that followed it")
+		}
+	})
+	t.Run("reordered", func(t *testing.T) {
+		c := reports(3)
+		handle(c, 3, withSeq(alarmed, 2))
+		if !c.SafeNow(3, safe) {
+			t.Fatal("older bitmap not applied")
+		}
+		handle(c, 3, withSeq(open, 1)) // overtaken by reply 2
+		handle(c, 3, wire.Ack{Seq: 3})
+		if c.SafeNow(4, blocked) {
+			t.Error("a reordered bitmap replaced the newer one")
+		}
+	})
+	t.Run("capped", func(t *testing.T) {
+		c := reports(2)
+		capped := withSeq(open, 1)
+		capped.Cap = 50
+		handle(c, 2, capped)
+		if !c.hasRegion || c.SafeNow(2, safe) {
+			t.Error("a capped older bitmap must install its region with the proof expired")
+		}
+		handle(c, 2, wire.Ack{Seq: 2, Cap: 5})
+		if !c.SafeNow(2, safe) || c.SafeNow(6, safe) {
+			t.Error("the newest reply's cap did not take over")
+		}
+	})
+}
+
+// TestProofsCountFromTheReport: the server proves a safe period or a pair
+// cap from the reported position, so a reply that arrives late must not
+// stretch it; a server push carries no report and counts from receipt.
+func TestProofsCountFromTheReport(t *testing.T) {
+	c := New(1, wire.StrategySafePeriod, &metrics.Client{})
+	c.Report(10, geom.Pt(0, 0))
+	if err := c.Handle(11, wire.SafePeriod{Seq: 1, Ticks: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if !c.SafeNow(12, geom.Pt(0, 0)) || c.SafeNow(13, geom.Pt(0, 0)) {
+		t.Error("a safe period from tick 10's report must cover ticks 11-12 only")
+	}
+	if err := c.Handle(11, wire.SafePeriod{Ticks: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if !c.SafeNow(13, geom.Pt(0, 0)) || c.SafeNow(14, geom.Pt(0, 0)) {
+		t.Error("a pushed safe period must count from its receipt at tick 11")
+	}
+
+	m := New(2, wire.StrategyMWPSR, &metrics.Client{})
+	m.Report(10, geom.Pt(50, 50))
+	if err := m.Handle(11, wire.RectRegion{Seq: 1, Rect: geom.R(0, 0, 100, 100), Cap: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if !m.SafeNow(11, geom.Pt(50, 50)) || m.SafeNow(12, geom.Pt(50, 50)) {
+		t.Error("a cap of 3 from tick 10's report must expire at tick 12")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/sabre-geo/sabre/internal/bitio"
 	"github.com/sabre-geo/sabre/internal/geom"
 )
 
@@ -19,10 +18,9 @@ type refRegion struct {
 	kidsBase []int32
 }
 
-// decodeReference is that decoder — bitio.Reader, per-level open lists,
-// one append per node — kept as the oracle FuzzDecode holds Decode to.
-// Its one change is the NBits < 0 rejection: bitio.NewReader reads a
-// negative length as "all of Data", which Decode refuses.
+// decodeReference is that decoder — a bit-at-a-time cursor, per-level
+// open lists, one append per node — kept as the oracle FuzzDecode holds
+// Decode to.
 func decodeReference(b *Bitmap) (*refRegion, error) {
 	if err := b.Params.Validate(); err != nil {
 		return nil, err
@@ -33,17 +31,25 @@ func decodeReference(b *Bitmap) (*refRegion, error) {
 	if b.NBits < 0 || b.NBits > maxBits || b.NBits > len(b.Data)*8 {
 		return nil, fmt.Errorf("pyramid: bit length %d invalid for %d data bytes", b.NBits, len(b.Data))
 	}
-	r := bitio.NewReader(b.Data, b.NBits)
+	pos := 0 // next bit, MSB-first within each byte
+	readBit := func() (bit, ok bool) {
+		if pos >= b.NBits {
+			return false, false
+		}
+		bit = b.Data[pos/8]>>(7-pos%8)&1 == 1
+		pos++
+		return bit, true
+	}
 	reg := &refRegion{params: b.Params, cell: b.Cell}
 	readCell := func(level int) (idx int32, expand bool, err error) {
-		bit, err := r.ReadBit()
-		if err != nil {
+		bit, ok := readBit()
+		if !ok {
 			return 0, false, ErrTruncated
 		}
 		covered := false
 		if !bit && level < b.Params.Height {
-			exp, err := r.ReadBit()
-			if err != nil {
+			exp, ok := readBit()
+			if !ok {
 				return 0, false, ErrTruncated
 			}
 			expand = exp
@@ -86,8 +92,8 @@ func decodeReference(b *Bitmap) (*refRegion, error) {
 		}
 		open = next
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("pyramid: %d trailing bits after complete structure", r.Remaining())
+	if pos != b.NBits {
+		return nil, fmt.Errorf("pyramid: %d trailing bits after complete structure", b.NBits-pos)
 	}
 	return reg, nil
 }

@@ -219,8 +219,8 @@ type clientState struct {
 	// reliable marks clients enrolled through Hello (the fault-tolerant
 	// session path): their alarm firings are retained in pendingFired until
 	// a FiredAck arrives, and duplicate position updates are counted. Plain
-	// Register clients (the simulator's fault-free path) stay fire-and-
-	// forget, keeping sim.Run byte-identical to pre-session behavior.
+	// Register clients stay fire-and-forget: a firing whose reply is lost
+	// is not redelivered.
 	reliable bool
 	// lastSeq is the seq of the most recent non-zero position update, used
 	// to count client resends.

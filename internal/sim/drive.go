@@ -84,32 +84,41 @@ type driver struct {
 // every link's fault clock; step the sessions in index order; serve
 // every link in index order; beat the replication clock. Triggers are
 // recorded at client delivery, deduplicated by the session, so for the
-// safe-region strategies the delivered (user, alarm) set must equal a
-// direct Run's whatever the plan — the property TestDeliveryEquality
-// asserts row by row. The SP baseline is excluded from that equality on
-// clusters: its safe periods are clamped at partition margins, which
-// changes which positions the server sees.
+// safe-region strategies the delivered (user, alarm) set must equal the
+// periodic ground truth's — a fault-free PRD run — whatever the plan:
+// the property TestDeliveryEquality asserts row by row. The SP baseline
+// is excluded from that equality on clusters: its safe periods are
+// clamped at partition margins, which changes which positions the server
+// sees.
 //
 // A plan that needs disk (crashes, crash points, replicas) uses dataDir,
 // which must start empty; left blank, a temporary directory is created
 // and removed before returning. Any other plan runs in memory and
 // ignores dataDir.
 func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Report, error) {
+	sc = sc.withDefaults()
+	rep, _, err := drive(traffic, sc, plan, dataDir, func(int) (wire.Strategy, int) { return sc.Strategy, sc.PyramidHeight })
+	return rep, err
+}
+
+// drive is Drive over a fleet that may mix strategies: vehicle i runs
+// fleet(i)'s strategy and pyramid height, and sc (defaults filled)
+// supplies the server knobs. It also returns each client's counters.
+func drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string, fleet func(i int) (wire.Strategy, int)) (*Report, []metrics.Client, error) {
 	switch {
 	case !plan.durable():
 		dataDir = ""
 	case dataDir == "":
 		tmp, err := os.MkdirTemp("", "sabre-sim-")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		defer os.RemoveAll(tmp)
 		dataDir = tmp
 	}
-	sc = sc.withDefaults()
 	tr, err := traffic.replay()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	d := &driver{
 		tr:             tr,
@@ -122,7 +131,7 @@ func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Repo
 		shardDownUntil: make(map[int]int),
 	}
 	if err := d.boot(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer func() {
 		if d.cl != nil {
@@ -130,17 +139,18 @@ func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Repo
 		}
 	}()
 	if _, err := d.cl.InstallAlarms(tr.alarms); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	perClient := make([]metrics.Client, tr.users)
 	d.sessions = make([]*client.Session, tr.users)
 	for i := range d.sessions {
 		i, user := i, uint64(i+1)
+		strategy, height := fleet(i)
 		scfg := plan.Session
-		scfg.MaxHeight = uint8(sc.PyramidHeight)
+		scfg.MaxHeight = uint8(height)
 		scfg.JitterSeed = plan.Seed ^ int64(user)<<17
-		d.sessions[i] = client.NewSession(client.New(user, sc.Strategy, &perClient[i]),
+		d.sessions[i] = client.NewSession(client.New(user, strategy, &perClient[i]),
 			func() (transport.Conn, error) { return d.dial(i, 0) }, scfg, &perClient[i])
 		d.sessions[i].DialTo = func(addr string) (transport.Conn, error) {
 			listener, err := strconv.Atoi(strings.TrimPrefix(addr, listenerPrefix))
@@ -158,11 +168,11 @@ func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Repo
 
 	for d.tick = 0; d.tick < tr.ticks+plan.DrainTicks; d.tick++ {
 		if err := d.runTick(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if err := d.checkSettled(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Server counters restart with every incarnation — a shard's with its
@@ -173,7 +183,7 @@ func Drive(traffic Traffic, sc StrategyConfig, plan Plan, dataDir string) (*Repo
 	rep.Cluster = &clusterMet
 	rep.PartitionMap = d.cl.PartitionMap()
 	rep.PartitionEpoch = rep.PartitionMap.Epoch()
-	return rep, nil
+	return rep, perClient, nil
 }
 
 // listenerPrefix names the front end's listeners: listener i is

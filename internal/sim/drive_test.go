@@ -31,23 +31,26 @@ type source struct {
 	traffic Traffic
 	// quick sources also run under -short.
 	quick bool
-	want  func(t *testing.T, st strategyCase) []Trigger
+	want  func(t *testing.T) []Trigger
 }
 
 // workloadSource replays a generated workload; its reference is the
-// direct, fault-free single-server Run (computed once per strategy).
+// periodic ground truth — one fault-free PRD run, shared by every
+// strategy. PRD reports every position and the server evaluates each
+// against the alarms with no safe-region code, so a defect in a region
+// kernel cannot hide on the reference side.
 func workloadSource(t *testing.T, cfg WorkloadConfig) *source {
 	t.Helper()
 	w, err := BuildWorkload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := map[string][]Trigger{}
-	return &source{traffic: w, want: func(t *testing.T, st strategyCase) []Trigger {
-		if _, ok := direct[st.name]; !ok {
-			direct[st.name] = runStrategy(t, w, st.sc).Triggers
+	var truth []Trigger
+	return &source{traffic: w, want: func(t *testing.T) []Trigger {
+		if truth == nil {
+			truth = runStrategy(t, w, StrategyConfig{Strategy: wire.StrategyPeriodic}).Triggers
 		}
-		return direct[st.name]
+		return truth
 	}}
 }
 
@@ -75,7 +78,7 @@ func lifecycleSource() *source {
 	return &source{
 		traffic: DefaultLifecycleScenario(),
 		quick:   true,
-		want:    func(*testing.T, strategyCase) []Trigger { return want },
+		want:    func(*testing.T) []Trigger { return want },
 	}
 }
 
@@ -437,7 +440,7 @@ func TestDeliveryEquality(t *testing.T) {
 				if testing.Short() && !row.src.quick {
 					t.Skip("multi-strategy simulation")
 				}
-				want := row.src.want(t, st)
+				want := row.src.want(t)
 				got, err := Drive(row.src.traffic, st.sc, row.plan, t.TempDir())
 				if err != nil {
 					t.Fatal(err)

@@ -78,7 +78,7 @@ func RunMixed(w *Workload, classes []MixedClass, base StrategyConfig) (*MixedRep
 	}
 
 	base = base.withDefaults()
-	r, err := runDirect(w, base, func(i int) (wire.Strategy, int) {
+	r, perClient, err := drive(w, base, Plan{DrainTicks: settleTicks}, "", func(i int) (wire.Strategy, int) {
 		c := classes[classOf[i]]
 		if c.PyramidHeight == 0 {
 			return c.Strategy, base.PyramidHeight
@@ -90,15 +90,15 @@ func RunMixed(w *Workload, classes []MixedClass, base StrategyConfig) (*MixedRep
 	}
 
 	out := &MixedReport{
-		Triggers:           r.triggers,
-		DownlinkBytes:      r.met.DownlinkBytes,
-		TotalServerMinutes: r.met.TotalSeconds() / 60,
+		Triggers:           r.Triggers,
+		DownlinkBytes:      r.DownlinkBytes,
+		TotalServerMinutes: r.TotalServerMinutes,
 	}
 	energy := metrics.DefaultEnergy()
 	for ci, c := range classes {
 		cr := ClassReport{Name: c.Name, Strategy: c.Strategy.String()}
 		var msgs []uint64
-		for i, pc := range r.perClient {
+		for i, pc := range perClient {
 			if classOf[i] != ci {
 				continue
 			}

@@ -5,13 +5,12 @@
 // bandwidth, client energy, server processing time) together with the
 // exact set of delivered (user, alarm, tick) triggers.
 //
-// There are two ways to run a workload. Run (and RunMixed) call the
-// engine directly, one HandleUpdate per report — the paper's counted
-// cost model, which every figure reads. Drive puts each client behind
-// the full session layer and a fault-injectable link, against one engine
-// or a sharded cluster, and injects whatever its Plan scripts (link
-// faults, process and shard crashes, resharding, failover); it exists to
-// prove that none of that changes the delivered set.
+// There is one driver. Drive puts each client behind the full session
+// layer and an in-memory link to the TCP front end over a cluster — what
+// alarmserver serves and alarmclient runs — and injects whatever its Plan
+// scripts (link faults, process and shard crashes, resharding,
+// failover). Run and RunMixed are Drive with a fault-free plan on one
+// shard; every figure reads them.
 //
 // Determinism: for a fixed Workload, every strategy run sees bit-for-bit
 // the same vehicle trace and alarm set, so trigger sets are directly
@@ -27,7 +26,6 @@ import (
 	"time"
 
 	"github.com/sabre-geo/sabre/internal/alarm"
-	"github.com/sabre-geo/sabre/internal/client"
 	"github.com/sabre-geo/sabre/internal/cluster"
 	"github.com/sabre-geo/sabre/internal/geom"
 	"github.com/sabre-geo/sabre/internal/metrics"
@@ -299,12 +297,11 @@ type Report struct {
 	// Redirects counts the shard Redirects the client sessions followed.
 	Redirects uint64
 	// Cluster holds the cluster-level counters (handoffs, redirects sent,
-	// shard crashes) of a Drive run's final process incarnation; nil for
-	// Run, which drives engines directly.
+	// shard crashes) of the run's final process incarnation.
 	Cluster *metrics.ClusterSnapshot
-	// PartitionEpoch is a Drive run's final partition-map version (0 for
-	// Run). Scripted splits, merges and crash recoveries all advance it,
-	// so tests can assert the run ended in a consistent epoch.
+	// PartitionEpoch is the run's final partition-map version. Scripted
+	// splits, merges and crash recoveries all advance it, so tests can
+	// assert the run ended in a consistent epoch.
 	// PartitionMap is that final map itself.
 	PartitionEpoch uint64
 	PartitionMap   *cluster.PartitionMap
@@ -446,107 +443,13 @@ func (tr *replay) report(strategy wire.Strategy, met metrics.Snapshot, perClient
 	}
 }
 
-// Run executes one strategy over the workload and returns its report.
+// settleTicks is the drain a fault-free run needs: a reply reaches its
+// session one tick after the report, so one tick past the trace end
+// delivers the last reports' replies and firings and empties every queue.
+const settleTicks = 1
+
+// Run executes one strategy over the workload and returns its report: a
+// fault-free Drive against one in-memory shard.
 func Run(w *Workload, sc StrategyConfig) (*Report, error) {
-	sc = sc.withDefaults()
-	r, err := runDirect(w, sc, func(int) (wire.Strategy, int) { return sc.Strategy, sc.PyramidHeight })
-	if err != nil {
-		return nil, err
-	}
-	return r.tr.report(sc.Strategy, r.met, r.perClient, r.triggers, r.serverWall), nil
-}
-
-// directRun is what a session-less run leaves behind for its report.
-type directRun struct {
-	tr         *replay
-	met        metrics.Snapshot
-	perClient  []metrics.Client
-	triggers   []Trigger
-	serverWall time.Duration
-}
-
-// runDirect replays the workload with every client calling the engine
-// directly — no sessions, no links — which is the paper's counted cost
-// model. fleet gives vehicle i's strategy and pyramid height; sc (with
-// its defaults filled) supplies the server knobs.
-func runDirect(w *Workload, sc StrategyConfig, fleet func(i int) (wire.Strategy, int)) (*directRun, error) {
-	tr, err := w.replay()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := server.New(tr.engineConfig(sc))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := eng.Registry().InstallBatch(tr.alarms); err != nil {
-		return nil, err
-	}
-
-	perClient := make([]metrics.Client, tr.users)
-	clients := make([]*client.Client, tr.users)
-	for i := range clients {
-		user := uint64(i + 1)
-		strategy, height := fleet(i)
-		clients[i] = client.New(user, strategy, &perClient[i])
-		if err := eng.Register(wire.Register{
-			User:      user,
-			Strategy:  strategy,
-			MaxHeight: uint8(height),
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Moving-target invalidations reach silent clients through the push
-	// callback (Seq-0 messages).
-	curTick := 0
-	eng.SetPusher(func(user alarm.UserID, msgs []wire.Message) {
-		idx := int(user) - 1
-		if idx < 0 || idx >= len(clients) {
-			return
-		}
-		for _, m := range msgs {
-			// Push decode errors cannot happen with in-process messages.
-			_ = clients[idx].Handle(curTick, m)
-		}
-	})
-
-	var triggers []Trigger
-	var serverWall time.Duration
-	for tick := 0; tick < tr.ticks; tick++ {
-		curTick = tick
-		tr.advance(tick)
-		for i, cl := range clients {
-			upd := cl.Tick(tick, tr.position(i))
-			if upd == nil {
-				continue
-			}
-			start := time.Now()
-			responses, err := eng.HandleUpdate(*upd)
-			serverWall += time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("tick %d user %d: %w", tick, upd.User, err)
-			}
-			for _, resp := range responses {
-				if fired, ok := resp.(wire.AlarmFired); ok {
-					for _, id := range fired.Alarms {
-						triggers = append(triggers, Trigger{User: upd.User, Alarm: id, Tick: tick})
-					}
-				}
-				if err := cl.Handle(tick, resp); err != nil {
-					return nil, err
-				}
-			}
-			if len(responses) == 0 {
-				cl.Acknowledge()
-			}
-		}
-	}
-	return &directRun{
-		tr:         tr,
-		met:        eng.Metrics().Snapshot(),
-		perClient:  perClient,
-		triggers:   triggers,
-		serverWall: serverWall,
-	}, nil
+	return Drive(w, sc, Plan{DrainTicks: settleTicks}, "")
 }

@@ -53,7 +53,9 @@ func SmallWorkload(seed int64) WorkloadConfig { return sim.SmallWorkload(seed) }
 // BuildWorkload generates the road network and alarm table for cfg.
 func BuildWorkload(cfg WorkloadConfig) (*Workload, error) { return sim.BuildWorkload(cfg) }
 
-// Run executes one strategy over the workload.
+// Run executes one strategy over the workload: every vehicle runs the
+// client session alarmclient runs, against the one-shard server
+// alarmserver boots, over a fault-free in-memory link.
 func Run(w *Workload, sc StrategyConfig) (*Report, error) { return sim.Run(w, sc) }
 
 // RunMixed executes one simulation with the fleet partitioned across

@@ -63,5 +63,5 @@ func ExampleRun() {
 	fmt.Println("message reduction:", truth.UplinkMessages/mwpsr.UplinkMessages, "x")
 	// Output:
 	// accurate: true
-	// message reduction: 47 x
+	// message reduction: 42 x
 }
