@@ -443,28 +443,46 @@ func TestSplitShardFallsBackToMidpoint(t *testing.T) {
 
 // TestSplitShardGCsOutOfFootprintAlarms: after a split shrinks the
 // source's rectangle, alarms beyond its new margin are dropped from the
-// source — the new shard adopted its copies before the commit.
+// source — the new shard adopted its copies, and their fired pairs, in
+// one group commit before the map commit.
 func TestSplitShardGCsOutOfFootprintAlarms(t *testing.T) {
-	c := newTestCluster(t, 1, 1, "")
+	c := newTestCluster(t, 1, 1, t.TempDir())
 	fe := newMemFront(t, c)
 	// Sessions bunched on the left pull the median cut left, so the
-	// right-hand alarm lands far outside the source's new margin.
+	// right-hand alarms land far outside the source's new margin.
 	xs := []float64{1000, 1200, 1400, 1600, 9000}
+	var cls []*memClient
 	for i, x := range xs {
-		hello(t, fe, uint64(i+1)).mustReport(geom.Pt(x, 5000))
+		cls = append(cls, hello(t, fe, uint64(i+1)))
+		cls[i].mustReport(geom.Pt(x, 5000))
 	}
 	ids, err := c.InstallAlarms([]alarm.Alarm{
 		{Scope: alarm.Private, Owner: 1, Region: geom.RectAround(geom.Pt(900, 5000), 100)},
 		{Scope: alarm.Private, Owner: 5, Region: geom.RectAround(geom.Pt(9500, 5000), 100)},
+		{Scope: alarm.Private, Owner: 5, Region: geom.RectAround(geom.Pt(9050, 5000), 100)},
+		{Scope: alarm.Private, Owner: 4, Region: geom.RectAround(geom.Pt(9050, 5000), 100)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	left, right := ids[0], ids[1]
+	cls[4].mustReport(geom.Pt(9050, 5000)) // user 5 spends ids[2]
+	cls[3].mustReport(geom.Pt(9050, 5000)) // user 4 spends ids[3]
 
 	newShard, err := c.SplitShard(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	eng := c.Engine(newShard)
+	if !eng.Registry().Fired(ids[2], 5) || !eng.Registry().Fired(ids[3], 4) {
+		t.Fatal("new shard lost the adopted fired pairs")
+	}
+	// The new shard's log holds the adoption — an InstallRec per alarm
+	// (its margin reaches the left one too) and a FiredRec per user — as
+	// one group, then the split's epoch record.
+	if got := eng.Metrics().Snapshot(); got.WALGroupCommits != 2 || got.WALGroupRecords != 7 {
+		t.Errorf("new shard logged %d records in %d group commits, want 6 in the adoption group + 1 epoch",
+			got.WALGroupRecords, got.WALGroupCommits)
 	}
 	if _, ok := c.Engine(0).Registry().Get(left); !ok {
 		t.Fatal("source dropped an alarm inside its footprint")

@@ -12,7 +12,9 @@
 // safe-period baseline and the accuracy ground truth both rely on.
 //
 // The simulator is deterministic in its seed: vehicles are stepped in index
-// order off a single PRNG stream.
+// order off a single PRNG stream. Route planning (roadnet's A*) is the
+// bulk of a Step's cost when trips end; its routes are exact, so a trace
+// does not depend on how the search is implemented.
 package mobility
 
 import (

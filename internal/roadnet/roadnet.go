@@ -10,16 +10,22 @@
 // irregular connectivity of a real map. Trips are confined to the largest
 // connected component.
 //
+// Routes come from an A* search (ShortestPath) over flat per-node arrays
+// that each search borrows from a pool and validates with a generation
+// stamp, so a search allocates only the path it returns. Its frontier is
+// a typed copy of container/heap, so ties pop in the same order and the
+// routes are the ones the map-based search it replaced returned.
+//
 // Everything is deterministic in the seed, which the simulation relies on
 // to reproduce traces bit-for-bit.
 package roadnet
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/sabre-geo/sabre/internal/geom"
 )
@@ -121,6 +127,8 @@ type Network struct {
 	giant int32     // label of the largest component
 	bound geom.Rect
 	vmax  float64
+	// searches pools ShortestPath's per-node scratch (*search).
+	searches sync.Pool
 }
 
 // Generate builds a network from cfg.
@@ -290,24 +298,32 @@ var ErrNoPath = errors.New("roadnet: no path between nodes")
 
 // ShortestPath returns the minimum-travel-time route between two nodes as
 // a sequence of edge indices, plus the total travel time in seconds. It is
-// an A* search with the straight-line-at-v_max admissible heuristic.
+// an A* search with the straight-line-at-v_max admissible heuristic. It is
+// safe for concurrent use: each search borrows its own scratch arrays.
 func (n *Network) ShortestPath(from, to NodeID) ([]int32, float64, error) {
 	if from == to {
 		return nil, 0, nil
 	}
-	dist := make(map[NodeID]float64, 256)
-	prevEdge := make(map[NodeID]int32, 256)
-	pq := &pathHeap{}
-	heap.Init(pq)
-	dist[from] = 0
-	heap.Push(pq, pathElem{node: from, prio: n.heuristic(from, to)})
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(pathElem)
+	s, _ := n.searches.Get().(*search)
+	if s == nil {
+		s = &search{
+			stamp: make([]uint32, len(n.nodes)),
+			dist:  make([]float64, len(n.nodes)),
+			prev:  make([]int32, len(n.nodes)),
+			h:     make([]float64, len(n.nodes)),
+		}
+	}
+	defer n.searches.Put(s)
+	s.begin()
+	s.reach(from, 0, -1, n.heuristic(from, to))
+	s.push(pathElem{node: from, prio: s.h[from]})
+	for len(s.heap) > 0 {
+		cur := s.pop()
 		if cur.node == to {
 			break
 		}
-		d := dist[cur.node]
-		if cur.prio-n.heuristic(cur.node, to) > d+1e-9 {
+		d := s.dist[cur.node]
+		if cur.prio-s.h[cur.node] > d+1e-9 {
 			continue // stale heap entry
 		}
 		for _, ei := range n.adj[cur.node] {
@@ -317,38 +333,71 @@ func (n *Network) ShortestPath(from, to NodeID) ([]int32, float64, error) {
 				next = e.From
 			}
 			nd := d + e.TravelTime()
-			if old, ok := dist[next]; !ok || nd < old {
-				dist[next] = nd
-				prevEdge[next] = ei
-				heap.Push(pq, pathElem{node: next, prio: nd + n.heuristic(next, to)})
+			if s.stamp[next] != s.gen {
+				s.reach(next, nd, ei, n.heuristic(next, to))
+			} else if nd < s.dist[next] {
+				s.dist[next], s.prev[next] = nd, ei
+			} else {
+				continue
 			}
+			s.push(pathElem{node: next, prio: nd + s.h[next]})
 		}
 	}
-	total, ok := dist[to]
-	if !ok {
+	if s.stamp[to] != s.gen {
 		return nil, 0, ErrNoPath
 	}
-	// Reconstruct edge sequence backwards.
-	var rev []int32
-	cur := to
-	for cur != from {
-		ei := prevEdge[cur]
-		rev = append(rev, ei)
-		e := n.edges[ei]
-		if e.To == cur {
-			cur = e.From
-		} else {
-			cur = e.To
-		}
+	hops := 0
+	for cur := to; cur != from; hops++ {
+		cur = n.otherEnd(s.prev[cur], cur)
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]int32, hops)
+	for cur := to; cur != from; {
+		hops--
+		path[hops] = s.prev[cur]
+		cur = n.otherEnd(path[hops], cur)
 	}
-	return rev, total, nil
+	return path, s.dist[to], nil
 }
 
 func (n *Network) heuristic(a, b NodeID) float64 {
 	return n.nodes[a].DistanceTo(n.nodes[b]) / n.vmax
+}
+
+// otherEnd returns the end of edge ei that is not v.
+func (n *Network) otherEnd(ei int32, v NodeID) NodeID {
+	e := n.edges[ei]
+	if e.To != v {
+		return e.To
+	}
+	return e.From
+}
+
+// search is one A* search's scratch, reused across searches. A node's
+// dist, prev and h entries belong to the current search only when its
+// stamp equals gen, so starting a search clears nothing but the heap.
+type search struct {
+	gen   uint32
+	stamp []uint32
+	dist  []float64 // best known travel time from the source
+	prev  []int32   // edge that reached the node at dist
+	h     []float64 // heuristic to the target, computed once per node
+	heap  []pathElem
+}
+
+// begin starts a new search.
+func (s *search) begin() {
+	s.gen++
+	if s.gen == 0 { // wrapped: stamps from 2^32 searches ago would match
+		clear(s.stamp)
+		s.gen = 1
+	}
+	s.heap = s.heap[:0]
+}
+
+// reach records the first path found to v in this search.
+func (s *search) reach(v NodeID, dist float64, edge int32, h float64) {
+	s.stamp[v] = s.gen
+	s.dist[v], s.prev[v], s.h[v] = dist, edge, h
 }
 
 type pathElem struct {
@@ -356,15 +405,44 @@ type pathElem struct {
 	prio float64
 }
 
-type pathHeap struct{ elems []pathElem }
+// push and pop are container/heap's Push and Pop with its up and down
+// loops copied verbatim, so entries of equal priority leave in the same
+// order they did through the heap.Interface, without boxing each entry.
+func (s *search) push(e pathElem) {
+	s.heap = append(s.heap, e)
+	h := s.heap
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].prio < h[i].prio) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
 
-func (h *pathHeap) Len() int           { return len(h.elems) }
-func (h *pathHeap) Less(i, j int) bool { return h.elems[i].prio < h.elems[j].prio }
-func (h *pathHeap) Swap(i, j int)      { h.elems[i], h.elems[j] = h.elems[j], h.elems[i] }
-func (h *pathHeap) Push(x interface{}) { h.elems = append(h.elems, x.(pathElem)) }
-func (h *pathHeap) Pop() interface{} {
-	last := len(h.elems) - 1
-	e := h.elems[last]
-	h.elems = h.elems[:last]
+func (s *search) pop() pathElem {
+	h := s.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].prio < h[j1].prio {
+			j = j2 // right child
+		}
+		if !(h[j].prio < h[i].prio) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	e := h[n]
+	s.heap = h[:n]
 	return e
 }

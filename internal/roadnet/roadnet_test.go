@@ -232,15 +232,42 @@ func TestNearestNode(t *testing.T) {
 	}
 }
 
-func BenchmarkShortestPathPaperScale(b *testing.B) {
-	n := mustGenerate(b, DefaultConfig(1))
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		from := n.RandomNode(rng)
-		to := n.RandomNode(rng)
-		if _, _, err := n.ShortestPath(from, to); err != nil {
-			b.Fatal(err)
+// benchMaps are the maps the router benchmark runs on: the 400 km²
+// deployment bench/ boots and the paper-scale 1000 km² universe.
+var benchMaps = []struct {
+	name string
+	cfg  Config
+}{
+	{"400km2", Config{Side: 20000, Spacing: 500, Jitter: 0.25, DropProb: 0.12, Seed: 1}},
+	{"1000km2", DefaultConfig(1)},
+}
+
+var benchTotal float64
+
+// BenchmarkShortestPath times one A* search between random giant-component
+// nodes, against the map-based reference search on the same pairs.
+func BenchmarkShortestPath(b *testing.B) {
+	for _, m := range benchMaps {
+		n := mustGenerate(b, m.cfg)
+		for _, impl := range []struct {
+			name string
+			fn   func(from, to NodeID) ([]int32, float64, error)
+		}{
+			{"astar", n.ShortestPath},
+			{"reference", func(from, to NodeID) ([]int32, float64, error) { return shortestPathReference(n, from, to) }},
+		} {
+			b.Run(m.name+"/"+impl.name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(3))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, total, err := impl.fn(n.RandomNode(rng), n.RandomNode(rng))
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchTotal += total
+				}
+			})
 		}
 	}
 }

@@ -424,25 +424,46 @@ func (e *Engine) clientFor(user alarm.UserID, defaultStrategy wire.Strategy) *cl
 // Register enrolls (or re-enrolls) a client with its strategy and, for
 // PBSR, the maximum pyramid height its hardware can decode.
 func (e *Engine) Register(m wire.Register) error {
+	return e.registerRun([]wire.Register{m})
+}
+
+// checkRegister rejects a Register naming a strategy the engine does not
+// serve.
+func checkRegister(m wire.Register) error {
 	switch m.Strategy {
 	case wire.StrategyPeriodic, wire.StrategySafePeriod, wire.StrategyMWPSR,
 		wire.StrategyPBSR, wire.StrategyOptimal:
-	default:
-		return fmt.Errorf("server: unknown strategy %d", m.Strategy)
+		return nil
 	}
-	user := alarm.UserID(m.User)
-	sh := e.shardFor(user)
-	sh.mu.Lock()
-	// Registration is not charged as uplink: the paper's message counts
-	// are location messages only, and registration happens once per client.
-	// Re-enrollment replaces the state; updates already holding the old
-	// state finish against it.
-	sh.m[user] = &clientState{
-		strategy:  m.Strategy,
-		maxHeight: int(m.MaxHeight),
+	return fmt.Errorf("server: unknown strategy %d", m.Strategy)
+}
+
+// registerRun enrolls a run of clients in order and logs their
+// RegisterRecs as one group commit. Nothing is enrolled when any
+// Register is invalid.
+func (e *Engine) registerRun(ms []wire.Register) error {
+	for _, m := range ms {
+		if err := checkRegister(m); err != nil {
+			return err
+		}
 	}
-	sh.mu.Unlock()
-	return e.logRecord(store.RegisterRec{User: m.User, Strategy: m.Strategy, MaxHeight: m.MaxHeight})
+	recs := make([]store.Record, len(ms))
+	for i, m := range ms {
+		user := alarm.UserID(m.User)
+		sh := e.shardFor(user)
+		sh.mu.Lock()
+		// Registration is not charged as uplink: the paper's message
+		// counts are location messages only, and registration happens
+		// once per client. Re-enrollment replaces the state; updates
+		// already holding the old state finish against it.
+		sh.m[user] = &clientState{
+			strategy:  m.Strategy,
+			maxHeight: int(m.MaxHeight),
+		}
+		sh.mu.Unlock()
+		recs[i] = store.RegisterRec{User: m.User, Strategy: m.Strategy, MaxHeight: m.MaxHeight}
+	}
+	return e.logRecords(recs)
 }
 
 // moveTargetPushes handles moving-target alarms (paper §1 classes 2 and

@@ -268,8 +268,10 @@ func (e *Engine) ClientCount() int {
 // AdoptAlarms installs alarm copies this shard is missing and re-marks
 // their fired pairs — a repartition transition widening the shard's
 // responsibility. Copies already present are skipped (alarm IDs are
-// global, so identity is exact), as are pairs already fired. Replay of
-// the appended InstallRec/FiredRec records is idempotent; a FiredRec
+// global, so identity is exact), as are pairs already fired. The
+// InstallRecs, lifecycle TransitionRecs and per-user FiredRecs are
+// logged in that order, in group commits of up to store.DefaultGroupMax
+// records. Their replay is idempotent; a FiredRec
 // for a user with a live reliable session here would re-append the ids
 // to its pending set on replay, which at worst redelivers an already-
 // acknowledged firing that the client's dedup absorbs.
@@ -281,23 +283,18 @@ func (e *Engine) AdoptAlarms(alarms []alarm.Alarm, fired []alarm.FiredPair, stat
 			fresh = append(fresh, a)
 		}
 	}
+	var recs []store.Record
 	if len(fresh) > 0 {
 		if err := reg.InstallAssigned(fresh); err != nil {
 			return err
 		}
 		e.InvalidatePublicBitmaps()
 		e.syncAlarmGauges(reg)
-		for _, a := range fresh {
-			if err := e.logRecord(store.InstallRec{Alarm: a}); err != nil {
-				return err
-			}
-		}
+		recs = installRecs(fresh)
 	}
 	if len(states) > 0 {
 		reg.ApplyLifecycleStates(states)
-		if err := e.logRecords(lifecycleRecs(states)); err != nil {
-			return err
-		}
+		recs = append(recs, lifecycleRecs(states)...)
 	}
 
 	byUser := make(map[uint64][]uint64)
@@ -314,11 +311,9 @@ func (e *Engine) AdoptAlarms(alarms []alarm.Alarm, fired []alarm.FiredPair, stat
 	}
 	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
 	for _, u := range users {
-		if err := e.logRecord(store.FiredRec{User: u, Alarms: byUser[u]}); err != nil {
-			return err
-		}
+		recs = append(recs, store.FiredRec{User: u, Alarms: byUser[u]})
 	}
-	return nil
+	return e.logGroups(recs)
 }
 
 func containsU64(s []uint64, v uint64) bool {

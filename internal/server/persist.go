@@ -137,9 +137,26 @@ func (e *Engine) logRecords(recs []store.Record) error {
 	return e.wal.AppendBatch(recs)
 }
 
+// logGroups appends records that need no atomicity across the whole set
+// (an install, an adoption) in order, as group commits of at most
+// store.DefaultGroupMax records: a few commits for thousands of records
+// instead of one per record, and encode buffers the size of an ordinary
+// group instead of one buffer for the whole set.
+func (e *Engine) logGroups(recs []store.Record) error {
+	for len(recs) > 0 {
+		n := min(len(recs), store.DefaultGroupMax)
+		if err := e.logRecords(recs[:n]); err != nil {
+			return err
+		}
+		recs = recs[n:]
+	}
+	return nil
+}
+
 // InstallAlarms durably installs a batch of alarms: registry insertion,
-// then one InstallRec per alarm (carrying the assigned ID) before the IDs
-// are returned to the caller.
+// then one InstallRec per alarm (carrying the assigned ID), in group
+// commits of up to store.DefaultGroupMax records, before the IDs are
+// returned to the caller.
 func (e *Engine) InstallAlarms(alarms []alarm.Alarm) ([]alarm.ID, error) {
 	reg := e.reg.Load()
 	ids, err := reg.InstallBatch(alarms)
@@ -148,23 +165,24 @@ func (e *Engine) InstallAlarms(alarms []alarm.Alarm) ([]alarm.ID, error) {
 	}
 	e.InvalidatePublicBitmaps()
 	e.syncAlarmGauges(reg)
+	recs := make([]store.Record, 0, len(ids))
 	for _, id := range ids {
-		a, ok := reg.Get(id)
-		if !ok {
-			continue
+		if a, ok := reg.Get(id); ok {
+			recs = append(recs, store.InstallRec{Alarm: a})
 		}
-		if err := e.logRecord(store.InstallRec{Alarm: a}); err != nil {
-			return nil, err
-		}
+	}
+	if err := e.logGroups(recs); err != nil {
+		return nil, err
 	}
 	return ids, nil
 }
 
 // InstallAlarmsAssigned durably installs alarms that already carry their
 // globally assigned IDs — the cluster path, where every shard must agree
-// on every alarm's identity. One InstallRec per alarm is appended;
-// InstallRec replay preserves the ID and advances the counter, so a
-// recovered shard rebuilds the identical table.
+// on every alarm's identity. One InstallRec per alarm is appended, in
+// group commits of up to store.DefaultGroupMax records; InstallRec
+// replay preserves the ID and advances the counter, so a recovered shard
+// rebuilds the identical table.
 func (e *Engine) InstallAlarmsAssigned(alarms []alarm.Alarm) error {
 	reg := e.reg.Load()
 	if err := reg.InstallAssigned(alarms); err != nil {
@@ -172,12 +190,16 @@ func (e *Engine) InstallAlarmsAssigned(alarms []alarm.Alarm) error {
 	}
 	e.InvalidatePublicBitmaps()
 	e.syncAlarmGauges(reg)
-	for _, a := range alarms {
-		if err := e.logRecord(store.InstallRec{Alarm: a}); err != nil {
-			return err
-		}
+	return e.logGroups(installRecs(alarms))
+}
+
+// installRecs returns one InstallRec per alarm, in order.
+func installRecs(alarms []alarm.Alarm) []store.Record {
+	recs := make([]store.Record, len(alarms))
+	for i, a := range alarms {
+		recs[i] = store.InstallRec{Alarm: a}
 	}
-	return nil
+	return recs
 }
 
 // RemoveAlarm durably cancels an alarm.
@@ -195,8 +217,9 @@ func (e *Engine) RemoveAlarm(id alarm.ID) (bool, error) {
 }
 
 // ExpireSessions reaps reliable sessions idle longer than ttl: the client
-// state and every resume token for the user are dropped, an ExpireRec is
-// logged per reaped session, and the count is returned. A client that
+// state and every resume token for the user are dropped, one ExpireRec
+// per reaped session is logged in a single group commit, and the count is
+// returned. A client that
 // expires mid-flight simply re-enrolls with a fresh Hello — its fired
 // state lives in the registry, so no alarm fires twice.
 func (e *Engine) ExpireSessions(ttl time.Duration) (int, error) {
@@ -219,12 +242,11 @@ func (e *Engine) ExpireSessions(ttl time.Duration) (int, error) {
 		e.dropClient(user)
 	}
 	e.met.AddSessionsExpired(uint64(len(expired)))
-	for _, user := range expired {
-		if err := e.logRecord(store.ExpireRec{User: uint64(user)}); err != nil {
-			return len(expired), err
-		}
+	recs := make([]store.Record, len(expired))
+	for i, user := range expired {
+		recs[i] = store.ExpireRec{User: uint64(user)}
 	}
-	return len(expired), nil
+	return len(expired), e.logRecords(recs)
 }
 
 // now returns the engine clock (overridable in tests; only session

@@ -125,7 +125,8 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 }
 
 // TestSessionExpiry: reliable sessions idle past the TTL are reaped (and
-// logged), active ones survive, and a reaped client can re-enroll.
+// logged, in one group commit), active ones survive, and a reaped client
+// can re-enroll.
 func TestSessionExpiry(t *testing.T) {
 	dir := t.TempDir()
 	e := newDurableEngine(t, dir, nil)
@@ -134,20 +135,26 @@ func TestSessionExpiry(t *testing.T) {
 
 	tok1, _, _ := hello(t, e, 1, wire.StrategyMWPSR, 0)
 	hello(t, e, 2, wire.StrategyMWPSR, 0)
+	hello(t, e, 3, wire.StrategyMWPSR, 0)
 
 	now = now.Add(30 * time.Second)
 	handle(t, e, 2, 1, geom.Pt(300, 300)) // user 2 stays active
 
 	now = now.Add(31 * time.Second)
-	n, err := e.ExpireSessions(time.Minute) // user 1 idle 61s, user 2 idle 31s
+	before := e.Metrics().Snapshot()
+	n, err := e.ExpireSessions(time.Minute) // users 1 and 3 idle 61s, user 2 idle 31s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("expired %d sessions, want 1", n)
+	if n != 2 {
+		t.Fatalf("expired %d sessions, want 2", n)
 	}
-	if got := e.Metrics().Snapshot().SessionsExpired; got != 1 {
+	after := e.Metrics().Snapshot()
+	if got := after.SessionsExpired; got != 2 {
 		t.Fatalf("SessionsExpired = %d", got)
+	}
+	if c, r := after.WALGroupCommits-before.WALGroupCommits, after.WALGroupRecords-before.WALGroupRecords; c != 1 || r != 2 {
+		t.Errorf("expiry logged %d records in %d group commits, want 2 in 1", r, c)
 	}
 	// User 1's token is dead: hello with it starts fresh.
 	tok1b, resumed, _ := hello(t, e, 1, wire.StrategyMWPSR, tok1)
@@ -159,6 +166,9 @@ func TestSessionExpiry(t *testing.T) {
 	e2 := newDurableEngine(t, dir, nil)
 	if _, resumed, _ := hello(t, e2, 1, wire.StrategyMWPSR, tok1); resumed {
 		t.Fatal("recovered engine resurrected the expired session")
+	}
+	if e2.HasSession(3) {
+		t.Fatal("recovered engine resurrected the expired user 3")
 	}
 
 	if _, err := e.ExpireSessions(0); err == nil {

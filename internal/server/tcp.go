@@ -346,7 +346,9 @@ type ConnState struct {
 // reports whether the connection stays open; the caller closes it on
 // false. Each connection's read loop calls it frame by frame, and so
 // does a caller that carries frames itself (the simulator, one tick at
-// a time). Replies and pushes go out on c's Conn before it returns.
+// a time). Replies and pushes go out on c's Conn before it returns. A
+// Register also takes in the Register frames already whole in c's read
+// buffer behind it (register).
 func (s *TCPServer) Dispatch(i int, c *ConnState, msg wire.Message) bool {
 	eng := s.topo.Engine(i)
 	if eng == nil {
@@ -371,11 +373,7 @@ func (s *TCPServer) Dispatch(i int, c *ConnState, msg wire.Message) bool {
 	c.eng = eng
 	switch m := msg.(type) {
 	case wire.Register:
-		if err := eng.Register(m); err != nil {
-			s.log.Printf("%s: register: %v", c.peer, err)
-			return false
-		}
-		s.bind(c, m.User)
+		return s.register(c, eng, m)
 	case wire.Hello:
 		responses, resumed, err := eng.HandleHello(m)
 		if err != nil {
@@ -439,6 +437,67 @@ func (s *TCPServer) Dispatch(i int, c *ConnState, msg wire.Message) bool {
 		return false
 	}
 	return true
+}
+
+// register enrolls m together with every Register frame already whole in
+// c's read buffer behind it, as one group commit: a fleet enrolling back
+// to back on one connection pays one fsync per buffered run rather than
+// one per client. The run ends at the first frame that is not a whole
+// buffered Register, so each record is committed before the connection
+// serves a later frame and before its read loop can block on the socket.
+// A Register with an unknown strategy (or a frame that fails to decode)
+// also ends it: the Registers before it are enrolled, then the
+// connection closes. A connection without a read buffer (the simulator's
+// links) commits frame by frame.
+func (s *TCPServer) register(c *ConnState, eng *Engine, m wire.Register) bool {
+	var run []wire.Register
+	var err error
+	for more := true; more; {
+		if err = checkRegister(m); err != nil {
+			break
+		}
+		run = append(run, m)
+		m, more, err = nextBufferedRegister(c)
+	}
+	if len(run) > 0 {
+		if err := eng.registerRun(run); err != nil {
+			s.log.Printf("%s: register: %v", c.peer, err)
+			return false
+		}
+		for _, r := range run {
+			s.bind(c, r.User)
+		}
+	}
+	if err != nil {
+		s.log.Printf("%s: register: %v", c.peer, err)
+		return false
+	}
+	return true
+}
+
+// frameBuffer is a Conn that reads through a buffer and can tell, without
+// blocking, whether its next frame has arrived whole (the TCP transport).
+type frameBuffer interface {
+	BufferedFrame() (kind wire.Kind, whole bool)
+}
+
+// nextBufferedRegister receives c's next frame when it is a Register that
+// is already whole in c's read buffer; more is false, and nothing is
+// read, otherwise.
+func nextBufferedRegister(c *ConnState) (m wire.Register, more bool, err error) {
+	fb, ok := c.Conn.(frameBuffer)
+	if !ok {
+		return m, false, nil
+	}
+	if kind, whole := fb.BufferedFrame(); !whole || kind != wire.KindRegister {
+		return m, false, nil
+	}
+	msg, err := c.Recv()
+	if err != nil {
+		return m, false, err
+	}
+	m, more = msg.(wire.Register)
+	return m, more, nil
 }
 
 // bind records that c enrolled user u: u's pushes follow c from now on.

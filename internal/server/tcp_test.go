@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,6 +20,13 @@ import (
 func startTCP(t *testing.T) (*Engine, string) {
 	t.Helper()
 	eng := newEngine(t, nil)
+	return eng, serveTCP(t, eng)
+}
+
+// serveTCP fronts eng with a cleanup-registered TCP server and returns
+// its address.
+func serveTCP(t *testing.T, eng *Engine) string {
+	t.Helper()
 	srv, err := NewTCPServerIdle(eng, "127.0.0.1:0", nil, DefaultIdleTimeout)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +44,7 @@ func startTCP(t *testing.T) (*Engine, string) {
 			t.Error("Serve did not exit after Close")
 		}
 	})
-	return eng, srv.Addr().String()
+	return srv.Addr().String()
 }
 
 // TestTCPEndToEnd drives a real client state machine over a real TCP
@@ -166,5 +176,126 @@ func TestTCPMovingTargetPush(t *testing.T) {
 		t.Fatal(err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("no push arrived over TCP")
+	}
+}
+
+// frames encodes msgs as the length-prefixed frames a client writes.
+func frames(t *testing.T, msgs ...wire.Message) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, m := range msgs {
+		if err := transport.WriteFrame(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// dialRaw opens a bare TCP connection to addr.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	return nc
+}
+
+// enrolled reports which of users the engine holds client state for.
+func enrolled(e *Engine, users ...uint64) []bool {
+	out := make([]bool, len(users))
+	for i, u := range users {
+		out[i] = e.HasSession(alarm.UserID(u))
+	}
+	return out
+}
+
+func mwpsr(user uint64) wire.Register {
+	return wire.Register{User: user, Strategy: wire.StrategyMWPSR, MaxHeight: 5}
+}
+
+// TestRegisterRunOneCommit: K Registers arriving in one write, then a
+// report, are enrolled with far fewer than K fsyncs (one per buffered
+// run), before the report is answered; after a kill every one of the K
+// users recovers from the log.
+func TestRegisterRunOneCommit(t *testing.T) {
+	const k = 100
+	dir := t.TempDir()
+	eng := newFsyncEngine(t, dir)
+	nc := dialRaw(t, serveTCP(t, eng))
+	msgs := make([]wire.Message, 0, k+1)
+	for u := uint64(1); u <= k; u++ {
+		msgs = append(msgs, mwpsr(u))
+	}
+	msgs = append(msgs, wire.PositionUpdate{User: 1, Seq: 1, Pos: geom.Pt(500, 500)})
+
+	before := eng.Metrics().Snapshot()
+	if _, err := nc.Write(frames(t, msgs...)); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := transport.NewTCP(nc).Recv(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := m.(wire.RectRegion); !ok {
+		t.Fatalf("report answered with %v, want a region", m.Kind())
+	}
+	after := eng.Metrics().Snapshot()
+	if f, r := after.WALFsyncs-before.WALFsyncs, after.WALGroupRecords-before.WALGroupRecords; f > k/10 || r != k {
+		t.Errorf("%d Registers: %d fsyncs for %d records; want at most %d for %d", k, f, r, k/10, k)
+	}
+	eng.Store().Kill()
+	if got := newFsyncEngine(t, dir).ClientCount(); got != k {
+		t.Errorf("recovered %d clients, want %d", got, k)
+	}
+}
+
+// TestRegisterRunUnknownStrategy: a Register naming an unknown strategy
+// in the middle of a buffered run closes the connection; the Registers
+// before it are enrolled and durable, the ones from it on are not.
+func TestRegisterRunUnknownStrategy(t *testing.T) {
+	dir := t.TempDir()
+	eng := newFsyncEngine(t, dir)
+	nc := dialRaw(t, serveTCP(t, eng))
+	bad := wire.Register{User: 3, Strategy: 99}
+	if _, err := nc.Write(frames(t, mwpsr(1), mwpsr(2), bad, mwpsr(4))); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := transport.NewTCP(nc).Recv(); err == nil {
+		t.Fatalf("connection stayed open and sent %v", m.Kind())
+	}
+	want := []bool{true, true, false, false}
+	if got := enrolled(eng, 1, 2, 3, 4); !slices.Equal(got, want) {
+		t.Errorf("enrolled users 1-4: %v, want %v", got, want)
+	}
+	eng.Store().Kill()
+	if got := enrolled(newFsyncEngine(t, dir), 1, 2, 3, 4); !slices.Equal(got, want) {
+		t.Errorf("recovered users 1-4: %v, want %v", got, want)
+	}
+}
+
+// TestRegisterBeforeSplitFrame: a Register followed by the first half of
+// a frame is committed while the connection waits for the second half —
+// its read loop never blocks with a record uncommitted.
+func TestRegisterBeforeSplitFrame(t *testing.T) {
+	dir := t.TempDir()
+	eng := newFsyncEngine(t, dir)
+	nc := dialRaw(t, serveTCP(t, eng))
+	first := frames(t, mwpsr(1))
+	second := frames(t, mwpsr(2))
+	if _, err := nc.Write(append(first, second[:len(second)/2]...)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); eng.Metrics().Snapshot().WALGroupCommits == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("Register not committed while the next frame is incomplete")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := enrolled(eng, 1, 2); !slices.Equal(got, []bool{true, false}) {
+		t.Fatalf("enrolled users 1-2 before the second half: %v", got)
+	}
+	eng.Store().Kill()
+	if !newFsyncEngine(t, dir).HasSession(1) {
+		t.Error("committed Register lost in recovery")
 	}
 }

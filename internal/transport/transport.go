@@ -312,4 +312,21 @@ func (c *tcpConn) Recv() (wire.Message, error) {
 	return ReadFrame(c.br)
 }
 
+// BufferedFrame returns the kind of the next frame when the whole frame
+// already sits in the read buffer, so the Recv that returns it cannot
+// block on the socket; whole is false otherwise.
+func (c *tcpConn) BufferedFrame() (kind wire.Kind, whole bool) {
+	c.rm.Lock()
+	defer c.rm.Unlock()
+	if c.br.Buffered() < 5 {
+		return 0, false
+	}
+	hdr, _ := c.br.Peek(5) // buffered: neither reads nor fails
+	n := binary.BigEndian.Uint32(hdr)
+	if n == 0 || n > MaxFrameBytes {
+		return 0, false // Recv reports the bad length
+	}
+	return wire.Kind(hdr[4]), uint64(c.br.Buffered()) >= 4+uint64(n)
+}
+
 func (c *tcpConn) Close() error { return c.nc.Close() }
