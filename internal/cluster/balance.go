@@ -52,7 +52,7 @@ func (b *Balancer) loadScore(shard int) (int, bool) {
 	if eng == nil {
 		return 0, false
 	}
-	up := eng.Metrics().Snapshot().UplinkMessages
+	up := eng.Metrics().UplinkMessages.Load()
 	delta := up - b.lastUplink[shard]
 	b.lastUplink[shard] = up
 	return eng.ClientCount() + int(delta), true

@@ -383,7 +383,7 @@ func (c *Cluster) fanOutAnchor(served int, user uint64, pos geom.Point) {
 func (c *Cluster) locate(pt geom.Point) int {
 	shard, clamped := c.part.Load().Locate(pt)
 	if clamped {
-		c.met.AddLocateClamped()
+		c.met.LocateClamped.Add(1)
 	}
 	return shard
 }
@@ -613,14 +613,14 @@ func (c *Cluster) SplitShard(shard int) (int, error) {
 	// shard adopted every copy it needs before the commit, so the GC
 	// cannot touch anything the moved half depends on.
 	n, gcErr := src.GCAlarmsOutside(c.marginRect(loRect))
-	c.met.AddAlarmsGCed(uint64(n))
+	c.met.AlarmsGCed.Add(uint64(n))
 	// A GC log error means the source store crashed mid-drop. The split
 	// is already committed and recovery replays the drops that logged, so
 	// the error is the shard's problem (surfaced on its next message),
 	// not the transition's.
 	_ = gcErr
 	c.advanceEpochs(next)
-	c.met.AddSplit()
+	c.met.Splits.Add(1)
 	if c.cfg.Replicas > 0 {
 		if err := c.enableReplication(newShard); err != nil {
 			return 0, err
@@ -699,7 +699,7 @@ func (c *Cluster) MergeShards(into, from int) error {
 		return err
 	}
 	c.advanceEpochs(next)
-	c.met.AddMerge()
+	c.met.Merges.Add(1)
 
 	drains := next.Draining()
 	return c.finishDrain(drains[len(drains)-1])
@@ -724,7 +724,7 @@ func (c *Cluster) finishDrain(d Drain) error {
 		}
 		moved++
 	}
-	c.met.AddSessionsDrained(uint64(moved))
+	c.met.SessionsDrained.Add(uint64(moved))
 
 	if err := c.crashAt(CPMergePreDrainDone); err != nil {
 		return err
@@ -849,7 +849,7 @@ func (c *Cluster) KillShard(i int, tear store.TearMode, rng *rand.Rand) error {
 	if err := store.MangleTail(walPath, tear, rng); err != nil {
 		return fmt.Errorf("cluster: mangle shard %d: %w", i, err)
 	}
-	c.met.AddShardCrash()
+	c.met.ShardCrashes.Add(1)
 	return nil
 }
 
@@ -881,7 +881,7 @@ func (c *Cluster) RecoverShard(i int) error {
 		rep.AttachPrimary(eng.Store())
 	}
 	c.setEngine(sl[i], eng)
-	c.met.AddShardRecovery()
+	c.met.ShardRecoveries.Add(1)
 	return nil
 }
 
@@ -934,7 +934,10 @@ func (c *Cluster) ShardSnapshots() []ShardStatus {
 
 // ShardTotals sums the counters of every engine that is up. A shard's
 // counters restart with each incarnation, so a recovered shard counts
-// from its recovery, and a down or retired one not at all.
+// from its recovery, and a down or retired one not at all. The alarm-kind
+// gauges (AlarmsContinuous, AlarmsPair, AlarmsComposite) sum shard-local
+// copies: an alarm installed into the margin of several shards counts
+// once per shard.
 func (c *Cluster) ShardTotals() metrics.Snapshot {
 	var sum metrics.Snapshot
 	for i := 0; i < c.N(); i++ {

@@ -129,12 +129,8 @@ func (r *Replicator) sink(frames []store.ReplFrame) {
 // valid prefix has been applied).
 func (r *Replicator) applyBatch(log *store.FollowerLog, frames []store.ReplFrame) error {
 	recs, snaps, err := log.ApplyBatch(frames)
-	if recs > 0 {
-		r.met.AddReplRecordsStreamed(uint64(recs))
-	}
-	for i := 0; i < snaps; i++ {
-		r.met.AddReplSnapshotStreamed()
-	}
+	r.met.ReplRecordsStreamed.Add(uint64(recs))
+	r.met.ReplSnapshotsStreamed.Add(uint64(snaps))
 	return err
 }
 
@@ -171,7 +167,7 @@ func (r *Replicator) AddFollower(primary *store.Store, dir string, opts store.Op
 		fl.Close()
 		return fmt.Errorf("cluster: shard %d follower: %w", r.shard, err)
 	}
-	r.met.AddReplSnapshotStreamed()
+	r.met.ReplSnapshotsStreamed.Add(1)
 	return nil
 }
 
@@ -228,7 +224,7 @@ func (r *Replicator) resyncFollower(primary *store.Store, fl *replFollower) erro
 	if err != nil {
 		return err
 	}
-	r.met.AddReplSnapshotStreamed()
+	r.met.ReplSnapshotsStreamed.Add(1)
 	return nil
 }
 
@@ -574,7 +570,7 @@ func (c *Cluster) TickReplication(now int) {
 			// refuses to depose an attached primary — can fail the shard
 			// over instead of skipping it forever.
 			if c.slotList()[s].eng.CompareAndSwap(eng, nil) {
-				c.met.AddShardCrash()
+				c.met.ShardCrashes.Add(1)
 			}
 		}
 		if rep.Promotable() && c.fd.Suspect(s, now, c.cfg.PromoteAfter) {
@@ -661,7 +657,7 @@ func (c *Cluster) PromoteFollower(shard int) error {
 		// degraded redundancy, not a failed promotion.
 		_ = err
 	}
-	c.met.AddPromotion()
+	c.met.Promotions.Add(1)
 	return nil
 }
 
@@ -697,6 +693,6 @@ func (c *Cluster) PartitionShard(i int) (*server.Engine, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("cluster: shard %d already down", i)
 	}
-	c.met.AddShardCrash()
+	c.met.ShardCrashes.Add(1)
 	return eng, nil
 }

@@ -99,7 +99,7 @@ func (t *shards) Redirect(shard int, u wire.PositionUpdate) (wire.Redirect, bool
 	if !ok {
 		return wire.Redirect{}, false
 	}
-	t.met.AddRedirectSent()
+	t.met.RedirectsSent.Add(1)
 	return wire.Redirect{Token: tok, Epoch: t.Epoch(), Addr: addr}, true
 }
 
@@ -115,7 +115,7 @@ func (t *shards) Retired(shard int) (wire.Redirect, bool) {
 	if addr == "" {
 		return wire.Redirect{}, false
 	}
-	t.met.AddRedirectSent()
+	t.met.RedirectsSent.Add(1)
 	return wire.Redirect{Epoch: t.Epoch(), Addr: addr}, true
 }
 
@@ -128,7 +128,7 @@ func (t *shards) Retired(shard int) (wire.Redirect, bool) {
 func (t *shards) redirectSession(from, to int, user uint64) (uint64, bool) {
 	newEng := t.Engine(to)
 	if newEng == nil {
-		t.met.AddHandoffDeferred()
+		t.met.HandoffsDeferred.Add(1)
 		return 0, false
 	}
 	oldEng := t.Engine(from)
@@ -140,7 +140,7 @@ func (t *shards) redirectSession(from, to int, user uint64) (uint64, bool) {
 		t.log.Printf("shard %d→%d: move user %d: %v", from, to, user, err)
 	}
 	if moved {
-		t.met.AddHandoff()
+		t.met.Handoffs.Add(1)
 	}
 	return tok, moved || err == nil
 }

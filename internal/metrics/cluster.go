@@ -4,22 +4,24 @@ import "sync/atomic"
 
 // Cluster accumulates the counters of a sharded deployment that no one
 // shard owns — handoffs, redirects, repartitions, failovers — on top of
-// the per-shard Server counters. All fields are atomics so the front end
-// can account from concurrent connection goroutines.
+// the per-shard Server counters. Every field is an atomic, so the front
+// end bumps it from concurrent connection goroutines
+// (t.met.RedirectsSent.Add(1)); each has a same-named twin in
+// ClusterSnapshot, documented there.
 type Cluster struct {
-	handoffs              atomic.Uint64
-	handoffsDeferred      atomic.Uint64
-	redirectsSent         atomic.Uint64
-	shardCrashes          atomic.Uint64
-	shardRecoveries       atomic.Uint64
-	splits                atomic.Uint64
-	merges                atomic.Uint64
-	sessionsDrained       atomic.Uint64
-	locateClamped         atomic.Uint64
-	promotions            atomic.Uint64
-	alarmsGCed            atomic.Uint64
-	replRecordsStreamed   atomic.Uint64
-	replSnapshotsStreamed atomic.Uint64
+	Handoffs              atomic.Uint64
+	HandoffsDeferred      atomic.Uint64
+	RedirectsSent         atomic.Uint64
+	ShardCrashes          atomic.Uint64
+	ShardRecoveries       atomic.Uint64
+	Splits                atomic.Uint64
+	Merges                atomic.Uint64
+	SessionsDrained       atomic.Uint64
+	LocateClamped         atomic.Uint64
+	Promotions            atomic.Uint64
+	AlarmsGCed            atomic.Uint64
+	ReplRecordsStreamed   atomic.Uint64
+	ReplSnapshotsStreamed atomic.Uint64
 }
 
 // ClusterSnapshot is a point-in-time copy of the cluster counters. The
@@ -61,60 +63,7 @@ type ClusterSnapshot struct {
 
 // Snapshot returns a copy of every cluster counter.
 func (c *Cluster) Snapshot() ClusterSnapshot {
-	return ClusterSnapshot{
-		Handoffs:              c.handoffs.Load(),
-		HandoffsDeferred:      c.handoffsDeferred.Load(),
-		RedirectsSent:         c.redirectsSent.Load(),
-		ShardCrashes:          c.shardCrashes.Load(),
-		ShardRecoveries:       c.shardRecoveries.Load(),
-		Splits:                c.splits.Load(),
-		Merges:                c.merges.Load(),
-		SessionsDrained:       c.sessionsDrained.Load(),
-		LocateClamped:         c.locateClamped.Load(),
-		Promotions:            c.promotions.Load(),
-		AlarmsGCed:            c.alarmsGCed.Load(),
-		ReplRecordsStreamed:   c.replRecordsStreamed.Load(),
-		ReplSnapshotsStreamed: c.replSnapshotsStreamed.Load(),
-	}
+	var sn ClusterSnapshot
+	load(&sn, c)
+	return sn
 }
-
-// AddHandoff records one completed cross-shard session handoff.
-func (c *Cluster) AddHandoff() { c.handoffs.Add(1) }
-
-// AddHandoffDeferred records a handoff postponed because a shard was down.
-func (c *Cluster) AddHandoffDeferred() { c.handoffsDeferred.Add(1) }
-
-// AddRedirectSent records one wire Redirect frame sent to a client.
-func (c *Cluster) AddRedirectSent() { c.redirectsSent.Add(1) }
-
-// AddShardCrash records one injected shard crash.
-func (c *Cluster) AddShardCrash() { c.shardCrashes.Add(1) }
-
-// AddShardRecovery records one shard recovered from its durable store.
-func (c *Cluster) AddShardRecovery() { c.shardRecoveries.Add(1) }
-
-// AddSplit records one committed split transition.
-func (c *Cluster) AddSplit() { c.splits.Add(1) }
-
-// AddMerge records one committed merge transition.
-func (c *Cluster) AddMerge() { c.merges.Add(1) }
-
-// AddSessionsDrained records sessions moved by a merge drain.
-func (c *Cluster) AddSessionsDrained(n uint64) { c.sessionsDrained.Add(n) }
-
-// AddLocateClamped records one out-of-universe position clamped by Locate.
-func (c *Cluster) AddLocateClamped() { c.locateClamped.Add(1) }
-
-// AddPromotion records one follower promoted to primary.
-func (c *Cluster) AddPromotion() { c.promotions.Add(1) }
-
-// AddAlarmsGCed records alarm copies garbage-collected from a split
-// source's registry.
-func (c *Cluster) AddAlarmsGCed(n uint64) { c.alarmsGCed.Add(n) }
-
-// AddReplRecordsStreamed records record frames applied to followers.
-func (c *Cluster) AddReplRecordsStreamed(n uint64) { c.replRecordsStreamed.Add(n) }
-
-// AddReplSnapshotStreamed records one snapshot frame applied to a
-// follower (bootstrap or resync).
-func (c *Cluster) AddReplSnapshotStreamed() { c.replSnapshotsStreamed.Add(1) }

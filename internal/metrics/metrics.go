@@ -54,75 +54,76 @@ func DefaultCosts() CostParams {
 	}
 }
 
-// Server accumulates the server-side counters for one simulation run. All
-// counters are atomics, so concurrent update handlers account without any
-// external lock and Snapshot can be read while updates are in flight.
+// Server accumulates the server-side counters of one engine. Every field
+// is an atomic, so concurrent update handlers bump it with no external
+// lock (e.met.Heartbeats.Add(1)) and Snapshot can be read while updates
+// are in flight. Each field has a same-named twin in Snapshot, which
+// Snapshot fills by one reflective loop (TestLiveSnapshotParity keeps the
+// two declarations in step).
 type Server struct {
 	costs CostParams
 
-	// Uplink (client → server).
-	uplinkMessages atomic.Uint64
-	uplinkBytes    atomic.Uint64
-	// Downlink (server → client).
-	downlinkMessages atomic.Uint64
-	downlinkBytes    atomic.Uint64
-	// Batched uplink: frames received and position updates they carried.
-	// A batch charges uplinkBytes once for the whole frame; uplinkMessages
-	// still counts the contained updates so update totals stay comparable
+	// Uplink (client → server) and downlink (server → client). A batch
+	// charges UplinkBytes once for the whole frame; UplinkMessages still
+	// counts the contained updates so update totals stay comparable
 	// between batched and unbatched runs.
-	updateBatches  atomic.Uint64
-	batchedUpdates atomic.Uint64
-	// Triggers delivered (alarm, subscriber) pairs.
-	alarmsTriggered atomic.Uint64
+	UplinkMessages   atomic.Uint64
+	UplinkBytes      atomic.Uint64
+	DownlinkMessages atomic.Uint64
+	DownlinkBytes    atomic.Uint64
+	UpdateBatches    atomic.Uint64
+	BatchedUpdates   atomic.Uint64
+	// AlarmsTriggered counts delivered (alarm, subscriber) pairs.
+	AlarmsTriggered atomic.Uint64
 
 	// Operation counters feeding the cost model.
-	nodeAccesses     atomic.Uint64
-	alarmChecks      atomic.Uint64
-	srCandidates     atomic.Uint64
-	srCorners        atomic.Uint64
-	srBitmapTests    atomic.Uint64
-	srNodeAccesses   atomic.Uint64
-	srComputations   atomic.Uint64
-	rectClips        atomic.Uint64
-	alarmEvaluations atomic.Uint64
+	NodeAccesses           atomic.Uint64
+	AlarmChecks            atomic.Uint64
+	SRCandidates           atomic.Uint64
+	SRCorners              atomic.Uint64
+	SRBitmapTests          atomic.Uint64
+	SRNodeAccesses         atomic.Uint64
+	SafeRegionComputations atomic.Uint64
+	RectClips              atomic.Uint64
+	AlarmEvaluations       atomic.Uint64
 
 	// Session lifecycle counters (fault-tolerant connection path).
-	sessionsOpened     atomic.Uint64
-	sessionsResumed    atomic.Uint64
-	heartbeats         atomic.Uint64
-	redeliveredUpdates atomic.Uint64
-	firedRedeliveries  atomic.Uint64
+	SessionsOpened     atomic.Uint64
+	SessionsResumed    atomic.Uint64
+	Heartbeats         atomic.Uint64
+	RedeliveredUpdates atomic.Uint64
+	FiredRedeliveries  atomic.Uint64
 
-	// Durability counters (write-ahead log and snapshots; Server satisfies
-	// store.Counters).
-	walAppends        atomic.Uint64
-	walBytes          atomic.Uint64
-	walFsyncs         atomic.Uint64
-	walGroupCommits   atomic.Uint64
-	walGroupRecords   atomic.Uint64
-	walDeferred       atomic.Uint64
-	walSyncNs         atomic.Uint64
-	walPreallocBytes  atomic.Uint64
-	walPreallocNs     atomic.Int64
-	snapshots         atomic.Uint64
-	recoveries        atomic.Uint64
-	recoveredRecords  atomic.Uint64
-	walTruncatedBytes atomic.Uint64
-	firedEvictions    atomic.Uint64
-	sessionsExpired   atomic.Uint64
-	fencedWrites      atomic.Uint64
+	// Durability counters (write-ahead log and snapshots), booked by the
+	// store and by recovery.
+	WALAppends         atomic.Uint64
+	WALBytes           atomic.Uint64
+	WALFsyncs          atomic.Uint64
+	WALGroupCommits    atomic.Uint64
+	WALGroupRecords    atomic.Uint64
+	WALDeferredRecords atomic.Uint64
+	WALSyncNs          atomic.Uint64
+	Snapshots          atomic.Uint64
+	Recoveries         atomic.Uint64
+	RecoveredRecords   atomic.Uint64
+	WALTruncatedBytes  atomic.Uint64
+	FiredEvictions     atomic.Uint64
+	SessionsExpired    atomic.Uint64
+	FencedWrites       atomic.Uint64
+	WALPreallocBytes   atomic.Uint64
+	WALPreallocNs      atomic.Int64
 
 	// Handoff counters (cluster shard membership changes).
-	sessionsExported atomic.Uint64
-	sessionsImported atomic.Uint64
+	SessionsExported atomic.Uint64
+	SessionsImported atomic.Uint64
 
-	// Lifecycle alarm counters: per-kind installed-alarm gauges and the
-	// cumulative count of lifecycle transitions (enter/exit/severity)
-	// delivered.
-	alarmsContinuous atomic.Uint64
-	alarmsPair       atomic.Uint64
-	alarmsComposite  atomic.Uint64
-	alarmTransitions atomic.Uint64
+	// Lifecycle alarm counters: per-kind installed-alarm gauges (Store,
+	// not Add) and the cumulative count of lifecycle transitions
+	// (enter/exit/severity) delivered.
+	AlarmsContinuous atomic.Uint64
+	AlarmsPair       atomic.Uint64
+	AlarmsComposite  atomic.Uint64
+	AlarmTransitions atomic.Uint64
 }
 
 // Snapshot is a consistent-enough point-in-time copy of the server
@@ -185,6 +186,10 @@ type Snapshot struct {
 	SessionsExported uint64
 	SessionsImported uint64
 
+	// AlarmsContinuous, AlarmsPair and AlarmsComposite are per-shard
+	// gauges (the installed alarms of each kind), not counts. Summed over
+	// shards (Add, Cluster.ShardTotals) they count a margin-installed
+	// alarm once per shard whose partition plus margin it overlaps.
 	AlarmsContinuous uint64 `json:"alarms_continuous"`
 	AlarmsPair       uint64 `json:"alarms_pair"`
 	AlarmsComposite  uint64 `json:"alarms_composite"`
@@ -199,236 +204,55 @@ func NewServer(costs CostParams) *Server {
 // Snapshot returns a copy of every counter. Safe to call concurrently
 // with in-flight updates.
 func (s *Server) Snapshot() Snapshot {
-	return Snapshot{
-		Costs:                  s.costs,
-		UplinkMessages:         s.uplinkMessages.Load(),
-		UplinkBytes:            s.uplinkBytes.Load(),
-		DownlinkMessages:       s.downlinkMessages.Load(),
-		DownlinkBytes:          s.downlinkBytes.Load(),
-		UpdateBatches:          s.updateBatches.Load(),
-		BatchedUpdates:         s.batchedUpdates.Load(),
-		AlarmsTriggered:        s.alarmsTriggered.Load(),
-		NodeAccesses:           s.nodeAccesses.Load(),
-		AlarmChecks:            s.alarmChecks.Load(),
-		SRCandidates:           s.srCandidates.Load(),
-		SRCorners:              s.srCorners.Load(),
-		SRBitmapTests:          s.srBitmapTests.Load(),
-		SRNodeAccesses:         s.srNodeAccesses.Load(),
-		SafeRegionComputations: s.srComputations.Load(),
-		RectClips:              s.rectClips.Load(),
-		AlarmEvaluations:       s.alarmEvaluations.Load(),
-		SessionsOpened:         s.sessionsOpened.Load(),
-		SessionsResumed:        s.sessionsResumed.Load(),
-		Heartbeats:             s.heartbeats.Load(),
-		RedeliveredUpdates:     s.redeliveredUpdates.Load(),
-		FiredRedeliveries:      s.firedRedeliveries.Load(),
-		WALAppends:             s.walAppends.Load(),
-		WALBytes:               s.walBytes.Load(),
-		WALFsyncs:              s.walFsyncs.Load(),
-		WALGroupCommits:        s.walGroupCommits.Load(),
-		WALGroupRecords:        s.walGroupRecords.Load(),
-		WALDeferredRecords:     s.walDeferred.Load(),
-		WALSyncNs:              s.walSyncNs.Load(),
-		WALPreallocBytes:       s.walPreallocBytes.Load(),
-		WALPreallocNs:          s.walPreallocNs.Load(),
-		Snapshots:              s.snapshots.Load(),
-		Recoveries:             s.recoveries.Load(),
-		RecoveredRecords:       s.recoveredRecords.Load(),
-		WALTruncatedBytes:      s.walTruncatedBytes.Load(),
-		FiredEvictions:         s.firedEvictions.Load(),
-		SessionsExpired:        s.sessionsExpired.Load(),
-		FencedWrites:           s.fencedWrites.Load(),
-		SessionsExported:       s.sessionsExported.Load(),
-		SessionsImported:       s.sessionsImported.Load(),
-		AlarmsContinuous:       s.alarmsContinuous.Load(),
-		AlarmsPair:             s.alarmsPair.Load(),
-		AlarmsComposite:        s.alarmsComposite.Load(),
-		AlarmTransitions:       s.alarmTransitions.Load(),
-	}
-}
-
-// SetAlarmKinds sets the per-kind installed-alarm gauges (continuous,
-// pair, composite); one-shot alarms are the registry total minus the sum.
-func (s *Server) SetAlarmKinds(continuous, pair, composite uint64) {
-	s.alarmsContinuous.Store(continuous)
-	s.alarmsPair.Store(pair)
-	s.alarmsComposite.Store(composite)
-}
-
-// AddAlarmTransitions records delivered lifecycle transitions
-// (enter/exit re-arms and composite severity firings).
-func (s *Server) AddAlarmTransitions(n uint64) { s.alarmTransitions.Add(n) }
-
-// AddWALAppend records one durable log append of the given framed size.
-func (s *Server) AddWALAppend(bytes int) {
-	s.walAppends.Add(1)
-	s.walBytes.Add(uint64(bytes))
-}
-
-// AddWALFsync records one fsync of the write-ahead log.
-func (s *Server) AddWALFsync() { s.walFsyncs.Add(1) }
-
-// AddWALGroupCommit records one group commit landing the given number of
-// records with a single write (and fsync); syncNanos is the wall time
-// that fsync took (0 when fsync is disabled).
-func (s *Server) AddWALGroupCommit(records int, syncNanos int64) {
-	s.walGroupCommits.Add(1)
-	s.walGroupRecords.Add(uint64(records))
-	if syncNanos > 0 {
-		s.walSyncNs.Add(uint64(syncNanos))
-	}
-}
-
-// AddWALDeferred records waiter-less records landed by a group commit.
-func (s *Server) AddWALDeferred(records int) { s.walDeferred.Add(uint64(records)) }
-
-// AddWALPrealloc records one growth of a WAL file's zero-filled region:
-// the zero bytes written and the wall time of the write and its sync
-// (0 when fsync is disabled).
-func (s *Server) AddWALPrealloc(bytes int, nanos int64) {
-	s.walPreallocBytes.Add(uint64(bytes))
-	s.walPreallocNs.Add(nanos)
-}
-
-// AddSnapshot records one full-state snapshot written (WAL rotation).
-func (s *Server) AddSnapshot() { s.snapshots.Add(1) }
-
-// AddRecovery records one crash recovery: how many log records were
-// replayed on top of the snapshot and how many torn-tail bytes were
-// truncated away.
-func (s *Server) AddRecovery(recordsReplayed int, truncatedBytes int64) {
-	s.recoveries.Add(1)
-	s.recoveredRecords.Add(uint64(recordsReplayed))
-	s.walTruncatedBytes.Add(uint64(truncatedBytes))
-}
-
-// AddFencedWrite records a WAL append rejected because the store's
-// fencing term was overtaken by a promoted follower.
-func (s *Server) AddFencedWrite() { s.fencedWrites.Add(1) }
-
-// AddFiredEvictions records pending firings evicted (oldest first) when a
-// session exceeded its unacknowledged-firings cap.
-func (s *Server) AddFiredEvictions(n uint64) { s.firedEvictions.Add(n) }
-
-// AddSessionsExpired records reliable sessions reaped by the idle TTL
-// sweep.
-func (s *Server) AddSessionsExpired(n uint64) { s.sessionsExpired.Add(n) }
-
-// AddSessionExported records a session handed off out of this shard.
-func (s *Server) AddSessionExported() { s.sessionsExported.Add(1) }
-
-// AddSessionImported records a session handed off into this shard.
-func (s *Server) AddSessionImported() { s.sessionsImported.Add(1) }
-
-// AddSessionOpened records a fresh session established via Hello.
-func (s *Server) AddSessionOpened() { s.sessionsOpened.Add(1) }
-
-// AddSessionResumed records a reconnecting client resuming its session.
-func (s *Server) AddSessionResumed() { s.sessionsResumed.Add(1) }
-
-// AddHeartbeat records a heartbeat received from a client.
-func (s *Server) AddHeartbeat() { s.heartbeats.Add(1) }
-
-// AddRedeliveredUpdates records position updates received more than once
-// (client resend after a lost response).
-func (s *Server) AddRedeliveredUpdates(n uint64) { s.redeliveredUpdates.Add(n) }
-
-// AddFiredRedeliveries records unacknowledged alarm firings re-sent to a
-// reliable client.
-func (s *Server) AddFiredRedeliveries(n uint64) { s.firedRedeliveries.Add(n) }
-
-// AddUplink records a client→server message of the given encoded size.
-func (s *Server) AddUplink(bytes int) {
-	s.uplinkMessages.Add(1)
-	s.uplinkBytes.Add(uint64(bytes))
-}
-
-// AddUplinkBatch records one client→server UpdateBatch frame of the given
-// encoded size carrying n position updates. The frame's bytes are charged
-// once (that is the point of batching); the message counter advances by n
-// so per-update totals stay comparable with unbatched runs.
-func (s *Server) AddUplinkBatch(bytes, n int) {
-	s.uplinkMessages.Add(uint64(n))
-	s.uplinkBytes.Add(uint64(bytes))
-	s.updateBatches.Add(1)
-	s.batchedUpdates.Add(uint64(n))
+	sn := Snapshot{Costs: s.costs}
+	load(&sn, s)
+	return sn
 }
 
 // AddDownlink records a server→client message of the given encoded size.
 func (s *Server) AddDownlink(bytes int) {
-	s.downlinkMessages.Add(1)
-	s.downlinkBytes.Add(uint64(bytes))
+	s.DownlinkMessages.Add(1)
+	s.DownlinkBytes.Add(uint64(bytes))
 }
-
-// AddAlarmsTriggered records delivered (alarm, subscriber) trigger pairs.
-func (s *Server) AddAlarmsTriggered(n uint64) {
-	s.alarmsTriggered.Add(n)
-}
-
-// AddAlarmEvaluation charges one position-update evaluation: the R*-tree
-// node accesses it performed and the alarm regions it examined.
-func (s *Server) AddAlarmEvaluation(nodeAccesses, alarmChecks uint64) {
-	s.alarmEvaluations.Add(1)
-	s.nodeAccesses.Add(nodeAccesses)
-	s.alarmChecks.Add(alarmChecks)
-}
-
-// AddRectComputation charges one MWPSR safe region computation. clips is
-// the number of post-assembly soundness clips that were needed; the
-// skyline construction keeps it at zero, and the ablate-clipping benchmark
-// reports it as evidence.
-func (s *Server) AddRectComputation(candidates, corners, clips int) {
-	s.srComputations.Add(1)
-	s.srCandidates.Add(uint64(candidates))
-	s.srCorners.Add(uint64(corners))
-	s.rectClips.Add(uint64(clips))
-}
-
-// RectClips returns the cumulative soundness clips applied to MWPSR
-// regions.
-func (s *Server) RectClips() uint64 { return s.rectClips.Load() }
 
 // AddBitmapComputation charges one GBSR/PBSR safe region computation.
 func (s *Server) AddBitmapComputation(intersectionTests int) {
-	s.srComputations.Add(1)
-	s.srBitmapTests.Add(uint64(intersectionTests))
+	s.SafeRegionComputations.Add(1)
+	s.SRBitmapTests.Add(uint64(intersectionTests))
 }
 
-// AddSafeRegionIndexWork charges R*-tree node accesses performed while
-// gathering the relevant alarms for a safe region computation (the
-// SearchRect per update); it books into the safe-region bucket without
-// counting as a separate computation.
-func (s *Server) AddSafeRegionIndexWork(nodeAccesses uint64) {
-	s.srNodeAccesses.Add(nodeAccesses)
+// load fills each field of the snapshot dst points to from the same-named
+// atomic field of the live counter set src points to. It is the one copy
+// loop behind Server.Snapshot and Cluster.Snapshot; fields that are not
+// atomics (Server.costs) are left to the caller.
+func load(dst, src any) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < s.NumField(); i++ {
+		if !s.Field(i).CanInterface() {
+			continue
+		}
+		out := d.FieldByName(s.Type().Field(i).Name)
+		switch a := s.Field(i).Addr().Interface().(type) {
+		case *atomic.Uint64:
+			out.SetUint(a.Load())
+		case *atomic.Int64:
+			out.SetInt(a.Load())
+		}
+	}
 }
 
-// AddSafePeriodComputation charges one safe-period computation (the SP
-// baseline's nearest-alarm query); the paper's Figure 6(d) buckets this
-// with safe region computation.
-func (s *Server) AddSafePeriodComputation(nodeAccesses uint64) {
-	s.srComputations.Add(1)
-	s.srNodeAccesses.Add(nodeAccesses)
-}
-
-// AlarmEvaluations returns the number of position updates evaluated.
-func (s *Server) AlarmEvaluations() uint64 { return s.alarmEvaluations.Load() }
-
-// SafeRegionComputations returns the number of safe regions computed.
-func (s *Server) SafeRegionComputations() uint64 { return s.srComputations.Load() }
-
-// AlarmProcessingSeconds converts the alarm evaluation work to seconds.
-func (s *Server) AlarmProcessingSeconds() float64 { return s.Snapshot().AlarmProcessingSeconds() }
-
-// SafeRegionSeconds converts the safe region computation work to seconds.
-func (s *Server) SafeRegionSeconds() float64 { return s.Snapshot().SafeRegionSeconds() }
-
-// TotalSeconds is alarm processing plus safe region computation.
-func (s *Server) TotalSeconds() float64 { return s.Snapshot().TotalSeconds() }
-
-// DownlinkMbps converts downstream bytes over a trace duration to the
-// megabits per second the paper's Figure 6(b) plots.
-func (s *Server) DownlinkMbps(traceSeconds float64) float64 {
-	return s.Snapshot().DownlinkMbps(traceSeconds)
+// sum adds every integer field of the struct src points to into the same
+// field of dst, a pointer to the same struct type.
+func sum(dst, src any) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < d.NumField(); i++ {
+		switch f := d.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + s.Field(i).Uint())
+		case reflect.Int64:
+			f.SetInt(f.Int() + s.Field(i).Int())
+		}
+	}
 }
 
 // AlarmProcessingSeconds converts the alarm evaluation work to seconds.
@@ -451,19 +275,14 @@ func (sn Snapshot) TotalSeconds() float64 {
 }
 
 // Add folds o's counters into sn, as a cluster totals its shards: every
-// integer field is a count or a duration and sums; the cost parameters
-// are shared by every engine and are taken from o.
+// integer field sums. Most are counts or durations; the three alarm-kind
+// gauges (AlarmsContinuous, AlarmsPair, AlarmsComposite) sum to the
+// shard-local copies, which counts a margin-installed alarm once per
+// shard holding it. The cost parameters are shared by every engine and
+// are taken from o.
 func (sn *Snapshot) Add(o Snapshot) {
 	sn.Costs = o.Costs
-	dst, src := reflect.ValueOf(sn).Elem(), reflect.ValueOf(o)
-	for i := 0; i < dst.NumField(); i++ {
-		switch f := dst.Field(i); f.Kind() {
-		case reflect.Uint64:
-			f.SetUint(f.Uint() + src.Field(i).Uint())
-		case reflect.Int64:
-			f.SetInt(f.Int() + src.Field(i).Int())
-		}
-	}
+	sum(sn, &o)
 }
 
 // DownlinkMbps converts downstream bytes over a trace duration to the
@@ -506,19 +325,7 @@ func (c *Client) AddCheck(probes int) {
 }
 
 // Merge folds other into c (used to aggregate per-client counters).
-func (c *Client) Merge(other Client) {
-	c.ContainmentChecks += other.ContainmentChecks
-	c.Probes += other.Probes
-	c.MessagesSent += other.MessagesSent
-	c.Reconnects += other.Reconnects
-	c.HeartbeatsSent += other.HeartbeatsSent
-	c.RedeliveredReports += other.RedeliveredReports
-	c.DroppedReports += other.DroppedReports
-	c.Redirects += other.Redirects
-	c.StaleRedirects += other.StaleRedirects
-	c.BatchesSent += other.BatchesSent
-	c.BatchedReports += other.BatchedReports
-}
+func (c *Client) Merge(other Client) { sum(c, &other) }
 
 // EnergyParams converts client-side work into energy, mirroring the
 // paper's mWh reporting (the paper omits its exact energy calculation; the

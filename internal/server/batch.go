@@ -134,10 +134,16 @@ func (e *Engine) handleUpdates(updates []wire.PositionUpdate, batched bool, entr
 	if len(updates) == 0 {
 		return entries, nil
 	}
+	// A batch frame's bytes are charged once (that is the point of
+	// batching); the message counter advances by one per update either
+	// way, so per-update totals stay comparable with unbatched runs.
+	e.met.UplinkMessages.Add(uint64(len(updates)))
 	if batched {
-		e.met.AddUplinkBatch(wire.SizeUpdateBatch(len(updates)), len(updates))
+		e.met.UplinkBytes.Add(uint64(wire.SizeUpdateBatch(len(updates))))
+		e.met.UpdateBatches.Add(1)
+		e.met.BatchedUpdates.Add(uint64(len(updates)))
 	} else {
-		e.met.AddUplink(wire.SizePositionUpdate)
+		e.met.UplinkBytes.Add(wire.SizePositionUpdate)
 	}
 	reg := e.reg.Load()
 

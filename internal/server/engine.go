@@ -526,7 +526,9 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, st *c
 	var candidates int
 	var accesses uint64
 	sc.triggered, sc.raw, candidates, accesses = reg.EvaluateInto(u.Pos, user, sc.triggered, sc.raw)
-	e.met.AddAlarmEvaluation(accesses, uint64(candidates))
+	e.met.AlarmEvaluations.Add(1)
+	e.met.NodeAccesses.Add(accesses)
+	e.met.AlarmChecks.Add(uint64(candidates))
 
 	// fresh means this update is newer than anything evaluated so far.
 	// Redelivered or reordered reports (session resends, faulty links)
@@ -537,7 +539,7 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, st *c
 	fresh := u.Seq == 0 || st.lastSeq == 0 || int32(u.Seq-st.lastSeq) > 0
 	if u.Seq != 0 {
 		if st.reliable && u.Seq == st.lastSeq {
-			e.met.AddRedeliveredUpdates(1)
+			e.met.RedeliveredUpdates.Add(1)
 		}
 		if fresh {
 			st.lastSeq = u.Seq
@@ -556,7 +558,7 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, st *c
 			reg.MarkFired(id, user)
 			newFired = append(newFired, uint64(id))
 		}
-		e.met.AddAlarmsTriggered(uint64(len(newFired)))
+		e.met.AlarmsTriggered.Add(uint64(len(newFired)))
 	}
 
 	// Lifecycle machines (continuous/pair/composite) run on the same raw
@@ -571,7 +573,7 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, st *c
 		}
 		newTrans = reg.EvaluateLifecycleInto(user, u.Pos, tick, sc.raw, e.anchorOf, nil)
 		if len(newTrans) > 0 {
-			e.met.AddAlarmTransitions(uint64(len(newTrans)))
+			e.met.AlarmTransitions.Add(uint64(len(newTrans)))
 		}
 	}
 	e.loadLifecycleView(reg, user, sc)
@@ -588,7 +590,7 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, st *c
 		// pendingFired and newFired disjoint (a retired pair never
 		// re-triggers), so the concatenation has no duplicates.
 		if len(st.pendingFired) > 0 {
-			e.met.AddFiredRedeliveries(uint64(len(st.pendingFired)))
+			e.met.FiredRedeliveries.Add(uint64(len(st.pendingFired)))
 		}
 		firedIDs = append(append(make([]uint64, 0, len(st.pendingFired)+len(delivered)), st.pendingFired...), delivered...)
 		// Bound the unacknowledged set: evict oldest-first past the cap.
@@ -597,7 +599,7 @@ func (e *Engine) processUpdate(reg *alarm.Registry, u wire.PositionUpdate, st *c
 		if len(firedIDs) > e.pendingCap {
 			drop := len(firedIDs) - e.pendingCap
 			firedIDs = firedIDs[drop:]
-			e.met.AddFiredEvictions(uint64(drop))
+			e.met.FiredEvictions.Add(uint64(drop))
 		}
 		st.pendingFired = firedIDs
 	}
@@ -802,7 +804,10 @@ func (e *Engine) invalidationFor(reg *alarm.Registry, user alarm.UserID, st *cli
 
 func (e *Engine) safePeriodFor(reg *alarm.Registry, u wire.PositionUpdate, sc *UpdateScratch) wire.SafePeriod {
 	dist, accesses := reg.NearestRelevantDist(u.Pos, alarm.UserID(u.User))
-	e.met.AddSafePeriodComputation(accesses)
+	// The SP baseline's nearest-alarm query is one computation in the
+	// safe region bucket of Figure 6(d).
+	e.met.SafeRegionComputations.Add(1)
+	e.met.SRNodeAccesses.Add(accesses)
 	// A cluster shard only installs alarms intersecting its expanded
 	// partition, so the local nearest-alarm distance can over-estimate:
 	// the true nearest alarm may live on a neighbour shard. Any alarm
@@ -842,7 +847,7 @@ func (e *Engine) rectRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st *c
 	cellRect := e.grid.CellRect(e.grid.Locate(u.Pos))
 	var accesses uint64
 	sc.relevant, sc.raw, accesses = reg.RelevantInInto(cellRect, user, sc.relevant[:0], sc.raw)
-	e.met.AddSafeRegionIndexWork(accesses)
+	e.met.SRNodeAccesses.Add(accesses)
 	sc.rects = e.obstacles(sc, cellRect, sc.rects[:0])
 	model := e.cfg.Model
 	heading, ok := st.heading.Observe(u.Pos)
@@ -854,7 +859,13 @@ func (e *Engine) rectRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st *c
 		Heading:    heading,
 		Exhaustive: e.cfg.ExhaustiveAssembly,
 	}, &sc.rect)
-	e.met.AddRectComputation(res.Candidates, res.Corners, res.Clips)
+	// Clips counts post-assembly soundness clips: the skyline
+	// construction keeps it at zero, and ablate-clipping reports it as
+	// evidence.
+	e.met.SafeRegionComputations.Add(1)
+	e.met.SRCandidates.Add(uint64(res.Candidates))
+	e.met.SRCorners.Add(uint64(res.Corners))
+	e.met.RectClips.Add(uint64(res.Clips))
 	return wire.RectRegion{Seq: u.Seq, Rect: res.Rect, Cap: e.regionCap(sc, u.Pos)}
 }
 
@@ -885,7 +896,7 @@ func (e *Engine) bitmapRegionFor(reg *alarm.Registry, u wire.PositionUpdate, st 
 		sc.relevant, sc.raw, accesses = reg.RelevantInInto(cellRect, user, sc.relevant[:0], sc.raw)
 	}
 	sc.rects = e.obstacles(sc, cellRect, sc.rects[:0])
-	e.met.AddSafeRegionIndexWork(accesses)
+	e.met.SRNodeAccesses.Add(accesses)
 	var res saferegion.BitmapResult
 	switch {
 	case ent == nil:
@@ -940,7 +951,7 @@ func (e *Engine) publicBitmapFor(reg *alarm.Registry, id grid.CellID, cellRect g
 		}
 		// The precomputation itself is charged once per cell; this is the
 		// offline step of §4.2.
-		e.met.AddSafeRegionIndexWork(accesses)
+		e.met.SRNodeAccesses.Add(accesses)
 		e.met.AddBitmapComputation(res.IntersectionTests)
 		ent.reg, ent.err = pyramid.Decode(res.Bitmap)
 	})
@@ -970,7 +981,7 @@ func (e *Engine) alarmPushFor(reg *alarm.Registry, u wire.PositionUpdate, sc *Up
 	cellRect := e.grid.CellRect(e.grid.Locate(u.Pos))
 	var accesses uint64
 	sc.relevant, sc.raw, accesses = reg.RelevantInInto(cellRect, alarm.UserID(u.User), sc.relevant[:0], sc.raw)
-	e.met.AddSafeRegionIndexWork(accesses)
+	e.met.SRNodeAccesses.Add(accesses)
 	push := wire.AlarmPush{Seq: u.Seq, Cell: cellRect, Cap: e.regionCap(sc, u.Pos), Alarms: make([]wire.AlarmInfo, len(sc.relevant))}
 	for i, a := range sc.relevant {
 		push.Alarms[i] = wire.AlarmInfo{ID: uint64(a.ID), Region: a.Region}

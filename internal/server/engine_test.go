@@ -165,8 +165,8 @@ func TestMWPSRResponseSound(t *testing.T) {
 	if region.Seq != 2 {
 		t.Errorf("seq = %d", region.Seq)
 	}
-	if e.Metrics().SafeRegionComputations() != 2 {
-		t.Errorf("SR computations = %d", e.Metrics().SafeRegionComputations())
+	if e.Metrics().SafeRegionComputations.Load() != 2 {
+		t.Errorf("SR computations = %d", e.Metrics().SafeRegionComputations.Load())
 	}
 }
 
@@ -222,14 +222,14 @@ func TestPBSRCellCachingProtocol(t *testing.T) {
 	if _, ok := out[0].(wire.BitmapRegion); !ok {
 		t.Fatalf("expected BitmapRegion, got %v", out)
 	}
-	comps := e.Metrics().SafeRegionComputations()
+	comps := e.Metrics().SafeRegionComputations.Load()
 	// Second update in the same cell without trigger: bare Ack, no new
 	// computation (paper §4.2).
 	out = handle(t, e, 1, 2, geom.Pt(200, 200))
 	if _, ok := out[0].(wire.Ack); !ok {
 		t.Fatalf("expected Ack, got %v", out)
 	}
-	if e.Metrics().SafeRegionComputations() != comps {
+	if e.Metrics().SafeRegionComputations.Load() != comps {
 		t.Error("Ack path recomputed the safe region")
 	}
 	// Crossing into another cell: fresh bitmap.

@@ -129,7 +129,7 @@ func (e *Engine) ImportSession(rec store.ClientRec) (uint64, error) {
 	case fresh:
 		recs = append(recs, store.RegisterRec{User: rec.User, Strategy: rec.Strategy, MaxHeight: rec.MaxHeight})
 	}
-	e.met.AddSessionImported()
+	e.met.SessionsImported.Add(1)
 	return token, e.logRecords(recs)
 }
 
@@ -142,7 +142,7 @@ func (e *Engine) DropSession(user alarm.UserID) error {
 	if !e.dropClient(user) {
 		return nil
 	}
-	e.met.AddSessionExported()
+	e.met.SessionsExported.Add(1)
 	if e.wal == nil {
 		return nil
 	}

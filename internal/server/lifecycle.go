@@ -151,14 +151,14 @@ func (e *Engine) wakePartners(reg *alarm.Registry, mover alarm.UserID) ([]store.
 		events := reg.EvaluatePairsInto(p, ppos, tick, e.anchorOf, nil)
 		var msgs []wire.Message
 		if len(events) > 0 {
-			e.met.AddAlarmTransitions(uint64(len(events)))
+			e.met.AlarmTransitions.Add(uint64(len(events)))
 			deliver := events
 			if st.reliable {
 				st.pendingFired = append(st.pendingFired, events...)
 				if len(st.pendingFired) > e.pendingCap {
 					drop := len(st.pendingFired) - e.pendingCap
 					st.pendingFired = append(st.pendingFired[:0], st.pendingFired[drop:]...)
-					e.met.AddFiredEvictions(uint64(drop))
+					e.met.FiredEvictions.Add(uint64(drop))
 				}
 				deliver = append([]uint64(nil), st.pendingFired...)
 			}
@@ -320,7 +320,9 @@ func appendComplement(dst []geom.Rect, cell, region geom.Rect) []geom.Rect {
 // metrics endpoints. Called from every durable install/remove path.
 func (e *Engine) syncAlarmGauges(reg *alarm.Registry) {
 	c, p, k := reg.KindCounts()
-	e.met.SetAlarmKinds(uint64(c), uint64(p), uint64(k))
+	e.met.AlarmsContinuous.Store(uint64(c))
+	e.met.AlarmsPair.Store(uint64(p))
+	e.met.AlarmsComposite.Store(uint64(k))
 }
 
 func insideContains(s []alarm.InsideRegion, id alarm.ID) bool {

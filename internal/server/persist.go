@@ -35,7 +35,9 @@ func NewDurable(cfg Config, st *store.Store, state *store.State, info store.Reco
 	}
 	e.wal = st
 	st.SetCounters(e.met)
-	e.met.AddRecovery(info.Replayed, info.TruncatedBytes)
+	e.met.Recoveries.Add(1)
+	e.met.RecoveredRecords.Add(uint64(info.Replayed))
+	e.met.WALTruncatedBytes.Add(uint64(info.TruncatedBytes))
 	st.SetStateSource(e.DurableState)
 	return e, nil
 }
@@ -241,7 +243,7 @@ func (e *Engine) ExpireSessions(ttl time.Duration) (int, error) {
 	for _, user := range expired {
 		e.dropClient(user)
 	}
-	e.met.AddSessionsExpired(uint64(len(expired)))
+	e.met.SessionsExpired.Add(uint64(len(expired)))
 	recs := make([]store.Record, len(expired))
 	for i, user := range expired {
 		recs[i] = store.ExpireRec{User: uint64(user)}

@@ -39,7 +39,7 @@ func (e *Engine) HandleHello(m wire.Hello) ([]wire.Message, bool, error) {
 
 	if m.Token != 0 && known && owner == user {
 		if out, ok := e.tryResume(user, m); ok {
-			e.met.AddSessionResumed()
+			e.met.SessionsResumed.Add(1)
 			return out, true, nil
 		}
 	}
@@ -69,7 +69,7 @@ func (e *Engine) HandleHello(m wire.Hello) ([]wire.Message, bool, error) {
 		lastActive:   e.now(),
 	}
 	sh.mu.Unlock()
-	e.met.AddSessionOpened()
+	e.met.SessionsOpened.Add(1)
 
 	// Write-ahead: the minted token must survive a crash, or the client's
 	// Resume would be refused and its unacked firings stranded. Logged
@@ -83,7 +83,7 @@ func (e *Engine) HandleHello(m wire.Hello) ([]wire.Message, bool, error) {
 	var out []wire.Message
 	out = e.send(out, wire.Resume{Token: token, Resumed: false})
 	if len(carried) > 0 {
-		e.met.AddFiredRedeliveries(uint64(len(carried)))
+		e.met.FiredRedeliveries.Add(uint64(len(carried)))
 		out = e.send(out, wire.AlarmFired{Seq: 0, Alarms: append([]uint64(nil), carried...)})
 	}
 	return out, false, nil
@@ -145,7 +145,7 @@ func (e *Engine) tryResume(user alarm.UserID, m wire.Hello) ([]wire.Message, boo
 	var out []wire.Message
 	out = e.send(out, wire.Resume{Token: m.Token, Resumed: true})
 	if len(st.pendingFired) > 0 {
-		e.met.AddFiredRedeliveries(uint64(len(st.pendingFired)))
+		e.met.FiredRedeliveries.Add(uint64(len(st.pendingFired)))
 		fired := append([]uint64(nil), st.pendingFired...)
 		out = e.send(out, wire.AlarmFired{Seq: 0, Alarms: fired})
 	}
@@ -239,12 +239,12 @@ func (e *Engine) PendingFired(user alarm.UserID) []uint64 {
 // pending firing redelivery for the user (zero user or unknown user gets
 // just the echo).
 func (e *Engine) HandleHeartbeat(user alarm.UserID, hb wire.Heartbeat) []wire.Message {
-	e.met.AddHeartbeat()
+	e.met.Heartbeats.Add(1)
 	e.touchSession(user)
 	var out []wire.Message
 	out = e.send(out, hb)
 	if pending := e.PendingFired(user); len(pending) > 0 {
-		e.met.AddFiredRedeliveries(uint64(len(pending)))
+		e.met.FiredRedeliveries.Add(uint64(len(pending)))
 		out = e.send(out, wire.AlarmFired{Seq: 0, Alarms: pending})
 	}
 	return out

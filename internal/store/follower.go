@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"sync"
+
+	"github.com/sabre-geo/sabre/internal/metrics"
 )
 
 // Follower-side replication: a FollowerLog mirrors a primary store's
@@ -40,6 +42,9 @@ var ErrNeedSnapshot = errors.New("store: follower needs snapshot resync")
 type FollowerLog struct {
 	dir  string
 	opts Options
+	// met books the follower WAL's zero-fill growths; followers report
+	// no counters, so nothing reads it.
+	met metrics.Server
 
 	mu      sync.Mutex
 	synced  bool // a snapshot frame has seeded the log
@@ -253,7 +258,7 @@ func (l *FollowerLog) installSnapshotLocked(f ReplFrame) error {
 		return fmt.Errorf("store: follower snapshot: %w", err)
 	}
 	syncDir(l.dir)
-	wal, err := createWALFile(walPath(l.dir, f.Gen), &l.opts)
+	wal, err := createWALFile(walPath(l.dir, f.Gen), &l.opts, &l.met)
 	if err != nil {
 		return fmt.Errorf("store: follower wal: %w", err)
 	}
@@ -305,7 +310,7 @@ func (l *FollowerLog) Reopen() error {
 		return nil
 	}
 	if l.synced {
-		wal, err := openWALFile(walPath(l.dir, l.gen), l.wal.end, &l.opts)
+		wal, err := openWALFile(walPath(l.dir, l.gen), l.wal.end, &l.opts, &l.met)
 		if err != nil {
 			return fmt.Errorf("store: follower reopen: %w", err)
 		}

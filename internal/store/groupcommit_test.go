@@ -7,50 +7,29 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sabre-geo/sabre/internal/metrics"
 	"github.com/sabre-geo/sabre/internal/wire"
 )
 
-// countingCounters is a plain Counters sink for group-commit accounting
-// assertions. The store invokes Counters under its own mutex, so plain
-// ints read after the appends settle are race-free.
-type countingCounters struct {
-	appends      int
-	appendBytes  int
-	fsyncs       int
-	snapshots    int
-	fenced       int
-	groupCommits int
-	groupRecords int
-	deferred     int
-	syncNs       int64
-	prealloc     []int // bytes of each zero-fill growth, in order
-}
-
-func (c *countingCounters) AddWALAppend(bytes int)     { c.appends++; c.appendBytes += bytes }
-func (c *countingCounters) AddWALFsync()               { c.fsyncs++ }
-func (c *countingCounters) AddSnapshot()               { c.snapshots++ }
-func (c *countingCounters) AddRecovery(int, int64)     {}
-func (c *countingCounters) AddFencedWrite()            { c.fenced++ }
-func (c *countingCounters) AddWALDeferred(records int) { c.deferred += records }
-func (c *countingCounters) AddWALPrealloc(bytes int, _ int64) {
-	c.prealloc = append(c.prealloc, bytes)
-}
-func (c *countingCounters) AddWALGroupCommit(records int, syncNanos int64) {
-	c.groupCommits++
-	c.groupRecords += records
-	c.syncNs += syncNanos
+// openCounted opens a store like openStore and books its counters into
+// a fresh metrics.Server, which the accounting assertions read.
+func openCounted(t *testing.T, dir string, opts Options) (*Store, *metrics.Server) {
+	t.Helper()
+	s, _, _ := openStore(t, dir, opts)
+	met := new(metrics.Server)
+	s.SetCounters(met)
+	return s, met
 }
 
 func TestAppendBatchReplay(t *testing.T) {
 	dir := t.TempDir()
-	met := &countingCounters{}
-	s, _, _ := openStore(t, dir, Options{Fsync: true, Counters: met})
+	s, met := openCounted(t, dir, Options{Fsync: true})
 	recs := sampleRecords()
 	if err := s.AppendBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if s.Pos() != 0 || met.groupCommits != 0 {
-		t.Fatalf("empty batch moved the store: pos=%d groups=%d", s.Pos(), met.groupCommits)
+	if s.Pos() != 0 || met.WALGroupCommits.Load() != 0 {
+		t.Fatalf("empty batch moved the store: pos=%d groups=%d", s.Pos(), met.WALGroupCommits.Load())
 	}
 	if err := s.AppendBatch(recs); err != nil {
 		t.Fatalf("AppendBatch: %v", err)
@@ -60,11 +39,11 @@ func TestAppendBatchReplay(t *testing.T) {
 	}
 	// The whole batch is one group: one group commit, one fsync, but the
 	// per-record append counter still ticks once per record.
-	if met.groupCommits != 1 || met.groupRecords != len(recs) {
-		t.Fatalf("group commits = %d/%d records, want 1/%d", met.groupCommits, met.groupRecords, len(recs))
+	if met.WALGroupCommits.Load() != 1 || met.WALGroupRecords.Load() != uint64(len(recs)) {
+		t.Fatalf("group commits = %d/%d records, want 1/%d", met.WALGroupCommits.Load(), met.WALGroupRecords.Load(), len(recs))
 	}
-	if met.fsyncs != 1 || met.appends != len(recs) {
-		t.Fatalf("fsyncs = %d appends = %d, want 1 and %d", met.fsyncs, met.appends, len(recs))
+	if met.WALFsyncs.Load() != 1 || met.WALAppends.Load() != uint64(len(recs)) {
+		t.Fatalf("fsyncs = %d appends = %d, want 1 and %d", met.WALFsyncs.Load(), met.WALAppends.Load(), len(recs))
 	}
 	s.Close()
 
@@ -78,8 +57,7 @@ func TestAppendBatchReplay(t *testing.T) {
 }
 
 func TestAppendBatchNeverSplit(t *testing.T) {
-	met := &countingCounters{}
-	s, _, _ := openStore(t, t.TempDir(), Options{GroupMax: 4, Counters: met})
+	s, met := openCounted(t, t.TempDir(), Options{GroupMax: 4})
 	defer s.Close()
 	recs := sampleRecords()
 	if len(recs) <= 4 {
@@ -90,9 +68,9 @@ func TestAppendBatchNeverSplit(t *testing.T) {
 	}
 	// A batch larger than GroupMax still lands as one oversized group:
 	// the batch's atomicity outranks the cap.
-	if met.groupCommits != 1 || met.groupRecords != len(recs) {
+	if met.WALGroupCommits.Load() != 1 || met.WALGroupRecords.Load() != uint64(len(recs)) {
 		t.Fatalf("group commits = %d/%d records, want one unsplit group of %d",
-			met.groupCommits, met.groupRecords, len(recs))
+			met.WALGroupCommits.Load(), met.WALGroupRecords.Load(), len(recs))
 	}
 }
 
@@ -139,8 +117,7 @@ func TestAppendBatchCrashMidGroup(t *testing.T) {
 // losses). Every record of the batch books a fenced write either way.
 func TestAppendBatchFenced(t *testing.T) {
 	t.Run("pre-write", func(t *testing.T) {
-		met := &countingCounters{}
-		s, _, _ := openStore(t, t.TempDir(), Options{Counters: met})
+		s, met := openCounted(t, t.TempDir(), Options{})
 		defer s.Close()
 		s.SetTermSource(func() uint64 { return 1 })
 		recs := sampleRecords()[:3]
@@ -150,13 +127,12 @@ func TestAppendBatchFenced(t *testing.T) {
 		if s.Pos() != 0 {
 			t.Fatalf("pre-write fence advanced pos to %d", s.Pos())
 		}
-		if met.fenced != len(recs) {
-			t.Fatalf("fenced writes = %d, want %d", met.fenced, len(recs))
+		if met.FencedWrites.Load() != uint64(len(recs)) {
+			t.Fatalf("fenced writes = %d, want %d", met.FencedWrites.Load(), len(recs))
 		}
 	})
 	t.Run("post-sink", func(t *testing.T) {
-		met := &countingCounters{}
-		s, _, _ := openStore(t, t.TempDir(), Options{Counters: met})
+		s, met := openCounted(t, t.TempDir(), Options{})
 		defer s.Close()
 		calls := 0
 		s.SetTermSource(func() uint64 {
@@ -173,8 +149,8 @@ func TestAppendBatchFenced(t *testing.T) {
 		if s.Pos() != uint64(len(recs)) {
 			t.Fatalf("pos = %d, want %d (records are in the deposed WAL)", s.Pos(), len(recs))
 		}
-		if met.fenced != len(recs) {
-			t.Fatalf("fenced writes = %d, want %d", met.fenced, len(recs))
+		if met.FencedWrites.Load() != uint64(len(recs)) {
+			t.Fatalf("fenced writes = %d, want %d", met.FencedWrites.Load(), len(recs))
 		}
 		if err := s.Append(recs[0]); !errors.Is(err, ErrFenced) {
 			t.Fatalf("append after fencing = %v, want ErrFenced", err)
@@ -199,10 +175,7 @@ func TestGroupCommitHammer(t *testing.T) {
 	} {
 		t.Run(opts.name, func(t *testing.T) {
 			dir := t.TempDir()
-			met := &countingCounters{}
-			o := opts.o
-			o.Counters = met
-			s, _, _ := openStore(t, dir, o)
+			s, met := openCounted(t, dir, opts.o)
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
@@ -231,11 +204,11 @@ func TestGroupCommitHammer(t *testing.T) {
 			if s.Pos() != uint64(total) {
 				t.Fatalf("pos = %d, want %d", s.Pos(), total)
 			}
-			if met.groupRecords != total || met.appends != total {
-				t.Fatalf("counters: group records %d, appends %d, want %d", met.groupRecords, met.appends, total)
+			if met.WALGroupRecords.Load() != uint64(total) || met.WALAppends.Load() != uint64(total) {
+				t.Fatalf("counters: group records %d, appends %d, want %d", met.WALGroupRecords.Load(), met.WALAppends.Load(), total)
 			}
-			if met.groupCommits < 1 || met.groupCommits > total {
-				t.Fatalf("group commits = %d, want within [1, %d]", met.groupCommits, total)
+			if met.WALGroupCommits.Load() < 1 || met.WALGroupCommits.Load() > uint64(total) {
+				t.Fatalf("group commits = %d, want within [1, %d]", met.WALGroupCommits.Load(), total)
 			}
 			walFile := s.WALPath()
 			s.Close()
@@ -467,27 +440,26 @@ func TestFollowerApplyBatchValidPrefix(t *testing.T) {
 // positions — and replays in enqueue order.
 func TestAppendDeferredRidesNextCommit(t *testing.T) {
 	dir := t.TempDir()
-	met := &countingCounters{}
-	s, _, _ := openStore(t, dir, Options{Fsync: true, Counters: met})
+	s, met := openCounted(t, dir, Options{Fsync: true})
 	var batches [][]ReplFrame
 	s.SetReplSink(func(frames []ReplFrame) { batches = append(batches, frames) })
 
 	if err := s.AppendDeferred(ExpireRec{User: 8}); err != nil {
 		t.Fatalf("AppendDeferred: %v", err)
 	}
-	if s.Pos() != 0 || met.groupCommits != 0 || met.fsyncs != 0 || len(batches) != 0 {
+	if s.Pos() != 0 || met.WALGroupCommits.Load() != 0 || met.WALFsyncs.Load() != 0 || len(batches) != 0 {
 		t.Fatalf("deferred record moved the store on its own: pos=%d groups=%d fsyncs=%d batches=%d",
-			s.Pos(), met.groupCommits, met.fsyncs, len(batches))
+			s.Pos(), met.WALGroupCommits.Load(), met.WALFsyncs.Load(), len(batches))
 	}
 	if err := s.Append(RegisterRec{User: 8, Strategy: wire.StrategyMWPSR}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if met.groupCommits != 1 || met.groupRecords != 2 || met.fsyncs != 1 || met.appends != 2 {
+	if met.WALGroupCommits.Load() != 1 || met.WALGroupRecords.Load() != 2 || met.WALFsyncs.Load() != 1 || met.WALAppends.Load() != 2 {
 		t.Fatalf("groups=%d records=%d fsyncs=%d appends=%d, want one group of 2 with one fsync",
-			met.groupCommits, met.groupRecords, met.fsyncs, met.appends)
+			met.WALGroupCommits.Load(), met.WALGroupRecords.Load(), met.WALFsyncs.Load(), met.WALAppends.Load())
 	}
-	if met.deferred != 1 {
-		t.Fatalf("deferred records counted = %d, want 1", met.deferred)
+	if met.WALDeferredRecords.Load() != 1 {
+		t.Fatalf("deferred records counted = %d, want 1", met.WALDeferredRecords.Load())
 	}
 	if len(batches) != 1 || len(batches[0]) != 2 || batches[0][0].Pos != 1 || batches[0][1].Pos != 2 {
 		t.Fatalf("replication saw %+v, want one batch with positions 1,2", batches)
@@ -527,8 +499,7 @@ func TestAppendDeferredSharesTheGroupsFate(t *testing.T) {
 		}
 	})
 	t.Run("fenced", func(t *testing.T) {
-		met := &countingCounters{}
-		s, _, _ := openStore(t, t.TempDir(), Options{Counters: met})
+		s, met := openCounted(t, t.TempDir(), Options{})
 		defer s.Close()
 		s.SetTermSource(func() uint64 { return 1 })
 		if err := s.AppendDeferred(ExpireRec{User: 8}); err != nil {
@@ -537,8 +508,8 @@ func TestAppendDeferredSharesTheGroupsFate(t *testing.T) {
 		if err := s.Append(RegisterRec{User: 8}); !errors.Is(err, ErrFenced) {
 			t.Fatalf("append = %v, want ErrFenced", err)
 		}
-		if met.fenced != 2 || s.Pos() != 0 || met.deferred != 0 {
-			t.Fatalf("fenced=%d pos=%d deferred=%d, want both records fenced and nothing landed", met.fenced, s.Pos(), met.deferred)
+		if met.FencedWrites.Load() != 2 || s.Pos() != 0 || met.WALDeferredRecords.Load() != 0 {
+			t.Fatalf("fenced=%d pos=%d deferred=%d, want both records fenced and nothing landed", met.FencedWrites.Load(), s.Pos(), met.WALDeferredRecords.Load())
 		}
 	})
 }
@@ -563,11 +534,10 @@ func TestAppendDeferredDrains(t *testing.T) {
 	})
 	t.Run("checkpoint", func(t *testing.T) {
 		dir := t.TempDir()
-		met := &countingCounters{}
-		s, _, _ := openStore(t, dir, Options{Counters: met})
+		s, met := openCounted(t, dir, Options{})
 		landedAtCapture := -1
 		s.SetStateSource(func() *State {
-			landedAtCapture = met.appends // both run under the store mutex
+			landedAtCapture = int(met.WALAppends.Load()) // both run under the store mutex
 			return &State{NextAlarmID: 1, Epoch: 9}
 		})
 		if err := s.AppendDeferred(EpochRec{Epoch: 9}); err != nil {
@@ -576,8 +546,8 @@ func TestAppendDeferredDrains(t *testing.T) {
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if landedAtCapture != 1 || met.snapshots != 1 {
-			t.Fatalf("appends landed when state was captured = %d (snapshots %d), want 1", landedAtCapture, met.snapshots)
+		if landedAtCapture != 1 || met.Snapshots.Load() != 1 {
+			t.Fatalf("appends landed when state was captured = %d (snapshots %d), want 1", landedAtCapture, met.Snapshots.Load())
 		}
 		s.Close()
 		_, state, info := openStore(t, dir, Options{})
@@ -586,25 +556,24 @@ func TestAppendDeferredDrains(t *testing.T) {
 		}
 	})
 	t.Run("bound", func(t *testing.T) {
-		met := &countingCounters{}
-		s, _, _ := openStore(t, t.TempDir(), Options{Fsync: true, Counters: met})
+		s, met := openCounted(t, t.TempDir(), Options{Fsync: true})
 		defer s.Close()
 		for i := 1; i < deferredMax; i++ {
 			if err := s.AppendDeferred(ExpireRec{User: uint64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if s.Pos() != 0 || met.groupCommits != 0 {
-			t.Fatalf("queue below the bound committed: pos=%d groups=%d", s.Pos(), met.groupCommits)
+		if s.Pos() != 0 || met.WALGroupCommits.Load() != 0 {
+			t.Fatalf("queue below the bound committed: pos=%d groups=%d", s.Pos(), met.WALGroupCommits.Load())
 		}
 		if err := s.AppendDeferred(ExpireRec{User: deferredMax}); err != nil {
 			t.Fatal(err)
 		}
-		if s.Pos() != deferredMax || met.groupCommits != 1 || met.fsyncs != 1 {
-			t.Fatalf("at the bound: pos=%d groups=%d fsyncs=%d, want one group of %d", s.Pos(), met.groupCommits, met.fsyncs, deferredMax)
+		if s.Pos() != deferredMax || met.WALGroupCommits.Load() != 1 || met.WALFsyncs.Load() != 1 {
+			t.Fatalf("at the bound: pos=%d groups=%d fsyncs=%d, want one group of %d", s.Pos(), met.WALGroupCommits.Load(), met.WALFsyncs.Load(), deferredMax)
 		}
-		if met.deferred != deferredMax-1 {
-			t.Fatalf("deferred counted = %d, want %d (the committing enqueue waited)", met.deferred, deferredMax-1)
+		if met.WALDeferredRecords.Load() != deferredMax-1 {
+			t.Fatalf("deferred counted = %d, want %d (the committing enqueue waited)", met.WALDeferredRecords.Load(), deferredMax-1)
 		}
 	})
 }

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/sabre-geo/sabre/internal/metrics"
 )
 
 // ErrCrashed is returned by every operation after the store has been
@@ -25,28 +27,6 @@ var ErrCrashed = errors.New("store: crashed")
 // stops serving — but the cause is distinguishable so the fenced-write
 // counter and tests can observe rejected zombie appends.
 var ErrFenced = errors.New("store: fenced: a newer primary holds this shard")
-
-// Counters is the metrics hook the store reports into; internal/metrics
-// Server satisfies it. A nil Counters is allowed.
-type Counters interface {
-	AddWALAppend(bytes int)
-	AddWALFsync()
-	AddSnapshot()
-	AddRecovery(recordsReplayed int, truncatedBytes int64)
-	AddFencedWrite()
-	// AddWALGroupCommit records one group commit landing the given number
-	// of records; syncNanos is the wall time of the group's fsync (0 when
-	// Fsync is off).
-	AddWALGroupCommit(records int, syncNanos int64)
-	// AddWALDeferred records waiter-less records (AppendDeferred) landed by
-	// a group commit; they are also counted in that group's records.
-	AddWALDeferred(records int)
-	// AddWALPrealloc records one growth of a WAL file's zero-filled
-	// region: the zero bytes written and the wall time of the write and
-	// its sync (0 when Fsync is off). Neither is an append's bytes or
-	// fsync.
-	AddWALPrealloc(bytes int, nanos int64)
-}
 
 // DefaultGroupMax is the records-per-group cap when Options.GroupMax is
 // zero. Large enough that a saturated 64-appender workload amortizes its
@@ -86,8 +66,6 @@ type Options struct {
 	// concurrent callers already coalesce while the leader's flush is in
 	// flight, with no added latency.
 	GroupWait time.Duration
-	// Counters receives wal/snapshot/recovery metrics; nil is allowed.
-	Counters Counters
 }
 
 // RecoveryInfo describes what Open found on disk.
@@ -127,6 +105,9 @@ type CrashPoint struct {
 type Store struct {
 	dir  string
 	opts Options
+	// met receives the WAL and snapshot counters: a private zero set from
+	// Open until SetCounters points it at the engine's.
+	met *metrics.Server
 
 	mu          sync.Mutex
 	gen         uint64
@@ -244,12 +225,9 @@ func Open(dir string, opts Options) (*Store, *State, RecoveryInfo, error) {
 		}
 	}
 
-	s := &Store{dir: dir, opts: opts, gen: gen, pos: uint64(info.Replayed)}
-	if s.wal, err = openWALFile(wp, int64(clean), &s.opts); err != nil {
+	s := &Store{dir: dir, opts: opts, met: new(metrics.Server), gen: gen, pos: uint64(info.Replayed)}
+	if s.wal, err = openWALFile(wp, int64(clean), &s.opts, s.met); err != nil {
 		return nil, nil, info, fmt.Errorf("store: %w", err)
-	}
-	if opts.Counters != nil {
-		opts.Counters.AddRecovery(info.Replayed, info.TruncatedBytes)
 	}
 	return s, b.finish(), info, nil
 }
@@ -295,13 +273,13 @@ func (s *Store) SetStateSource(f func() *State) {
 	s.stateSource = f
 }
 
-// SetCounters installs (or replaces) the metrics sink. NewDurable uses it
-// to point the store at the engine's counters, which do not exist yet
-// when the store is opened.
-func (s *Store) SetCounters(c Counters) {
+// SetCounters points the store's WAL and snapshot counters at c.
+// NewDurable uses it to book into the engine's counters, which do not
+// exist yet when the store is opened.
+func (s *Store) SetCounters(c *metrics.Server) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.opts.Counters = c
+	s.met, s.wal.met = c, c
 }
 
 // SetCrashPoints scripts deterministic kills for the crash-injection
@@ -499,8 +477,7 @@ func (s *Store) flushChunkLocked(chunk []*commitReq, nrecs int) {
 		completeChunk(chunk, ErrCrashed)
 		return
 	}
-	if err := s.fenceCheckLocked(); err != nil {
-		s.countExtraFencedLocked(nrecs - 1)
+	if err := s.fenceCheckLocked(nrecs); err != nil {
 		completeChunk(chunk, err)
 		return
 	}
@@ -559,20 +536,18 @@ func (s *Store) flushChunkLocked(chunk []*commitReq, nrecs int) {
 		}
 		syncNs = time.Since(t0).Nanoseconds()
 	}
-	if c := s.opts.Counters; c != nil {
-		prev := 0
-		for _, end := range ends {
-			c.AddWALAppend(end - prev)
-			prev = end
-		}
-		if s.opts.Fsync {
-			c.AddWALFsync()
-		}
-		c.AddWALGroupCommit(nrecs, syncNs)
-		if ndeferred > 0 {
-			c.AddWALDeferred(ndeferred)
-		}
+	// One group commit: its records and framed bytes, its fsync and that
+	// fsync's wall time (0 when Fsync is off), and the waiter-less
+	// (AppendDeferred) records it carried, which are also group records.
+	s.met.WALAppends.Add(uint64(nrecs))
+	s.met.WALBytes.Add(uint64(len(gb)))
+	if s.opts.Fsync {
+		s.met.WALFsyncs.Add(1)
 	}
+	s.met.WALGroupCommits.Add(1)
+	s.met.WALGroupRecords.Add(uint64(nrecs))
+	s.met.WALSyncNs.Add(uint64(syncNs))
+	s.met.WALDeferredRecords.Add(uint64(ndeferred))
 	s.appends += nrecs
 	basePos := s.pos
 	s.pos += uint64(nrecs)
@@ -607,8 +582,7 @@ func (s *Store) flushChunkLocked(chunk []*commitReq, nrecs int) {
 	// log ever rejoins, never a loss. The sink runs under the
 	// replicator's lock and the term bumps before Promote takes it, so
 	// if the frames were dropped the newer term is visible here.
-	if err := s.fenceCheckLocked(); err != nil {
-		s.countExtraFencedLocked(nrecs - 1)
+	if err := s.fenceCheckLocked(nrecs); err != nil {
 		completeChunk(chunk, err)
 		return
 	}
@@ -639,28 +613,16 @@ func payloadBytes(chunk []*commitReq) int {
 	return n
 }
 
-// countExtraFencedLocked books the fenced-write counter for the records
-// of a fenced group beyond the one fenceCheckLocked already counted.
-func (s *Store) countExtraFencedLocked(n int) {
-	if s.opts.Counters == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		s.opts.Counters.AddFencedWrite()
-	}
-}
-
-// fenceCheckLocked rejects the write with ErrFenced when the shared
-// term source reports a term newer than this store's own — a follower
-// was promoted and this store is a deposed primary.
-func (s *Store) fenceCheckLocked() error {
+// fenceCheckLocked rejects a group of nrecs records with ErrFenced, and
+// counts each as a fenced write, when the shared term source reports a
+// term newer than this store's own — a follower was promoted and this
+// store is a deposed primary.
+func (s *Store) fenceCheckLocked(nrecs int) error {
 	if s.termSource == nil {
 		return nil
 	}
 	if cur := s.termSource(); cur > s.term {
-		if s.opts.Counters != nil {
-			s.opts.Counters.AddFencedWrite()
-		}
+		s.met.FencedWrites.Add(uint64(nrecs))
 		return fmt.Errorf("%w (own term %d, current %d)", ErrFenced, s.term, cur)
 	}
 	return nil
@@ -746,7 +708,7 @@ func (s *Store) checkpointLocked(state *State) error {
 	}
 	syncDir(s.dir)
 
-	wal, err := createWALFile(walPath(s.dir, next), &s.opts)
+	wal, err := createWALFile(walPath(s.dir, next), &s.opts, s.met)
 	if err != nil {
 		s.crashed = true
 		return fmt.Errorf("%w: %v", ErrCrashed, err)
@@ -758,9 +720,7 @@ func (s *Store) checkpointLocked(state *State) error {
 	s.wal = wal
 	s.gen = next
 	s.appends = 0
-	if s.opts.Counters != nil {
-		s.opts.Counters.AddSnapshot()
-	}
+	s.met.Snapshots.Add(1)
 	if s.replSink != nil {
 		// Followers rotate to the new generation through a snapshot frame;
 		// a follower that misses it detects the gap and resyncs.

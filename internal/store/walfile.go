@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"github.com/sabre-geo/sabre/internal/metrics"
 )
 
 // Preallocation policy for a WAL generation. The file grows by a
@@ -31,22 +33,23 @@ type walFile struct {
 	end  int64 // log end: the next frame lands here
 	zero int64 // zero-filled end, the file size
 	opts *Options
+	met  *metrics.Server // books each growth of the zero-filled region
 }
 
 // createWALFile starts an empty generation at path, discarding any file
 // already there.
-func createWALFile(path string, opts *Options) (*walFile, error) {
+func createWALFile(path string, opts *Options, met *metrics.Server) (*walFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &walFile{f: f, opts: opts}, nil
+	return &walFile{f: f, opts: opts, met: met}, nil
 }
 
 // openWALFile reopens the generation at path to continue at log end end.
 // Every byte from end to EOF must be zero: recovery truncates a damaged
 // tail before it reopens.
-func openWALFile(path string, end int64, opts *Options) (*walFile, error) {
+func openWALFile(path string, end int64, opts *Options, met *metrics.Server) (*walFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -56,7 +59,7 @@ func openWALFile(path string, end int64, opts *Options) (*walFile, error) {
 		f.Close()
 		return nil, err
 	}
-	return &walFile{f: f, end: end, zero: fi.Size(), opts: opts}, nil
+	return &walFile{f: f, end: end, zero: fi.Size(), opts: opts, met: met}, nil
 }
 
 // append lands b at the log end with one positional write, first growing
@@ -99,9 +102,9 @@ func (w *walFile) grow(need int64) error {
 		}
 		ns = time.Since(t0).Nanoseconds()
 	}
-	if c := w.opts.Counters; c != nil {
-		c.AddWALPrealloc(int(target-w.zero), ns)
-	}
+	// The zeros are not WALBytes and their sync is not a WALFsyncs.
+	w.met.WALPreallocBytes.Add(uint64(target - w.zero))
+	w.met.WALPreallocNs.Add(ns)
 	w.zero = target
 	return nil
 }

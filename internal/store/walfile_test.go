@@ -144,28 +144,39 @@ func TestWALCrashPointFlipsAtLogEnd(t *testing.T) {
 }
 
 // TestWALPreallocCounted: the first append zero-fills one minimum chunk,
-// the append that crosses that chunk's end grows the file by one more,
-// and the zeros are neither WAL bytes nor fsyncs.
+// the appends inside it grow nothing, the append that crosses that
+// chunk's end grows the file by one more, and the zeros are neither WAL
+// bytes nor fsyncs.
 func TestWALPreallocCounted(t *testing.T) {
-	met := &countingCounters{}
-	s, _, _ := openStore(t, t.TempDir(), Options{Fsync: true, Counters: met})
+	s, met := openCounted(t, t.TempDir(), Options{Fsync: true})
 	defer s.Close()
 	big := make([]uint64, 1000) // an 8 KB record
-	var logged int64
-	for logged <= walChunkMin {
+	appendBig := func() {
 		if err := s.Append(FiredRec{User: 1, Alarms: big}); err != nil {
 			t.Fatal(err)
 		}
-		logged = int64(met.appendBytes)
 	}
-	if want := []int{walChunkMin, walChunkMin}; !reflect.DeepEqual(met.prealloc, want) {
-		t.Fatalf("growths = %v, want %v", met.prealloc, want)
+	appendBig()
+	if got := met.WALPreallocBytes.Load(); got != walChunkMin {
+		t.Fatalf("first append grew %d bytes, want one chunk of %d", got, walChunkMin)
+	}
+	for met.WALBytes.Load() <= walChunkMin {
+		appendBig()
+		if got, logged := met.WALPreallocBytes.Load(), met.WALBytes.Load(); logged <= walChunkMin && got != walChunkMin {
+			t.Fatalf("an append inside the first chunk grew the file to %d zero bytes", got)
+		}
+	}
+	if got := met.WALPreallocBytes.Load(); got != 2*walChunkMin {
+		t.Fatalf("after the append crossing the chunk: %d zero bytes, want %d", got, 2*walChunkMin)
+	}
+	if met.WALPreallocNs.Load() <= 0 {
+		t.Fatal("fsynced growths booked no time")
 	}
 	if size := fileSize(t, s.WALPath()); size != 2*walChunkMin {
 		t.Fatalf("file is %d bytes, want %d", size, 2*walChunkMin)
 	}
-	if met.fsyncs != met.groupCommits {
-		t.Fatalf("fsyncs = %d for %d group commits: a growth counted as one", met.fsyncs, met.groupCommits)
+	if met.WALFsyncs.Load() != met.WALGroupCommits.Load() {
+		t.Fatalf("fsyncs = %d for %d group commits: a growth counted as one", met.WALFsyncs.Load(), met.WALGroupCommits.Load())
 	}
 }
 
